@@ -167,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CounterexampleError, PropertyFailure) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,8 @@ __all__ = [
 _N_MAX_LIMIT = 20
 
 # factorial growth is the dominant term; keep every entry inside int64
-assert math.factorial(_N_MAX_LIMIT) < 2**63
+if math.factorial(_N_MAX_LIMIT) >= 2**63:
+    raise RuntimeError(f"{_N_MAX_LIMIT}! does not fit in int64")
 
 
 @dataclass(frozen=True)

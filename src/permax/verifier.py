@@ -240,8 +240,10 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
                 cur[1] = list(reps)
             elif mx == cur[0]:
                 cur[1].extend(reps)
-    assert scanned == 1 << ((n - 1) ** 2), "weighted enumeration lost matrices"
-    assert sorted(merged) == list(range(1, n + 1)), "a rank stratum came up empty"
+    if scanned != 1 << ((n - 1) ** 2):
+        raise RuntimeError("weighted enumeration lost matrices")
+    if sorted(merged) != list(range(1, n + 1)):
+        raise RuntimeError("a rank stratum came up empty")
     out = []
     for r in range(1, n + 1):
         mx, reps = merged[r]
@@ -327,7 +329,8 @@ def verify_mper(k: int, n: int) -> VerifyReport:
             attain = [rows]
         elif v == best:
             attain.append(rows)
-    assert scanned == 1 << (free * width), "weighted enumeration lost matrices"
+    if scanned != 1 << (free * width):
+        raise RuntimeError("weighted enumeration lost matrices")
     if best != bound:
         raise CounterexampleError(
             f"selection bound {bound} not attained at shape ({k},{n}); maximum {best}"
@@ -409,6 +412,8 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
     the derived per-check allocations.  Raises PropertyFailure naming the
     violated invariant together with the offending input.
     """
+    if samples <= 0:
+        raise RangeError(f"sample count must be positive, got {samples}")
     rng = random.Random(seed)
     t0 = time.monotonic()
     checks: list[tuple[str, int]] = []

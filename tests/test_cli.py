@@ -117,3 +117,12 @@ def test_unknown_arguments_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["per", "--file", "x", "--method", "magic"])
     assert info.value.code == 2
+
+
+def test_bad_numeric_arguments_exit_one(capsys):
+    assert main(["dtable", "--n-max", "21"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["props", "--samples", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sample count must be positive, got -5\n"

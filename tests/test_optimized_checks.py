@@ -1,0 +1,84 @@
+"""Weight-bearing checks must survive ``python -O``, which strips asserts."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import permax
+
+PACKAGE = Path(permax.__file__).parent
+
+
+def test_no_assert_statements_in_package():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+def run_optimized(body: str) -> str:
+    """Run ``body`` under ``python -O``; it must raise RuntimeError."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "assert False, 'asserts are live'\n"  # stripped under -O
+        "try:\n"
+        + "".join(f"    {line}\n" for line in body.strip().splitlines())
+        + "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    print('no error')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_corrupted_classification_replay_raises_under_optimize():
+    out = run_optimized(
+        """
+import permax.reduction as red
+red._condition_a_seq = lambda a: [("negR", 1)]
+red.classify_form(red.apply(red.d_matrix(6, 6, 5), [("negR", 2)]))
+"""
+    )
+    assert out == "replayed sequence does not reach the ConditionA template"
+
+
+def test_corrupted_canonical_witness_raises_under_optimize():
+    out = run_optimized(
+        """
+import permax.reduction as red
+red._swaps = lambda kind, target: []
+red.canonical_form(red.apply(red.d_matrix(5, 5, 3), [("swapR", 1, 4), ("swapC", 2, 5)]))
+"""
+    )
+    assert out == "canonical witness replay failed"
+
+
+@pytest.mark.parametrize(
+    "patch, call",
+    [
+        (
+            "real = v._sweep_chunk\n"
+            "v._sweep_chunk = lambda n, x1, *rest: (lambda s, st: (s - (x1 == 0), st))(*real(n, x1, *rest))",
+            "v.verify_square(3)",
+        ),
+        (
+            "real = v.combinations_with_replacement\n"
+            "v.combinations_with_replacement = lambda it, r: list(real(it, r))[1:]",
+            "v.verify_mper(2, 3)",
+        ),
+    ],
+)
+def test_wrong_scan_count_raises_under_optimize(patch, call):
+    out = run_optimized(f"import permax.verifier as v\n{patch}\n{call}")
+    assert out == "weighted enumeration lost matrices"
