@@ -52,4 +52,5 @@ def rank(a: SignMatrix) -> int:
     Raises OverflowError if an intermediate magnitude reaches 2**63
     (unreachable within the shape budget).
     """
-    return _rank_rows([list(a.row_signs(i)) for i in range(1, a.rows + 1)])
+    cols = range(a.cols)
+    return _rank_rows([[-1 if (w >> j) & 1 else 1 for j in cols] for w in a.words])

@@ -44,6 +44,10 @@ __all__ = [
 
 FORM_TAGS = ("DnMinus1", "DnDiag", "P1", "P2", "ConditionA", "D5Special")
 
+# the two exceptional order-6 templates, built once
+_P1 = p_matrix(1)
+_P2 = p_matrix(2)
+
 
 @dataclass(frozen=True)
 class FormClass:
@@ -519,7 +523,7 @@ def classify_form(a: SignMatrix) -> FormClass:
         # singular family the classification names; everything else
         # singular falls outside the procedure's hypothesis.
         if n == 6:
-            seq = _equivalence_witness(a, p_matrix(2))
+            seq = _equivalence_witness(a, _P2)
             if seq is not None:
                 return FormClass("P2", seq)
         raise RankError("classification is defined for nonsingular matrices only")
@@ -529,7 +533,7 @@ def classify_form(a: SignMatrix) -> FormClass:
     if n >= 6:
         if a == d_matrix(n, n, n):
             return FormClass("DnDiag", ())
-        if n == 6 and a == p_matrix(1):
+        if n == 6 and a == _P1:
             return FormClass("P1", ())
         tag, steps = _classify_general(a)
     else:
@@ -544,7 +548,7 @@ def classify_form(a: SignMatrix) -> FormClass:
     elif tag == "DnDiag":
         ok = b == d_matrix(n, n, n)
     elif tag == "P1":
-        ok = b == p_matrix(1)
+        ok = b == _P1
     elif tag == "ConditionA":
         ok = condition_A(b)
     else:

@@ -7,10 +7,15 @@ quotiented out: matrices are grouped by the multiset of their remaining
 rows, each representative weighted by a multinomial count, which cuts
 the order-6 stream from 2^25 matrices to C(36,5) representatives.
 
-Permanents are batched over the grouped stream.  With the first row all
-ones, Ryser's expansion reduces to a dot product between a per-subset
-weight vector and the running product of per-row subset sums, so shared
-row prefixes between consecutive representatives are computed once.
+Representatives are scanned depth-first, adding the free rows in
+non-decreasing order.  With the first row all ones, Ryser's expansion is
+a dot product between per-subset weights and the running product of
+per-row subset sums, so every inner node carries that product and shared
+prefixes are computed once.  The last row is handled by expansion along
+it: the permanent is linear in that row, so one pass per parent gives
+every leaf's value.  The rank comes from a table of row spans carried
+down the search and the multinomial weight from the runs of equal rows,
+so a leaf evaluates no permanent and runs no elimination.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ import json
 import math
 import os
 import random
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -116,85 +123,187 @@ def _resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def _t_table(n: int) -> list[list[int]]:
-    """Row sums over every column subset, indexed by a row's free bits."""
-    out = []
-    for x in range(1 << (n - 1)):
-        w = x << 1
-        out.append([s.bit_count() - 2 * (w & s).bit_count() for s in range(1 << n)])
-    return out
+class _SpanTable:
+    """Rational row spans of 0/1 vectors of length m, interned by content.
+
+    A span generated by 0/1 vectors is fixed by the 0/1 vectors it
+    contains, so its 2^m-bit membership mask ``mask[i]`` is an exact
+    canonical key.  Each span keeps an integer basis of its annihilator:
+    adding a vector x with form values a_k = f_k(x), a_i != 0, keeps the
+    forms a_i * f_k - a_k * f_i (k != i), each divided by its gcd, and
+    x lies in the span exactly when every form vanishes on it.  This is
+    exact integer arithmetic independent of the Bareiss elimination in
+    ``exact_rank``.
+
+    ``step[i << m | x]`` is the id of span i extended by x.  Entries
+    start at -1 and are filled on first use under a lock, so the threads
+    of one sweep can share a table; a filled entry never changes, so
+    reads take no lock.  A flat 16-bit step array and flat form tuples
+    keep the order-6 table (1,788 spans) near half a megabyte.
+    """
+
+    def __init__(self, m: int) -> None:
+        # loaded here, not at module import: the extension module costs
+        # about 0.3 ms and 128 KB in every command that never sweeps
+        from array import array
+
+        self.m = m
+        self.dim: list[int] = []
+        self.mask: list[int] = []
+        self.step = array("h")
+        self._forms: list[tuple[int, ...]] = []  # basis forms, concatenated
+        self._ids: dict[int, int] = {}
+        self._lock = threading.Lock()
+        self._intern([tuple(int(i == j) for j in range(m)) for i in range(m)])
+
+    def child(self, sid: int, x: int) -> int:
+        """Id of the span of span ``sid`` and the vector with bits ``x``."""
+        at = sid << self.m | x
+        nid = self.step[at]
+        if nid < 0:
+            with self._lock:
+                nid = self.step[at]
+                if nid < 0:
+                    nid = self.step[at] = self._extend(sid, x)
+        return nid
+
+    def _extend(self, sid: int, x: int) -> int:
+        flat, m = self._forms[sid], self.m
+        forms = [flat[k : k + m] for k in range(0, len(flat), m)]
+        vals = [sum(c for j, c in enumerate(f) if (x >> j) & 1) for f in forms]
+        i = next(k for k, a in enumerate(vals) if a)
+        fi, ai = forms[i], vals[i]
+        out = []
+        for k, (f, ak) in enumerate(zip(forms, vals)):
+            if k != i:
+                g = [ai * u - ak * v for u, v in zip(f, fi)]
+                d = math.gcd(*g)
+                out.append(tuple(u // d for u in g))
+        return self._intern(out)
+
+    def _intern(self, forms: list[tuple[int, ...]]) -> int:
+        mask = (1 << (1 << self.m)) - 1
+        for f in forms:
+            vals = [0]
+            for c in f:
+                vals += [v + c for v in vals]
+            mask &= sum(1 << x for x, v in enumerate(vals) if v == 0)
+        sid = self._ids.get(mask)
+        if sid is None:
+            sid = len(self.dim)
+            self.dim.append(self.m - len(forms))
+            self.mask.append(mask)
+            self._forms.append(tuple(c for f in forms for c in f))
+            self.step.extend([sid if (mask >> x) & 1 else -1 for x in range(1 << self.m)])
+            self._ids[mask] = sid
+        return sid
 
 
-def _leading_weights(n: int) -> list[int]:
-    """Per-subset weights carrying the all-ones first row and the
-    inclusion-exclusion sign of Ryser's expansion."""
-    return [
-        (-1 if (n - s.bit_count()) & 1 else 1) * s.bit_count() for s in range(1 << n)
-    ]
+class _SweepTables:
+    """Read-only tables for every chunk of one order-n sweep, plus the
+    shared span table of the free rows."""
+
+    def __init__(self, n: int) -> None:
+        full = range(1 << n)
+        # Ryser weights of the all-ones first row, inclusion-exclusion sign included
+        self.lead = [(-1 if (n - s.bit_count()) & 1 else 1) * s.bit_count() for s in full]
+        # row sums over every column subset, indexed by a row's free bits
+        self.row_sums = [
+            [s.bit_count() - 2 * ((x << 1) & s).bit_count() for s in full]
+            for x in range(1 << (n - 1))
+        ]
+        # column j picks the subsets that contain it
+        self.cols = [itemgetter(*[s for s in full if (s >> j) & 1]) for j in range(n)]
+        self.spans = _SpanTable(n - 1)
 
 
 def _sweep_chunk(
-    n: int,
-    x1: int,
-    t_table: list[list[int]],
-    lead: list[int],
-    bounds: dict[int, int],
+    n: int, x1: int, tables: _SweepTables, bounds: dict[int, int]
 ) -> tuple[int, dict[int, tuple[int, list[tuple[int, ...]]]]]:
     """Scan all row multisets whose smallest free row has bit pattern x1.
 
     Returns the weighted matrix count and, per rank, the largest |per|
-    seen together with the representatives attaining it.  Raises
-    CounterexampleError the moment any matrix beats its rank bound.
+    seen together with the representatives attaining it, in scan order.
+    Raises CounterexampleError at the first matrix that beats its rank
+    bound.
+
+    Rows are added in non-decreasing order.  Each inner node carries
+    the Ryser vector of its rows (the running product of per-subset row
+    sums), the id of its free rows' span, and the multinomial
+    denominator with the length of its last run of equal rows.  A leaf
+    costs O(1).  The permanent is linear in the last row: with B_j the
+    sum of the parent's vector over the subsets that hold column j, the
+    leaf whose last row has free bits x is worth
+    sum_j B_j - 2 * sum_{bit j of x} B_{j+1}, and one doubling pass per
+    parent fills that for every x.  Its rank is 1 + dim(parent span),
+    plus 1 when x lies outside that span: two table reads.
     """
     free = n - 1
     nwords = 1 << free
-    fact = [math.factorial(i) for i in range(free + 1)]
-    stats: dict[int, list] = {}
+    total = math.factorial(free)
+    row_sums, cols, spans = tables.row_sums, tables.cols, tables.spans
+    dims, masks = spans.dim, spans.mask
+    best = [-1] * (n + 2)
+    reps: list[list[tuple[int, ...]]] = [[] for _ in range(n + 2)]
+    # a leaf needs a look when it ties or beats the best, or beats the bound
+    gate = [0] * (n + 2)
     scanned = 0
 
-    def leaf(rows: tuple[int, ...], per: int) -> None:
-        nonlocal scanned
-        weight = fact[free]
-        for c in Counter(rows).values():
-            weight //= fact[c]
-        scanned += weight
-        r = 1 + _rank_rows([[(x >> j) & 1 for j in range(free)] for x in rows])
-        ap = -per if per < 0 else per
+    def record(rows: tuple[int, ...], ap: int, r: int) -> None:
         if ap > bounds[r] and not (n == 4 and r == 4 and ap == 8):
             a = SignMatrix(n, n, (0,) + tuple(x << 1 for x in rows))
             raise CounterexampleError(
                 f"|per| = {ap} beats the rank-{r} bound {bounds[r]} at order {n}:\n"
                 + format_matrix_text(a)
             )
-        st = stats.get(r)
-        if st is None:
-            stats[r] = [ap, [rows]]
-        elif ap > st[0]:
-            st[0] = ap
-            st[1] = [rows]
-        elif ap == st[0]:
-            st[1].append(rows)
+        if ap > best[r]:
+            best[r] = ap
+            reps[r] = [rows]
+        elif ap == best[r]:
+            reps[r].append(rows)
+        gate[r] = min(best[r], bounds[r] + 1)
 
-    head = [w * t for w, t in zip(lead, t_table[x1])]
+    def leaves(vec, sid, rows, lo, hi, den, run) -> None:
+        nonlocal scanned
+        b = [sum(g(vec)) for g in cols]
+        per = [sum(b)]
+        for bj in b[1:]:
+            bj *= 2
+            per += [p - bj for p in per]
+        weight = total // den
+        scanned += (hi - lo) * weight
+        if rows and rows[-1] == lo:
+            scanned += total // (den * (run + 1)) - weight
+        mask = masks[sid]
+        inside = 1 + dims[sid]
+        for x in range(lo, hi):
+            p = per[x]
+            ap = -p if p < 0 else p
+            r = inside if (mask >> x) & 1 else inside + 1
+            if ap >= gate[r]:
+                record(rows + (x,), ap, r)
+
+    def descend(vec, sid, rows, den, run) -> None:
+        last = rows[-1]
+        if len(rows) == free - 1:
+            leaves(vec, sid, rows, last, nwords, den, run)
+            return
+        for x in range(last, nwords):
+            same = x == last
+            descend(
+                [v * t for v, t in zip(vec, row_sums[x])],
+                spans.child(sid, x),
+                rows + (x,),
+                den * (run + 1) if same else den,
+                run + 1 if same else 1,
+            )
+
     if free == 1:
-        leaf((x1,), sum(head))
+        leaves(tables.lead, 0, (), x1, x1 + 1, 1, 0)
     else:
-
-        def rec(depth: int, lo: int, vec: list[int], rows: tuple[int, ...]) -> None:
-            if depth == free - 1:
-                for x in range(lo, nwords):
-                    leaf(rows + (x,), sum(v * t for v, t in zip(vec, t_table[x])))
-            else:
-                for x in range(lo, nwords):
-                    rec(
-                        depth + 1,
-                        x,
-                        [v * t for v, t in zip(vec, t_table[x])],
-                        rows + (x,),
-                    )
-
-        rec(1, x1, head, (x1,))
-    return scanned, {r: (st[0], st[1]) for r, st in stats.items()}
+        head = [w * t for w, t in zip(tables.lead, row_sums[x1])]
+        descend(head, spans.child(0, x1), (x1,), 1, 1)
+    return scanned, {r: (best[r], reps[r]) for r in range(1, n + 1) if best[r] >= 0}
 
 
 def verify_square(n: int, threads: int | None = None) -> VerifyReport:
@@ -206,9 +315,9 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
     maximum is 8 on the fully negated diagonal orbit and every other
     value stays at or below the table's 4.
 
-    Work is split into one chunk per smallest-row pattern; chunk
-    summaries merge associatively in a fixed order, so the report is
-    identical for any thread count.  ``threads`` defaults to the
+    Work is split into one chunk per smallest-row pattern; chunks share
+    one span table and their summaries merge associatively in a fixed
+    order, so the report is identical for any thread count.  ``threads`` defaults to the
     PERMAX_THREADS environment variable, else 1.
     """
     if not (2 <= n <= 6):
@@ -217,16 +326,13 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
     t0 = time.monotonic()
     table = build_table(max(n, 5))
     bounds = {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
-    t_tab = _t_table(n)
-    lead = _leading_weights(n)
+    tables = _SweepTables(n)
     work = list(range(1 << (n - 1)))
     if nthreads == 1:
-        parts = [_sweep_chunk(n, x1, t_tab, lead, bounds) for x1 in work]
+        parts = [_sweep_chunk(n, x1, tables, bounds) for x1 in work]
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(
-                pool.map(lambda x1: _sweep_chunk(n, x1, t_tab, lead, bounds), work)
-            )
+            parts = list(pool.map(lambda x1: _sweep_chunk(n, x1, tables, bounds), work))
     scanned = 0
     merged: dict[int, list] = {}
     for part_scanned, part_stats in parts:

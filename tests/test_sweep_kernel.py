@@ -1,0 +1,152 @@
+"""The square-sweep kernel against independent oracles.
+
+The span table is checked against Bareiss elimination, and each sweep
+chunk against a plain per-leaf scan: Ryser's formula on the rebuilt
+matrix, Bareiss rank and the multinomial weight from a Counter.
+"""
+
+import math
+import sys
+import threading
+from collections import Counter
+from itertools import combinations_with_replacement
+
+import pytest
+
+from permax import verifier
+from permax.d_family import bound_for_rank, build_table
+from permax.errors import CounterexampleError
+from permax.exact_rank import _rank_rows, rank
+from permax.permanent import permanent_naive, permanent_ryser
+from permax.sign_matrix import SignMatrix, parse_matrix_text
+
+
+def bit_rank(rows, m):
+    return _rank_rows([[(x >> j) & 1 for j in range(m)] for x in rows])
+
+
+def closure(table, m, shift=0):
+    """Every span reachable from the zero span, with one generating set
+    each, and every transition taken; ``shift`` rotates the order in
+    which vectors are tried."""
+    order = [(x + shift) % (1 << m) for x in range(1 << m)]
+    gens = {0: []}
+    steps = {}
+    todo = [0]
+    while todo:
+        sid = todo.pop()
+        for x in order:
+            cid = steps[sid, x] = table.child(sid, x)
+            if cid not in gens:
+                gens[cid] = gens[sid] + [x]
+                todo.append(cid)
+    return gens, steps
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_span_transitions_match_bareiss(n):
+    m = n - 1
+    table = verifier._SpanTable(m)
+    gens, _ = closure(table, m)
+    assert len(gens) == len(table.dim) == {3: 5, 4: 18, 5: 117, 6: 1788}[n]
+    assert len(set(table.mask)) == len(table.mask)
+    for sid, g in gens.items():
+        assert table.dim[sid] == bit_rank(g, m)
+        for x in range(1 << m):
+            grown = bit_rank(g + [x], m)
+            member = grown == table.dim[sid]
+            assert (table.mask[sid] >> x) & 1 == member, (g, x)
+            cid = table.child(sid, x)
+            assert (cid == sid) == member
+            # span(g + x) == span(gens[cid]): equal dimensions and a joint
+            # span no larger
+            assert table.dim[cid] == grown
+            assert bit_rank(g + [x] + gens[cid], m) == grown, (g, x)
+
+
+def race(m, nthreads):
+    """Walk one fresh table from ``nthreads`` threads at once."""
+    table = verifier._SpanTable(m)
+    seen = [None] * nthreads
+    errors = []
+
+    def walk(k):
+        try:
+            seen[k] = closure(table, m, shift=5 * k)[1]
+        except Exception as exc:  # surfaced by the caller's assertion
+            errors.append(exc)
+
+    workers = [threading.Thread(target=walk, args=(k,)) for k in range(nthreads)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=120)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    return table, seen
+
+
+def test_span_table_shared_by_racing_threads():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            table, seen = race(5, 6)
+            # one id per span, and every thread saw the same transitions
+            assert len(table.dim) == len(set(table.mask)) == 1788
+            assert all(out == seen[0] for out in seen)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def reference_chunk(n, x1, bounds):
+    """The sweep chunk computed leaf by leaf with the general routines."""
+    free = n - 1
+    stats = {}
+    scanned = 0
+    for rest in combinations_with_replacement(range(x1, 1 << free), free - 1):
+        rows = (x1,) + rest
+        weight = math.factorial(free)
+        for c in Counter(rows).values():
+            weight //= math.factorial(c)
+        scanned += weight
+        a = SignMatrix(n, n, (0,) + tuple(x << 1 for x in rows))
+        ap = abs(permanent_ryser(a))
+        r = 1 + bit_rank(rows, free)
+        assert ap <= bounds[r] or (n, r, ap) == (4, 4, 8)
+        best, reps = stats.get(r, (-1, []))
+        if ap > best:
+            stats[r] = (ap, [rows])
+        elif ap == best:
+            reps.append(rows)
+    return scanned, stats
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chunks_match_per_leaf_reference(n):
+    table = build_table(max(n, 5))
+    bounds = {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
+    tables = verifier._SweepTables(n)
+    total = 0
+    for x1 in range(1 << (n - 1)):
+        got = verifier._sweep_chunk(n, x1, tables, bounds)
+        assert got == reference_chunk(n, x1, bounds), x1
+        total += got[0]
+    assert total == 1 << ((n - 1) ** 2)
+
+
+def test_leaf_counterexample_names_the_matrix(monkeypatch):
+    real = verifier.bound_for_rank
+
+    def lowered(n, r, table):
+        return 47 if (n, r) == (5, 3) else real(n, r, table)
+
+    monkeypatch.setattr(verifier, "bound_for_rank", lowered)
+    with pytest.raises(CounterexampleError) as info:
+        verifier.verify_square(5)
+    head, text = str(info.value).split("\n", 1)
+    assert head == "|per| = 48 beats the rank-3 bound 47 at order 5:"
+    a = parse_matrix_text(text)
+    assert (a.rows, a.cols) == (5, 5)
+    assert rank(a) == 3
+    assert abs(permanent_naive(a)) == 48

@@ -184,6 +184,16 @@ def test_reports_are_reproducible_modulo_timing(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_order_five_reports_match_across_thread_counts(tmp_path):
+    # the chunks share one span table, filled as the sweep runs
+    paths = []
+    for threads in (1, 2, 4):
+        report = dataclasses.replace(verify_square(5, threads=threads), seconds=0.0)
+        paths.append(tmp_path / f"t{threads}.json")
+        write_report(report, "json", paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
 def test_stratum_rows_are_plain_data():
     row = StratumRow(rank=1, bound=2, observed_max=2, extremal_orbits=1, equality_class="D-only")
     assert dataclasses.asdict(row)["bound"] == 2
