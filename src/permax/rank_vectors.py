@@ -9,12 +9,13 @@ the number of rank-1 members.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import RankError, ShapeError
 from .exact_rank import rank
-from .sign_matrix import SignMatrix, d_matrix, make_matrix, submatrix_select
+from .sign_matrix import SignMatrix, append_column, d_matrix, submatrix_select
 
 __all__ = [
     "SubmatrixFamily",
@@ -79,11 +80,7 @@ def replace_family(c: SignMatrix, b) -> SubmatrixFamily:
     if len(col) != c.rows:
         raise ShapeError(f"column height {len(col)} does not match order {c.rows}")
     k = c.rows
-    entries = []
-    for i in range(1, k + 1):
-        entries.extend(c.row_signs(i))
-        entries.append(col[i - 1])
-    parent = make_matrix(entries, k, k + 1)
+    parent = append_column(c, col)
     all_ix = range(1, k + 2)
     members = tuple(tuple(j for j in all_ix if j != i) for i in range(1, k + 1))
     return SubmatrixFamily(parent=parent, members=members)
@@ -125,7 +122,13 @@ def check_min_law(a: SignMatrix) -> bool:
     r = rank(a)
     if r < k:
         raise RankError(f"rank {r} < row count {k}; the minimality law needs full row rank")
-    return majorize_leq(rank_vector(d_matrix(n, k, k - 1)), rank_vector(a))
+    return majorize_leq(_one_short_rank_vector(n, k), rank_vector(a))
+
+
+@functools.cache
+def _one_short_rank_vector(n: int, k: int) -> RankVector:
+    """R(D_(n,k,k-1)), built once per shape."""
+    return rank_vector(d_matrix(n, k, k - 1))
 
 
 def multiplicity_law(a: SignMatrix, b) -> bool:

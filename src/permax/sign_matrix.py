@@ -32,6 +32,7 @@ __all__ = [
     "MAX_ROWS",
     "MAX_COLS",
     "make_matrix",
+    "append_column",
     "d_matrix",
     "q_matrix",
     "p_matrix",
@@ -114,6 +115,12 @@ def make_matrix(entries: list[int], rows: int, cols: int) -> SignMatrix:
                 raise ValueError(f"entry {e!r} at ({i + 1},{j + 1}) is not +1 or -1")
         words.append(w)
     return SignMatrix(rows, cols, tuple(words))
+
+
+def append_column(a: SignMatrix, col) -> SignMatrix:
+    """``a`` with the +1/-1 entries of ``col`` appended as column cols+1."""
+    entries = [e for i, c in enumerate(col, 1) for e in (*a.row_signs(i), c)]
+    return make_matrix(entries, a.rows, a.cols + 1)
 
 
 def d_matrix(n: int, k: int, l: int) -> SignMatrix:

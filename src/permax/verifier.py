@@ -48,11 +48,11 @@ from .rank_vectors import (
 from .reduction import _rect_canonical, canonical_form, equivalent_to_d
 from .sign_matrix import (
     SignMatrix,
+    append_column,
     apply,
     d_matrix,
     format_matrix_text,
     invert_transforms,
-    make_matrix,
     submatrix_select,
 )
 
@@ -117,7 +117,10 @@ def enumerate_normalized(n: int) -> Iterator[SignMatrix]:
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
         env = os.environ.get("PERMAX_THREADS", "")
-        threads = int(env) if env else 1
+        try:
+            threads = int(env) if env else 1
+        except ValueError:
+            raise RangeError(f"PERMAX_THREADS must be an integer, got {env!r}") from None
     if threads < 1:
         raise RangeError(f"thread count must be positive, got {threads}")
     return threads
@@ -495,13 +498,8 @@ def _scaled_difference_holds(a: SignMatrix, col: list[int]) -> bool:
     selection of ``a`` counts each fresh selection n - k + 1 times, so the
     total equals that multiple of the rank-vector difference."""
     k, n = a.rows, a.cols
-    entries = []
-    for i in range(1, k + 1):
-        entries.extend(a.row_signs(i))
-        entries.append(col[i - 1])
-    extended = make_matrix(entries, k, n + 1)
     base = rank_vector(a)
-    grown = rank_vector(extended)
+    grown = rank_vector(append_column(a, col))
     total = [0] * k
     for gamma in combinations(range(1, n + 1), k):
         picked = submatrix_select(a, range(1, k + 1), gamma)

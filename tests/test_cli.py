@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import permax.verifier
 from permax import CounterexampleError, d_matrix, format_matrix_text, p_matrix
 from permax.cli import main
 
@@ -113,6 +114,15 @@ def test_counterexample_exit_two(monkeypatch, capsys):
     assert "FAIL:" in capsys.readouterr().err
 
 
+def test_props_oracle_disagreement_exit_two(monkeypatch, capsys):
+    real = permax.verifier.permanent_naive
+    monkeypatch.setattr(
+        permax.verifier, "permanent_naive", lambda a: real(a) + 2 * (a.rows == 8)
+    )
+    assert main(["props", "--seed", "4", "--samples", "400"]) == 2
+    assert capsys.readouterr().err.startswith("FAIL: permanent oracle agreement violated\n8 8\n")
+
+
 def test_unknown_arguments_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["per", "--file", "x", "--method", "magic"])
@@ -126,3 +136,9 @@ def test_bad_numeric_arguments_exit_one(capsys):
     assert main(["props", "--samples", "-5"]) == 1
     err = capsys.readouterr().err
     assert err == "error: sample count must be positive, got -5\n"
+
+
+def test_bad_thread_variable_exit_one(monkeypatch, capsys):
+    monkeypatch.setenv("PERMAX_THREADS", "abc")
+    assert main(["verify", "--n", "3"]) == 1
+    assert capsys.readouterr().err == "error: PERMAX_THREADS must be an integer, got 'abc'\n"

@@ -82,3 +82,17 @@ red.canonical_form(red.apply(red.d_matrix(5, 5, 3), [("swapR", 1, 4), ("swapC", 
 def test_wrong_scan_count_raises_under_optimize(patch, call):
     out = run_optimized(f"import permax.verifier as v\n{patch}\n{call}")
     assert out == "weighted enumeration lost matrices"
+
+
+def test_oracle_disagreement_raises_under_optimize():
+    out = run_optimized(
+        """
+import permax.verifier as v
+real = v.permanent_naive
+v.permanent_naive = lambda a: real(a) + 2 * (a.rows == 8)
+v.verify_properties(4, 400)
+"""
+    )
+    head, _, matrix = out.partition("\n")
+    assert head == "permanent oracle agreement violated"
+    assert matrix.startswith("8 8\n")

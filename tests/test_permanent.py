@@ -8,11 +8,14 @@ import pytest
 
 from permax import (
     ShapeError,
+    SignMatrix,
+    build_table,
     d_matrix,
     laplace_expand,
     make_matrix,
     mper,
     p_matrix,
+    per_d_diag,
     permanent_naive,
     permanent_rect,
     permanent_ryser,
@@ -24,10 +27,39 @@ def random_square(rng, n):
     return make_matrix([rng.choice((1, -1)) for _ in range(n * n)], n, n)
 
 
+def literal_permanent(a):
+    """The permutation sum term by term, the reference for the grouped oracle."""
+    rows = [a.row_signs(i) for i in range(1, a.rows + 1)]
+    return sum(
+        math.prod(rows[i][j] for i, j in enumerate(sigma))
+        for sigma in itertools.permutations(range(a.rows))
+    )
+
+
 def test_naive_known_values():
     assert permanent_naive(make_matrix([1] * 9, 3, 3)) == 6
     assert permanent_naive(d_matrix(3, 3, 3)) == -2
     assert permanent_naive(d_matrix(1, 1, 1)) == -1
+
+
+def test_naive_matches_literal_sum_on_every_order_four_pattern():
+    for bits in range(1 << 16):
+        a = SignMatrix(4, 4, tuple((bits >> (4 * r)) & 15 for r in range(4)))
+        assert permanent_naive(a) == literal_permanent(a)
+
+
+def test_naive_matches_literal_sum_sampled():
+    rng = random.Random(23)
+    for n, count in ((1, 4), (2, 8), (3, 20), (4, 20), (5, 20), (6, 10), (7, 5), (8, 3)):
+        for _ in range(count):
+            a = random_square(rng, n)
+            assert permanent_naive(a) == literal_permanent(a)
+
+
+def test_naive_order_ten_values():
+    # both values come from neither evaluator: 10! and the diagonal recurrence
+    assert permanent_naive(make_matrix([1] * 100, 10, 10)) == 3_628_800
+    assert permanent_naive(d_matrix(10, 10, 10)) == per_d_diag(10, build_table(10))
 
 
 def test_naive_shape_guards():

@@ -22,6 +22,7 @@ from permax import (
     submatrix_delete,
     submatrix_select,
 )
+from permax.sign_matrix import append_column
 
 J2 = make_matrix([1, 1, 1, 1], 2, 2)
 
@@ -57,6 +58,15 @@ def test_make_matrix_rejects_bad_input():
         make_matrix([1] * 6, 3, 2)  # wide-or-square only
     with pytest.raises(ShapeError):
         SignMatrix(13, 13, tuple([0] * 13))
+
+
+def test_append_column():
+    a = make_matrix([1, -1, 1, 1, 1, -1], 2, 3)
+    assert append_column(a, [-1, 1]).to_entries() == [1, -1, 1, -1, 1, 1, -1, 1]
+    with pytest.raises(ValueError):
+        append_column(a, [0, 1])
+    with pytest.raises(ShapeError):
+        append_column(a, [1])
 
 
 def test_d_matrix_shape_and_negatives():

@@ -5,12 +5,15 @@ import json
 
 import pytest
 
+import permax.verifier
 from permax import (
+    PropertyFailure,
     RangeError,
     ShapeError,
     StratumRow,
     VerifyReport,
     enumerate_normalized,
+    parse_matrix_text,
     verify_mper,
     verify_properties,
     verify_square,
@@ -133,6 +136,25 @@ def test_property_suite_is_seed_deterministic():
     a = verify_properties(seed=5, samples=120)
     b = verify_properties(seed=5, samples=120)
     assert a.checks == b.checks and a.scanned == b.scanned
+
+
+def test_property_suite_reports_oracle_disagreement(monkeypatch):
+    real = permax.verifier.permanent_naive
+    skewed = []
+
+    def off_by_two_at_order_eight(a):
+        if a.rows != 8:
+            return real(a)
+        skewed.append(a)
+        return real(a) + 2
+
+    monkeypatch.setattr(permax.verifier, "permanent_naive", off_by_two_at_order_eight)
+    with pytest.raises(PropertyFailure) as info:
+        verify_properties(seed=4, samples=400)
+    head, _, matrix = str(info.value).partition("\n")
+    assert head == "permanent oracle agreement violated"
+    assert parse_matrix_text(matrix) == skewed[0]
+    assert skewed[0].rows == 8 and len(skewed) == 1
 
 
 def test_write_report_formats(tmp_path):
