@@ -4,6 +4,10 @@ Every public operation that claims a reduction returns the transform
 sequence realizing it, and the sequence is replayed before returning,
 so callers can trust the witness bit-exactly.
 
+equivalent_to_d decides membership in a near-identity orbit at every
+order and shape by one signing test; canonical forms (order <= 6) serve
+canonical_form and the singular order-6 template P2 in classify_form.
+
 classify_form decides condition A at order >= 6 by one test: some two
 rows, or two columns, differ in d positions with 3 <= d <= n-3.  Such a
 pair is moved to rows 1 and 2 and row 1 is negated to all ones.  Without
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, RankError, ShapeError
 from .exact_rank import rank
-from .permanent import permanent_ryser
 from .sign_matrix import (
     SignMatrix,
     _transpose_words,
@@ -197,11 +200,11 @@ def _swaps(kind: str, target: list[int]) -> list[tuple]:
     return steps
 
 
-def _canonical_with_seq(a: SignMatrix, allow_transpose: bool) -> tuple[SignMatrix, tuple[tuple, ...]]:
+def _canonical_with_seq(a: SignMatrix) -> tuple[SignMatrix, tuple[tuple, ...]]:
     rows, cols = a.rows, a.cols
     mask = (1 << cols) - 1
     orientations = [(0, a.words)]
-    if allow_transpose and a.is_square:
+    if a.is_square:
         orientations.append((1, _transpose_words(a)))
 
     # state: (base words after column negations, used-row bitmask, partition,
@@ -303,48 +306,43 @@ def canonical_form(a: SignMatrix) -> SignMatrix:
         raise ShapeError(f"canonical form needs a square matrix, got {a.rows}x{a.cols}")
     if a.rows > 6:
         raise ShapeError(f"canonical form supports order <= 6, got {a.rows}")
-    canon, _ = _canonical_with_seq(a, allow_transpose=True)
-    return canon
-
-
-def _rect_canonical(a: SignMatrix) -> SignMatrix:
-    """Orbit representative without the transpose (rectangular sweeps)."""
-    canon, _ = _canonical_with_seq(a, allow_transpose=False)
+    canon, _ = _canonical_with_seq(a)
     return canon
 
 
 def equivalent_to_d(a: SignMatrix, r: int) -> tuple[tuple, ...] | None:
-    """Transform sequence carrying ``a`` onto the near-identity form with
-    r diagonal negatives, or None.
+    """Replayed transform sequence carrying the k x n matrix ``a`` onto
+    ``d_matrix(n, k, r)``, or None when ``a`` lies outside that orbit.
 
-    Exact decision for n <= 6 (canonical forms).  For larger orders a
-    rank or |per| mismatch is a verified no; otherwise the constructive
-    reductions are tried (all-ones target via negations, r = n-1 and
-    r = n via the classification procedure) and None means "no reduction
-    found", which is weaker than a verified absence.
+    Exact at every order and shape: ``a`` is in the orbit exactly when
+    some row and column signing turns its -1 cells into a partial
+    permutation of size r (the symmetric target makes the transpose
+    redundant).  Negating everything changes nothing, so row 1 keeps its
+    sign and holds at most one -1: the column signing is row 1 itself or
+    row 1 with one bit flipped.  Each row then needs a signing with at
+    most one -1, unique above two columns.  All n+1 choices are tried,
+    since they can reach different sizes (D_(3,3) ~ D_(3,2)).
     """
-    if not a.is_square:
-        raise ShapeError(f"equivalence test needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    target = d_matrix(n, n, r)
-    if a == target:
-        return ()
-    if n <= 6:
-        return _equivalence_witness(a, target)
-    # rank and |per| are orbit invariants, so a mismatch is a verified no
-    if rank(a) != rank(target):
-        return None
-    if abs(permanent_ryser(a)) != abs(permanent_ryser(target)):
-        return None
-    if r == 0:
-        work, seq = normalize_first_line(a)
-        return seq if work == target else None
-    if r in (n - 1, n):
-        form = classify_form(a)
-        if r == n - 1 and form.tag == "DnMinus1":
-            return form.seq
-        if r == n and form.tag == "DnDiag":
-            return form.seq
+    k, n = a.rows, a.cols
+    target = d_matrix(n, k, r)
+    full = (1 << n) - 1
+    first = a.words[0]
+    for colmask in (first, *(first ^ (1 << j) for j in range(n))):
+        options = [[f for f in (0, full) if (w ^ colmask ^ f).bit_count() <= 1] for w in a.words]
+        for flips in itertools.product(*options):
+            cells = [w ^ colmask ^ f for w, f in zip(a.words, flips)]
+            held = [i for i, c in enumerate(cells) if c]
+            if len(held) != r or len({cells[i] for i in held}) != r:
+                continue
+            steps = [("negC", j + 1) for j in range(n) if (colmask >> j) & 1]
+            steps += [("negR", i + 1) for i, f in enumerate(flips) if f]
+            placed = held + [i for i in range(k) if not cells[i]]
+            steps += _swaps("swapR", [i + 1 for i in placed])
+            used = [cells[i].bit_length() for i in held]
+            steps += _swaps("swapC", used + [j for j in range(1, n + 1) if j not in used])
+            if apply(a, steps) != target:
+                raise RuntimeError("D-orbit witness replay failed")
+            return tuple(steps)
     return None
 
 
@@ -355,8 +353,8 @@ def _equivalence_witness(a: SignMatrix, target: SignMatrix) -> tuple[tuple, ...]
     """
     if a == target:
         return ()
-    ca, seq_a = _canonical_with_seq(a, allow_transpose=True)
-    ct, seq_t = _canonical_with_seq(target, allow_transpose=True)
+    ca, seq_a = _canonical_with_seq(a)
+    ct, seq_t = _canonical_with_seq(target)
     if ca.words != ct.words:
         return None
     seq = seq_a + invert_transforms(seq_t)

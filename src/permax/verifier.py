@@ -45,7 +45,7 @@ from .rank_vectors import (
     rank_vector,
     replace_family,
 )
-from .reduction import _rect_canonical, canonical_form, equivalent_to_d
+from .reduction import equivalent_to_d
 from .sign_matrix import (
     SignMatrix,
     append_column,
@@ -306,6 +306,10 @@ def _sweep_chunk(
     else:
         head = [w * t for w, t in zip(tables.lead, row_sums[x1])]
         descend(head, spans.child(0, x1), (x1,), 1, 1)
+    # descend reaches itself through its closure; unbinding it breaks that
+    # cycle, so the tables the closures hold are freed on return instead of
+    # at the next full garbage collection
+    descend = None
     return scanned, {r: (best[r], reps[r]) for r in range(1, n + 1) if best[r] >= 0}
 
 
@@ -316,7 +320,9 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
     on a single orbit equivalent to the matching near-identity matrix.
     The one sanctioned deviation is order 4 nonsingular, where the
     maximum is 8 on the fully negated diagonal orbit and every other
-    value stays at or below the table's 4.
+    value stays at or below the table's 4.  Every extremal representative
+    is checked against that orbit with ``equivalent_to_d``, so a stratum
+    that passes reports exactly one extremal orbit.
 
     Work is split into one chunk per smallest-row pattern; chunks share
     one span table and their summaries merge associatively in a fixed
@@ -362,13 +368,8 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
                 f"rank-{r} stratum tops out at {mx}; bound {bounds[r]} not attained"
             )
         target = 4 if exception else r - 1
-        orbits: dict[tuple[int, ...], SignMatrix] = {}
         for rep in reps:
             a = SignMatrix(n, n, (0,) + tuple(x << 1 for x in rep))
-            key = canonical_form(a).words
-            if key not in orbits:
-                orbits[key] = a
-        for a in orbits.values():
             if equivalent_to_d(a, target) is None:
                 raise CounterexampleError(
                     f"rank-{r} extremal matrix sits outside the expected orbit:\n"
@@ -379,7 +380,7 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
                 rank=r,
                 bound=bounds[r],
                 observed_max=mx,
-                extremal_orbits=len(orbits),
+                extremal_orbits=1,
                 equality_class=_CLASS_EXCEPTION if exception else _CLASS_PLAIN,
             )
         )
@@ -398,8 +399,10 @@ def verify_mper(k: int, n: int) -> VerifyReport:
     to row order, keeps the full-row-rank ones, and checks each against
     the one-short near-identity bound.  Shapes are admitted by cost, not
     by a fixed list: 2^((k-1)(n-1)) * C(n,k) permanent evaluations must
-    fit under 2^20.  Equality must land on the near-identity orbit,
-    except shape (3, 4) where a second orbit attains the bound.
+    fit under 2^20.  Equality must land on the near-identity orbit
+    D_(n,k,k-1), except shape (3, 4) where D_(4,3,3) attains the bound
+    too; each attaining representative is matched to one of these orbits
+    with ``equivalent_to_d``, and each of them must be attained.
     """
     if not (2 <= k < n):
         raise RangeError(f"need 2 <= k < n, got k={k}, n={n}")
@@ -410,15 +413,13 @@ def verify_mper(k: int, n: int) -> VerifyReport:
         )
     t0 = time.monotonic()
     bound = mper(d_matrix(n, k, k - 1))
-    targets = {_rect_canonical(d_matrix(n, k, k - 1)).words}
-    if (k, n) == (3, 4):
-        targets.add(_rect_canonical(d_matrix(4, 3, 3)).words)
+    sizes = [k - 1, 3] if (k, n) == (3, 4) else [k - 1]
     free = k - 1
     width = n - 1
     fact = [math.factorial(i) for i in range(free + 1)]
     scanned = 0
     best = -1
-    attain: list[tuple[int, ...]] = []
+    attain: list[SignMatrix] = []
     for rows in combinations_with_replacement(range(1 << width), free):
         weight = fact[free]
         for c in Counter(rows).values():
@@ -435,22 +436,17 @@ def verify_mper(k: int, n: int) -> VerifyReport:
             )
         if v > best:
             best = v
-            attain = [rows]
+            attain = [a]
         elif v == best:
-            attain.append(rows)
+            attain.append(a)
     if scanned != 1 << (free * width):
         raise RuntimeError("weighted enumeration lost matrices")
     if best != bound:
         raise CounterexampleError(
             f"selection bound {bound} not attained at shape ({k},{n}); maximum {best}"
         )
-    orbits: dict[tuple[int, ...], SignMatrix] = {}
-    for rep in attain:
-        a = SignMatrix(k, n, (0,) + tuple(x << 1 for x in rep))
-        key = _rect_canonical(a).words
-        if key not in orbits:
-            orbits[key] = a
-    if set(orbits) != targets:
+    matched = {next((r for r in sizes if equivalent_to_d(a, r) is not None), None) for a in attain}
+    if matched != set(sizes):
         raise CounterexampleError(
             f"equality orbits at shape ({k},{n}) differ from the expected family"
         )
@@ -458,7 +454,7 @@ def verify_mper(k: int, n: int) -> VerifyReport:
         rank=k,
         bound=bound,
         observed_max=best,
-        extremal_orbits=len(orbits),
+        extremal_orbits=len(sizes),
         equality_class=_CLASS_EXCEPTION if (k, n) == (3, 4) else _CLASS_PLAIN,
     )
     return VerifyReport(

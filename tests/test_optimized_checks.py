@@ -64,6 +64,18 @@ red.canonical_form(red.apply(red.d_matrix(5, 5, 3), [("swapR", 1, 4), ("swapC", 
     assert out == "canonical witness replay failed"
 
 
+def test_corrupted_d_orbit_witness_raises_under_optimize():
+    out = run_optimized(
+        """
+import permax.reduction as red
+red._swaps = lambda kind, target: []
+a = red.apply(red.d_matrix(7, 7, 3), [("swapR", 1, 5), ("swapC", 2, 6), ("negR", 3)])
+red.equivalent_to_d(a, 3)
+"""
+    )
+    assert out == "D-orbit witness replay failed"
+
+
 @pytest.mark.parametrize(
     "patch, call",
     [

@@ -1,6 +1,7 @@
 """Constructive reductions: normalization, block form, classification,
 orbit equivalence, and canonical forms."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from permax import (
     PreconditionError,
     RankError,
     ShapeError,
+    SignMatrix,
     apply,
     canonical_form,
     classify_form,
@@ -17,6 +19,7 @@ from permax import (
     d_matrix,
     equivalent_to_d,
     make_matrix,
+    mper,
     neg_count,
     normalize_first_line,
     p_matrix,
@@ -271,6 +274,107 @@ def test_equivalent_to_d_beyond_exhaustive_orders():
 def test_equivalent_to_d_mismatches():
     assert equivalent_to_d(q_matrix(3), 1) is None
     assert equivalent_to_d(d_matrix(5, 5, 3), 2) is None
+
+
+def orbit_labels(k, n):
+    """Orbit label of every k x n matrix, as a tuple of row words.
+
+    Breadth-first closure under row and column negations, adjacent row
+    and column swaps, and the transpose when square; each orbit is
+    labelled by the first member reached.
+    """
+    full = (1 << n) - 1
+
+    def moves(words):
+        for i in range(k):
+            yield words[:i] + (words[i] ^ full,) + words[i + 1:]
+        for j in range(n):
+            yield tuple(w ^ (1 << j) for w in words)
+        for i in range(k - 1):
+            yield words[:i] + (words[i + 1], words[i]) + words[i + 2:]
+        for j in range(n - 1):
+            pair = 3 << j
+            yield tuple(w ^ pair if ((w >> j) ^ (w >> (j + 1))) & 1 else w for w in words)
+        if k == n:
+            yield tuple(sum(((words[i] >> j) & 1) << i for i in range(k)) for j in range(n))
+
+    label = {}
+    for start in itertools.product(range(1 << n), repeat=k):
+        if start in label:
+            continue
+        label[start] = start
+        queue = [start]
+        for words in queue:
+            for nxt in moves(words):
+                if nxt not in label:
+                    label[nxt] = start
+                    queue.append(nxt)
+    return label
+
+
+@pytest.mark.parametrize(
+    "k, n", [(1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4)]
+)
+def test_equivalent_to_d_matches_orbit_closure(k, n):
+    label = orbit_labels(k, n)
+    targets = [d_matrix(n, k, r) for r in range(k + 1)]
+    for words, orbit in label.items():
+        a = SignMatrix(k, n, words)
+        for r, target in enumerate(targets):
+            seq = equivalent_to_d(a, r)
+            assert (seq is not None) == (orbit == label[target.words]), (words, r)
+            if seq is not None:
+                assert apply(a, seq) == target
+
+
+def scramble(rng, a):
+    """A copy of ``a`` with random row and column signs and uniformly random
+    row and column orders, transposed half the time when square."""
+    k, n = a.rows, a.cols
+    steps = [("negR", i) for i in range(1, k + 1) if rng.random() < 0.5]
+    steps += [("negC", j) for j in range(1, n + 1) if rng.random() < 0.5]
+    steps += [("swapR", i, rng.randint(i, k)) for i in range(1, k + 1)]
+    steps += [("swapC", j, rng.randint(j, n)) for j in range(1, n + 1)]
+    if k == n and rng.random() < 0.5:
+        steps.append(("T",))
+    return apply(a, steps)
+
+
+# square orders 5-10 and every wide shape up to 4 x 8
+SHAPES = [(n, n) for n in range(5, 11)] + [
+    (k, n) for k in range(1, 5) for n in range(k + 1, 9)
+]
+
+
+def test_equivalent_to_d_replays_on_scrambled_targets():
+    rng = random.Random(89)
+    for k, n in SHAPES:
+        for r in range(k + 1):
+            target = d_matrix(n, k, r)
+            for _ in range(3):
+                a = scramble(rng, target)
+                seq = equivalent_to_d(a, r)
+                assert seq is not None and apply(a, seq) == target, (k, n, r, a)
+
+
+def test_equivalent_to_d_refuses_perturbed_targets():
+    # flipping one cell of an orbit member lands outside the orbit
+    # whenever it changes the rank or the selection sum of |per|
+    rng = random.Random(97)
+    refused = 0
+    for k, n in SHAPES:
+        for r in range(k + 1):
+            target = d_matrix(n, k, r)
+            a = scramble(rng, target)
+            for _ in range(3):
+                i = rng.randrange(k)
+                words = list(a.words)
+                words[i] ^= 1 << rng.randrange(n)
+                b = SignMatrix(k, n, tuple(words))
+                if rank(b) != rank(target) or mper(b) != mper(target):
+                    assert equivalent_to_d(b, r) is None, (k, n, r, b)
+                    refused += 1
+    assert refused >= 300
 
 
 # --- canonical forms --------------------------------------------------------

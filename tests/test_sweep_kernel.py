@@ -5,9 +5,11 @@ chunk against a plain per-leaf scan: Ryser's formula on the rebuilt
 matrix, Bareiss rank and the multinomial weight from a Counter.
 """
 
+import gc
 import math
 import sys
 import threading
+import weakref
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -133,6 +135,22 @@ def test_chunks_match_per_leaf_reference(n):
         assert got == reference_chunk(n, x1, bounds), x1
         total += got[0]
     assert total == 1 << ((n - 1) ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_chunk_frees_the_tables_on_return(n):
+    # a reference cycle through the chunk's closures would hold the
+    # tables until the next full garbage collection
+    bounds = {r: bound_for_rank(n, r, build_table(5)) for r in range(1, n + 1)}
+    tables = verifier._SweepTables(n)
+    spans = weakref.ref(tables.spans)
+    gc.disable()
+    try:
+        verifier._sweep_chunk(n, 1, tables, bounds)
+        del tables
+        assert spans() is None
+    finally:
+        gc.enable()
 
 
 def test_leaf_counterexample_names_the_matrix(monkeypatch):

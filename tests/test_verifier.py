@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+import permax.reduction
 import permax.verifier
 from permax import (
+    CounterexampleError,
     PropertyFailure,
     RangeError,
     ShapeError,
@@ -14,6 +16,8 @@ from permax import (
     VerifyReport,
     enumerate_normalized,
     parse_matrix_text,
+    permanent_ryser,
+    rank,
     verify_mper,
     verify_properties,
     verify_square,
@@ -114,6 +118,48 @@ def test_mper_sweep_small_shapes():
         verify_mper(1, 3)
     with pytest.raises(RangeError):
         verify_mper(5, 6)  # past the sweep budget
+
+
+def refusing(r_refused):
+    """``equivalent_to_d`` that refuses every matrix for one target size."""
+    real = permax.verifier.equivalent_to_d
+    return lambda a, r: None if r == r_refused else real(a, r)
+
+
+def test_square_sweep_reports_a_matrix_outside_the_orbit(monkeypatch):
+    monkeypatch.setattr(permax.verifier, "equivalent_to_d", refusing(4))
+    with pytest.raises(CounterexampleError) as info:
+        verify_square(4)
+    head, _, text = str(info.value).partition("\n")
+    assert head == "rank-4 extremal matrix sits outside the expected orbit:"
+    a = parse_matrix_text(text)
+    assert (a.rows, rank(a), abs(permanent_ryser(a))) == (4, 4, 8)
+
+
+def test_mper_sweep_reports_a_missing_equality_orbit(monkeypatch):
+    monkeypatch.setattr(permax.verifier, "equivalent_to_d", refusing(3))
+    with pytest.raises(CounterexampleError) as info:
+        verify_mper(3, 4)
+    assert str(info.value) == "equality orbits at shape (3,4) differ from the expected family"
+
+
+def test_sweeps_need_no_canonical_forms(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("canonical form requested")
+
+    monkeypatch.setattr(permax.reduction, "_canonical_with_seq", refuse)
+    square = verify_square(5)
+    assert square.scanned == 2 ** 16
+    assert [(s.rank, s.bound, s.observed_max, s.extremal_orbits, s.equality_class) for s in square.rows] == [
+        (1, 120, 120, 1, "D-only"),
+        (2, 72, 72, 1, "D-only"),
+        (3, 48, 48, 1, "D-only"),
+        (4, 32, 32, 1, "D-only"),
+        (5, 24, 24, 1, "D-only"),
+    ]
+    (row,) = verify_mper(3, 4).rows
+    assert (row.bound, row.observed_max, row.extremal_orbits) == (8, 8, 2)
+    assert row.equality_class == "D-plus-exception"
 
 
 def test_property_suite_small_run():
