@@ -1,21 +1,22 @@
 """Exhaustive and randomized verification of the rank-based permanent bound.
 
-The square sweep walks every matrix of a given order with all-ones first
-row and column; that slice meets every equivalence orbit, and both |per|
-and rank are orbit invariants.  Row order below the first line is also
-quotiented out: matrices are grouped by the multiset of their remaining
-rows, each representative weighted by a multinomial count, which cuts
+Both exhaustive sweeps walk every k x n matrix with all-ones first row
+and column: the square sweep (k = n) bounds |per| per rank, the wide
+sweep (k < n) the sum of |per| over the k-column selections of the
+full-rank matrices.  That slice meets every equivalence orbit, and both
+values and the rank are orbit invariants.  Row order below the first
+line is also quotiented out: matrices are grouped by the multiset of
+their remaining rows, each weighted by a multinomial count, which cuts
 the order-6 stream from 2^25 matrices to C(36,5) representatives.
 
-Representatives are scanned depth-first, adding the free rows in
-non-decreasing order.  With the first row all ones, Ryser's expansion is
-a dot product between per-subset weights and the running product of
-per-row subset sums, so every inner node carries that product and shared
-prefixes are computed once.  The last row is handled by expansion along
-it: the permanent is linear in that row, so one pass per parent gives
-every leaf's value.  The rank comes from a table of row spans carried
-down the search and the multinomial weight from the runs of equal rows,
-so a leaf evaluates no permanent and runs no elimination.
+One kernel scans the representatives of both sweeps depth-first, adding
+the free rows in non-decreasing order.  Every inner node carries the
+running product of per-row subset sums over all 2^n column subsets, so
+shared prefixes are computed once.  Each selection's permanent is
+linear in the last row, so one pass per parent and selection gives
+every leaf's value.  The rank comes from a table of row spans and the
+weight from the runs of equal rows, so a leaf evaluates no permanent
+and runs no elimination.  The callers hold the bounds.
 """
 
 from __future__ import annotations
@@ -26,17 +27,16 @@ import os
 import random
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from operator import itemgetter
+from itertools import combinations
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterator
 
 from .d_family import bound_for_rank, build_table
 from .errors import CounterexampleError, PropertyFailure, RangeError, ShapeError
-from .exact_rank import _rank_rows, rank
+from .exact_rank import rank
 from .permanent import laplace_expand, mper, permanent_naive, permanent_ryser
 from .rank_vectors import (
     check_min_law,
@@ -141,8 +141,10 @@ class _SpanTable:
     ``step[i << m | x]`` is the id of span i extended by x.  Entries
     start at -1 and are filled on first use under a lock, so the threads
     of one sweep can share a table; a filled entry never changes, so
-    reads take no lock.  A flat 16-bit step array and flat form tuples
-    keep the order-6 table (1,788 spans) near half a megabyte.
+    reads take no lock.  A flat 16-bit step array and flat form lists
+    keep the order-6 table (1,788 spans) near half a megabyte.  Lists,
+    not tuples: a freed table's tuples would park in the interpreter's
+    tuple free lists, and peak memory crept across repeated sweeps.
     """
 
     def __init__(self, m: int) -> None:
@@ -154,7 +156,7 @@ class _SpanTable:
         self.dim: list[int] = []
         self.mask: list[int] = []
         self.step = array("h")
-        self._forms: list[tuple[int, ...]] = []  # basis forms, concatenated
+        self._forms: list[list[int]] = []  # basis forms, concatenated
         self._ids: dict[int, int] = {}
         self._lock = threading.Lock()
         self._intern([tuple(int(i == j) for j in range(m)) for i in range(m)])
@@ -196,95 +198,96 @@ class _SpanTable:
             sid = len(self.dim)
             self.dim.append(self.m - len(forms))
             self.mask.append(mask)
-            self._forms.append(tuple(c for f in forms for c in f))
+            self._forms.append([c for f in forms for c in f])
             self.step.extend([sid if (mask >> x) & 1 else -1 for x in range(1 << self.m)])
             self._ids[mask] = sid
         return sid
 
 
 class _SweepTables:
-    """Read-only tables for every chunk of one order-n sweep, plus the
+    """Read-only tables for every chunk of one k x n sweep, plus the
     shared span table of the free rows."""
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, k: int, n: int) -> None:
+        self.k, self.n = k, n
         full = range(1 << n)
         # Ryser weights of the all-ones first row, inclusion-exclusion sign included
-        self.lead = [(-1 if (n - s.bit_count()) & 1 else 1) * s.bit_count() for s in full]
+        self.lead = [(-1 if (k - s.bit_count()) & 1 else 1) * s.bit_count() for s in full]
         # row sums over every column subset, indexed by a row's free bits
         self.row_sums = [
             [s.bit_count() - 2 * ((x << 1) & s).bit_count() for s in full]
             for x in range(1 << (n - 1))
         ]
-        # column j picks the subsets that contain it
-        self.cols = [itemgetter(*[s for s in full if (s >> j) & 1]) for j in range(n)]
+        # per k-column selection g, column j of g picks the subsets of g
+        # that contain it; a column outside g picks nothing
+        self.sels = [
+            [
+                itemgetter(*[s for s in full if s & g == s and (s >> j) & 1])
+                if (g >> j) & 1
+                else None
+                for j in range(n)
+            ]
+            for g in (sum(1 << j for j in c) for c in combinations(range(n), k))
+        ]
         self.spans = _SpanTable(n - 1)
 
 
 def _sweep_chunk(
-    n: int, x1: int, tables: _SweepTables, bounds: dict[int, int]
+    tables: _SweepTables, x1: int
 ) -> tuple[int, dict[int, tuple[int, list[tuple[int, ...]]]]]:
     """Scan all row multisets whose smallest free row has bit pattern x1.
 
-    Returns the weighted matrix count and, per rank, the largest |per|
-    seen together with the representatives attaining it, in scan order.
-    Raises CounterexampleError at the first matrix that beats its rank
-    bound.
+    A leaf's value is the sum of |per| over its k-column selections, so
+    a square leaf's value is its |per|.  Returns the weighted matrix
+    count and, per rank, the largest value seen together with the
+    representatives attaining it, in scan order.
 
     Rows are added in non-decreasing order.  Each inner node carries
     the Ryser vector of its rows (the running product of per-subset row
     sums), the id of its free rows' span, and the multinomial
     denominator with the length of its last run of equal rows.  A leaf
-    costs O(1).  The permanent is linear in the last row: with B_j the
-    sum of the parent's vector over the subsets that hold column j, the
-    leaf whose last row has free bits x is worth
-    sum_j B_j - 2 * sum_{bit j of x} B_{j+1}, and one doubling pass per
-    parent fills that for every x.  Its rank is 1 + dim(parent span),
-    plus 1 when x lies outside that span: two table reads.
+    costs O(selections).  The permanent of selection g is linear in the
+    last row: with B_j the sum of the parent's vector over the subsets
+    of g that hold column j, the leaf whose last row has free bits x is
+    worth sum_j B_j - 2 * sum_{bit j of x} B_{j+1}, and one doubling
+    pass per parent and selection fills that for every x.  Its rank is
+    1 + dim(parent span), plus 1 when x lies outside that span: two
+    table reads.
     """
-    free = n - 1
-    nwords = 1 << free
+    k, free = tables.k, tables.k - 1
+    nwords = 1 << (tables.n - 1)
     total = math.factorial(free)
-    row_sums, cols, spans = tables.row_sums, tables.cols, tables.spans
+    row_sums, sels, spans = tables.row_sums, tables.sels, tables.spans
     dims, masks = spans.dim, spans.mask
-    best = [-1] * (n + 2)
-    reps: list[list[tuple[int, ...]]] = [[] for _ in range(n + 2)]
-    # a leaf needs a look when it ties or beats the best, or beats the bound
-    gate = [0] * (n + 2)
+    best = [-1] * (k + 1)
+    reps: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
     scanned = 0
-
-    def record(rows: tuple[int, ...], ap: int, r: int) -> None:
-        if ap > bounds[r] and not (n == 4 and r == 4 and ap == 8):
-            a = SignMatrix(n, n, (0,) + tuple(x << 1 for x in rows))
-            raise CounterexampleError(
-                f"|per| = {ap} beats the rank-{r} bound {bounds[r]} at order {n}:\n"
-                + format_matrix_text(a)
-            )
-        if ap > best[r]:
-            best[r] = ap
-            reps[r] = [rows]
-        elif ap == best[r]:
-            reps[r].append(rows)
-        gate[r] = min(best[r], bounds[r] + 1)
 
     def leaves(vec, sid, rows, lo, hi, den, run) -> None:
         nonlocal scanned
-        b = [sum(g(vec)) for g in cols]
-        per = [sum(b)]
-        for bj in b[1:]:
-            bj *= 2
-            per += [p - bj for p in per]
+        vals = None
+        for sel in sels:
+            b = [sum(g(vec)) if g else 0 for g in sel]
+            per = [sum(b)]
+            for bj in b[1:]:
+                bj *= 2
+                per += [p - bj for p in per]
+            per = list(map(abs, per[lo:hi]))
+            vals = per if vals is None else list(map(add, vals, per))
         weight = total // den
         scanned += (hi - lo) * weight
         if rows and rows[-1] == lo:
             scanned += total // (den * (run + 1)) - weight
         mask = masks[sid]
         inside = 1 + dims[sid]
-        for x in range(lo, hi):
-            p = per[x]
-            ap = -p if p < 0 else p
+        for x, v in enumerate(vals, lo):
             r = inside if (mask >> x) & 1 else inside + 1
-            if ap >= gate[r]:
-                record(rows + (x,), ap, r)
+            if v >= best[r]:
+                if v > best[r]:
+                    best[r] = v
+                    reps[r] = [rows + (x,)]
+                else:
+                    reps[r].append(rows + (x,))
 
     def descend(vec, sid, rows, den, run) -> None:
         last = rows[-1]
@@ -310,7 +313,40 @@ def _sweep_chunk(
     # cycle, so the tables the closures hold are freed on return instead of
     # at the next full garbage collection
     descend = None
-    return scanned, {r: (best[r], reps[r]) for r in range(1, n + 1) if best[r] >= 0}
+    return scanned, {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
+
+
+def _sweep(k: int, n: int, threads: int = 1) -> tuple[int, dict[int, tuple[int, list]]]:
+    """Sweep every k x n matrix with all-ones first row and column.
+
+    Work is split into one chunk per smallest-row pattern; chunks share
+    one span table and their summaries merge in a fixed order, so the
+    result is identical for any thread count.  Returns the matrix count
+    and, per rank, the largest value with the matrices attaining it.
+    """
+    tables = _SweepTables(k, n)
+    work = range(1 << (n - 1))
+    if threads == 1:
+        parts = [_sweep_chunk(tables, x1) for x1 in work]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda x1: _sweep_chunk(tables, x1), work))
+    scanned = 0
+    merged: dict[int, tuple[int, list]] = {}
+    for part_scanned, part_stats in parts:
+        scanned += part_scanned
+        for r, (mx, reps) in part_stats.items():
+            top, kept = merged.get(r, (-1, []))
+            if mx > top:
+                merged[r] = (mx, reps)
+            elif mx == top:
+                kept.extend(reps)
+    if scanned != 1 << ((k - 1) * (n - 1)):
+        raise RuntimeError("weighted enumeration lost matrices")
+    return scanned, {
+        r: (mx, [SignMatrix(k, n, (0,) + tuple(x << 1 for x in rows)) for rows in reps])
+        for r, (mx, reps) in merged.items()
+    }
 
 
 def verify_square(n: int, threads: int | None = None) -> VerifyReport:
@@ -324,10 +360,8 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
     is checked against that orbit with ``equivalent_to_d``, so a stratum
     that passes reports exactly one extremal orbit.
 
-    Work is split into one chunk per smallest-row pattern; chunks share
-    one span table and their summaries merge associatively in a fixed
-    order, so the report is identical for any thread count.  ``threads`` defaults to the
-    PERMAX_THREADS environment variable, else 1.
+    The report is identical for any thread count.  ``threads`` defaults
+    to the PERMAX_THREADS environment variable, else 1.
     """
     if not (2 <= n <= 6):
         raise ShapeError(f"square sweep supports orders 2..6, got {n}")
@@ -335,42 +369,27 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
     t0 = time.monotonic()
     table = build_table(max(n, 5))
     bounds = {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
-    tables = _SweepTables(n)
-    work = list(range(1 << (n - 1)))
-    if nthreads == 1:
-        parts = [_sweep_chunk(n, x1, tables, bounds) for x1 in work]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(lambda x1: _sweep_chunk(n, x1, tables, bounds), work))
-    scanned = 0
-    merged: dict[int, list] = {}
-    for part_scanned, part_stats in parts:
-        scanned += part_scanned
-        for r, (mx, reps) in part_stats.items():
-            cur = merged.get(r)
-            if cur is None:
-                merged[r] = [mx, list(reps)]
-            elif mx > cur[0]:
-                cur[0] = mx
-                cur[1] = list(reps)
-            elif mx == cur[0]:
-                cur[1].extend(reps)
-    if scanned != 1 << ((n - 1) ** 2):
-        raise RuntimeError("weighted enumeration lost matrices")
+    top = dict(bounds)
+    if n == 4:
+        top[4] = 8  # the sanctioned deviation, on the orbit of D_(4,4,4)
+    scanned, merged = _sweep(n, n, nthreads)
     if sorted(merged) != list(range(1, n + 1)):
         raise RuntimeError("a rank stratum came up empty")
     out = []
     for r in range(1, n + 1):
         mx, reps = merged[r]
-        exception = n == 4 and r == 4 and mx > bounds[r]
-        if not exception and mx != bounds[r]:
+        if mx > top[r]:
             raise CounterexampleError(
-                f"rank-{r} stratum tops out at {mx}; bound {bounds[r]} not attained"
+                f"|per| = {mx} beats the rank-{r} bound {bounds[r]} at order {n}:\n"
+                + format_matrix_text(reps[0])
             )
-        target = 4 if exception else r - 1
-        for rep in reps:
-            a = SignMatrix(n, n, (0,) + tuple(x << 1 for x in rep))
-            if equivalent_to_d(a, target) is None:
+        if mx < top[r]:
+            raise CounterexampleError(
+                f"rank-{r} stratum tops out at {mx}; bound {top[r]} not attained"
+            )
+        exception = top[r] != bounds[r]
+        for a in reps:
+            if equivalent_to_d(a, r if exception else r - 1) is None:
                 raise CounterexampleError(
                     f"rank-{r} extremal matrix sits outside the expected orbit:\n"
                     + format_matrix_text(a)
@@ -395,11 +414,11 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
 def verify_mper(k: int, n: int) -> VerifyReport:
     """Exhaustively confirm the wide-matrix selection bound for shape (k, n).
 
-    Enumerates every k x n matrix with all-ones first row and column up
-    to row order, keeps the full-row-rank ones, and checks each against
-    the one-short near-identity bound.  Shapes are admitted by cost, not
-    by a fixed list: 2^((k-1)(n-1)) * C(n,k) permanent evaluations must
-    fit under 2^20.  Equality must land on the near-identity orbit
+    Sweeps every k x n matrix with all-ones first row and column up to
+    row order, and checks the full-row-rank ones against the one-short
+    near-identity bound.  Shapes are admitted by cost, not by a fixed
+    list: 2^((k-1)(n-1)) raw matrices times C(n,k) column selections
+    must fit under 2^20.  Equality must land on the near-identity orbit
     D_(n,k,k-1), except shape (3, 4) where D_(4,3,3) attains the bound
     too; each attaining representative is matched to one of these orbits
     with ``equivalent_to_d``, and each of them must be attained.
@@ -414,38 +433,18 @@ def verify_mper(k: int, n: int) -> VerifyReport:
     t0 = time.monotonic()
     bound = mper(d_matrix(n, k, k - 1))
     sizes = [k - 1, 3] if (k, n) == (3, 4) else [k - 1]
-    free = k - 1
-    width = n - 1
-    fact = [math.factorial(i) for i in range(free + 1)]
-    scanned = 0
-    best = -1
-    attain: list[SignMatrix] = []
-    for rows in combinations_with_replacement(range(1 << width), free):
-        weight = fact[free]
-        for c in Counter(rows).values():
-            weight //= fact[c]
-        scanned += weight
-        if 1 + _rank_rows([[(x >> j) & 1 for j in range(width)] for x in rows]) != k:
-            continue
-        a = SignMatrix(k, n, (0,) + tuple(x << 1 for x in rows))
-        v = mper(a)
-        if v > bound:
-            raise CounterexampleError(
-                f"selection maximum {v} beats the bound {bound} at shape ({k},{n}):\n"
-                + format_matrix_text(a)
-            )
-        if v > best:
-            best = v
-            attain = [a]
-        elif v == best:
-            attain.append(a)
-    if scanned != 1 << (free * width):
-        raise RuntimeError("weighted enumeration lost matrices")
-    if best != bound:
+    scanned, merged = _sweep(k, n)
+    best, reps = merged.get(k, (-1, []))
+    if best > bound:
+        raise CounterexampleError(
+            f"selection maximum {best} beats the bound {bound} at shape ({k},{n}):\n"
+            + format_matrix_text(reps[0])
+        )
+    if best < bound:
         raise CounterexampleError(
             f"selection bound {bound} not attained at shape ({k},{n}); maximum {best}"
         )
-    matched = {next((r for r in sizes if equivalent_to_d(a, r) is not None), None) for a in attain}
+    matched = {next((r for r in sizes if equivalent_to_d(a, r) is not None), None) for a in reps}
     if matched != set(sizes):
         raise CounterexampleError(
             f"equality orbits at shape ({k},{n}) differ from the expected family"

@@ -76,22 +76,13 @@ red.equivalent_to_d(a, 3)
     assert out == "D-orbit witness replay failed"
 
 
-@pytest.mark.parametrize(
-    "patch, call",
-    [
-        (
-            "real = v._sweep_chunk\n"
-            "v._sweep_chunk = lambda n, x1, *rest: (lambda s, st: (s - (x1 == 0), st))(*real(n, x1, *rest))",
-            "v.verify_square(3)",
-        ),
-        (
-            "real = v.combinations_with_replacement\n"
-            "v.combinations_with_replacement = lambda it, r: list(real(it, r))[1:]",
-            "v.verify_mper(2, 3)",
-        ),
-    ],
-)
-def test_wrong_scan_count_raises_under_optimize(patch, call):
+@pytest.mark.parametrize("call", ["v.verify_square(3)", "v.verify_mper(2, 3)"])
+def test_wrong_scan_count_raises_under_optimize(call):
+    # drops one matrix from the count of the first chunk
+    patch = (
+        "real = v._sweep_chunk\n"
+        "v._sweep_chunk = lambda t, x1: (lambda s, st: (s - (x1 == 0), st))(*real(t, x1))"
+    )
     out = run_optimized(f"import permax.verifier as v\n{patch}\n{call}")
     assert out == "weighted enumeration lost matrices"
 

@@ -268,7 +268,8 @@ def test_equivalent_to_d_beyond_exhaustive_orders():
     tilted = apply(ones, (("negR", 3), ("negC", 6)))
     seq = equivalent_to_d(tilted, 0)
     assert seq is not None and apply(tilted, seq) == ones
-    assert equivalent_to_d(ones, 6) is None  # rank mismatch is decisive
+    # the all-ones orbit is D_(7,0): no signing yields 6 cells
+    assert equivalent_to_d(ones, 6) is None
 
 
 def test_equivalent_to_d_mismatches():

@@ -1,8 +1,9 @@
-"""The square-sweep kernel against independent oracles.
+"""The sweep kernel against independent oracles.
 
 The span table is checked against Bareiss elimination, and each sweep
-chunk against a plain per-leaf scan: Ryser's formula on the rebuilt
-matrix, Bareiss rank and the multinomial weight from a Counter.
+chunk, square or wide, against a plain per-leaf scan: the selection sum
+``mper`` on the rebuilt matrix, Bareiss rank and the multinomial weight
+from a Counter.
 """
 
 import gc
@@ -15,12 +16,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from permax import verifier
-from permax.d_family import bound_for_rank, build_table
+from permax import permanent, verifier
 from permax.errors import CounterexampleError
 from permax.exact_rank import _rank_rows, rank
-from permax.permanent import permanent_naive, permanent_ryser
-from permax.sign_matrix import SignMatrix, parse_matrix_text
+from permax.permanent import mper, permanent_naive
+from permax.sign_matrix import SignMatrix, d_matrix, parse_matrix_text
 
 
 def bit_rank(rows, m):
@@ -101,52 +101,53 @@ def test_span_table_shared_by_racing_threads():
         sys.setswitchinterval(old)
 
 
-def reference_chunk(n, x1, bounds):
+def reference_chunk(k, n, x1):
     """The sweep chunk computed leaf by leaf with the general routines."""
-    free = n - 1
+    free = k - 1
     stats = {}
     scanned = 0
-    for rest in combinations_with_replacement(range(x1, 1 << free), free - 1):
+    for rest in combinations_with_replacement(range(x1, 1 << (n - 1)), free - 1):
         rows = (x1,) + rest
         weight = math.factorial(free)
         for c in Counter(rows).values():
             weight //= math.factorial(c)
         scanned += weight
-        a = SignMatrix(n, n, (0,) + tuple(x << 1 for x in rows))
-        ap = abs(permanent_ryser(a))
-        r = 1 + bit_rank(rows, free)
-        assert ap <= bounds[r] or (n, r, ap) == (4, 4, 8)
+        value = mper(SignMatrix(k, n, (0,) + tuple(x << 1 for x in rows)))
+        r = 1 + bit_rank(rows, n - 1)
         best, reps = stats.get(r, (-1, []))
-        if ap > best:
-            stats[r] = (ap, [rows])
-        elif ap == best:
+        if value > best:
+            stats[r] = (value, [rows])
+        elif value == best:
             reps.append(rows)
     return scanned, stats
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_chunks_match_per_leaf_reference(n):
-    table = build_table(max(n, 5))
-    bounds = {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
-    tables = verifier._SweepTables(n)
+def shapes(*pairs):
+    """Parametrize over k x n shapes; a square shape is named by its order."""
+    ids = [str(n) if k == n else f"{k}x{n}" for k, n in pairs]
+    return pytest.mark.parametrize("k, n", pairs, ids=ids)
+
+
+@shapes((2, 2), (3, 3), (4, 4), (5, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5))
+def test_chunks_match_per_leaf_reference(k, n):
+    tables = verifier._SweepTables(k, n)
     total = 0
     for x1 in range(1 << (n - 1)):
-        got = verifier._sweep_chunk(n, x1, tables, bounds)
-        assert got == reference_chunk(n, x1, bounds), x1
+        got = verifier._sweep_chunk(tables, x1)
+        assert got == reference_chunk(k, n, x1), x1
         total += got[0]
-    assert total == 1 << ((n - 1) ** 2)
+    assert total == 1 << ((k - 1) * (n - 1))
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_chunk_frees_the_tables_on_return(n):
+@shapes((2, 2), (4, 4), (3, 5))
+def test_chunk_frees_the_tables_on_return(k, n):
     # a reference cycle through the chunk's closures would hold the
     # tables until the next full garbage collection
-    bounds = {r: bound_for_rank(n, r, build_table(5)) for r in range(1, n + 1)}
-    tables = verifier._SweepTables(n)
+    tables = verifier._SweepTables(k, n)
     spans = weakref.ref(tables.spans)
     gc.disable()
     try:
-        verifier._sweep_chunk(n, 1, tables, bounds)
+        verifier._sweep_chunk(tables, 1)
         del tables
         assert spans() is None
     finally:
@@ -168,3 +169,27 @@ def test_leaf_counterexample_names_the_matrix(monkeypatch):
     assert (a.rows, a.cols) == (5, 5)
     assert rank(a) == 3
     assert abs(permanent_naive(a)) == 48
+
+
+def test_wide_counterexample_names_the_matrix(monkeypatch):
+    real = verifier.mper
+    # lowers the (3,4) bound, mper of D_(4,3,2), from 8 to 7
+    monkeypatch.setattr(verifier, "mper", lambda a: real(a) - (a == d_matrix(4, 3, 2)))
+    with pytest.raises(CounterexampleError) as info:
+        verifier.verify_mper(3, 4)
+    head, text = str(info.value).split("\n", 1)
+    assert head == "selection maximum 8 beats the bound 7 at shape (3,4):"
+    a = parse_matrix_text(text)
+    assert (a.rows, a.cols) == (3, 4)
+    assert rank(a) == 3
+    assert mper(a) == 8
+
+
+def test_wide_sweep_evaluates_permanents_only_for_the_bound(monkeypatch):
+    real = permanent.permanent_ryser
+    seen = []
+    monkeypatch.setattr(permanent, "permanent_ryser", lambda a: seen.append(a) or real(a))
+    (row,) = verifier.verify_mper(4, 6).rows
+    # one call per 4-column selection of D_(6,4,3), and none from the sweep
+    assert len(seen) == math.comb(6, 4) == 15
+    assert sum(abs(real(a)) for a in seen) == row.bound == 120

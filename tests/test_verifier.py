@@ -116,8 +116,8 @@ def test_mper_sweep_small_shapes():
 
     with pytest.raises(RangeError):
         verify_mper(1, 3)
-    with pytest.raises(RangeError):
-        verify_mper(5, 6)  # past the sweep budget
+    with pytest.raises(RangeError, match=r"^shape \(5,6\) needs 6291456 permanent evaluations, over the 2\^20 budget$"):
+        verify_mper(5, 6)
 
 
 def refusing(r_refused):
