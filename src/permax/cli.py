@@ -86,7 +86,7 @@ def _emit_report(report: VerifyReport, args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _emit_report(verify_square(args.n, threads=args.threads), args)
+    _emit_report(verify_square(args.n, args.workers), args)
     return 0
 
 
@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive square sweep at one order")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     _add_report_args(p)
     p.set_defaults(func=_cmd_verify)
 

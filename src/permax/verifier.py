@@ -23,11 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add, itemgetter
@@ -114,18 +111,6 @@ def enumerate_normalized(n: int) -> Iterator[SignMatrix]:
         yield SignMatrix(n, n, tuple(words))
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("PERMAX_THREADS", "")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            raise RangeError(f"PERMAX_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise RangeError(f"thread count must be positive, got {threads}")
-    return threads
-
-
 class _SpanTable:
     """Rational row spans of 0/1 vectors of length m, interned by content.
 
@@ -139,12 +124,11 @@ class _SpanTable:
     ``exact_rank``.
 
     ``step[i << m | x]`` is the id of span i extended by x.  Entries
-    start at -1 and are filled on first use under a lock, so the threads
-    of one sweep can share a table; a filled entry never changes, so
-    reads take no lock.  A flat 16-bit step array and flat form lists
-    keep the order-6 table (1,788 spans) near half a megabyte.  Lists,
-    not tuples: a freed table's tuples would park in the interpreter's
-    tuple free lists, and peak memory crept across repeated sweeps.
+    start at -1 and are filled on first use; every sweep process builds
+    its own table.  A flat 16-bit step array and flat form lists keep the
+    order-6 table (1,788 spans) near half a megabyte.  Lists, not tuples:
+    a freed table's tuples would park in the interpreter's tuple free
+    lists, and peak memory crept across repeated sweeps.
     """
 
     def __init__(self, m: int) -> None:
@@ -158,7 +142,6 @@ class _SpanTable:
         self.step = array("h")
         self._forms: list[list[int]] = []  # basis forms, concatenated
         self._ids: dict[int, int] = {}
-        self._lock = threading.Lock()
         self._intern([tuple(int(i == j) for j in range(m)) for i in range(m)])
 
     def child(self, sid: int, x: int) -> int:
@@ -166,10 +149,7 @@ class _SpanTable:
         at = sid << self.m | x
         nid = self.step[at]
         if nid < 0:
-            with self._lock:
-                nid = self.step[at]
-                if nid < 0:
-                    nid = self.step[at] = self._extend(sid, x)
+            nid = self.step[at] = self._extend(sid, x)
         return nid
 
     def _extend(self, sid: int, x: int) -> int:
@@ -206,17 +186,17 @@ class _SpanTable:
 
 class _SweepTables:
     """Read-only tables for every chunk of one k x n sweep, plus the
-    shared span table of the free rows."""
+    span table of the free rows."""
 
     def __init__(self, k: int, n: int) -> None:
         self.k, self.n = k, n
         full = range(1 << n)
         # Ryser weights of the all-ones first row, inclusion-exclusion sign included
         self.lead = [(-1 if (k - s.bit_count()) & 1 else 1) * s.bit_count() for s in full]
-        # row sums over every column subset, indexed by a row's free bits
+        # per-subset row sums, indexed by a row's free bits; a two-row sweep reads none
         self.row_sums = [
             [s.bit_count() - 2 * ((x << 1) & s).bit_count() for s in full]
-            for x in range(1 << (n - 1))
+            for x in range(1 << (n - 1) if k > 2 else 0)
         ]
         # per k-column selection g, column j of g picks the subsets of g
         # that contain it; a column outside g picks nothing
@@ -250,9 +230,9 @@ def _sweep_chunk(
     last row: with B_j the sum of the parent's vector over the subsets
     of g that hold column j, the leaf whose last row has free bits x is
     worth sum_j B_j - 2 * sum_{bit j of x} B_{j+1}, and one doubling
-    pass per parent and selection fills that for every x.  Its rank is
-    1 + dim(parent span), plus 1 when x lies outside that span: two
-    table reads.
+    pass per parent and selection fills that for every x (a lone leaf, as
+    in a two-row sweep, takes the sum directly).  Its rank is 1 + dim(parent
+    span), plus 1 when x lies outside that span: two table reads.
     """
     k, free = tables.k, tables.k - 1
     nwords = 1 << (tables.n - 1)
@@ -268,11 +248,14 @@ def _sweep_chunk(
         vals = None
         for sel in sels:
             b = [sum(g(vec)) if g else 0 for g in sel]
-            per = [sum(b)]
-            for bj in b[1:]:
-                bj *= 2
-                per += [p - bj for p in per]
-            per = list(map(abs, per[lo:hi]))
+            if hi - lo == 1:
+                per = [abs(sum(b) - 2 * sum(bj for j, bj in enumerate(b[1:]) if lo >> j & 1))]
+            else:
+                per = [sum(b)]
+                for bj in b[1:]:
+                    bj *= 2
+                    per += [p - bj for p in per]
+                per = list(map(abs, per[lo:hi]))
             vals = per if vals is None else list(map(add, vals, per))
         weight = total // den
         scanned += (hi - lo) * weight
@@ -316,21 +299,35 @@ def _sweep_chunk(
     return scanned, {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
 
 
-def _sweep(k: int, n: int, threads: int = 1) -> tuple[int, dict[int, tuple[int, list]]]:
+_worker_tables: _SweepTables | None = None  # a pool worker's own, from _start_worker
+
+
+def _start_worker(k: int, n: int) -> None:
+    global _worker_tables
+    _worker_tables = _SweepTables(k, n)
+
+
+def _worker_chunk(x1: int) -> tuple[int, dict[int, tuple[int, list]]]:
+    return _sweep_chunk(_worker_tables, x1)
+
+
+def _sweep(k: int, n: int, workers: int = 1) -> tuple[int, dict[int, tuple[int, list]]]:
     """Sweep every k x n matrix with all-ones first row and column.
 
-    Work is split into one chunk per smallest-row pattern; chunks share
-    one span table and their summaries merge in a fixed order, so the
-    result is identical for any thread count.  Returns the matrix count
-    and, per rank, the largest value with the matrices attaining it.
+    Work is split into one chunk per smallest-row pattern, run here for
+    one worker, else fed one at a time to a pool of at most one process
+    per chunk, each with its own tables.  Summaries merge in chunk order,
+    so the result is identical for any worker count.  Returns the matrix
+    count and, per rank, the largest value with the matrices attaining it.
     """
-    tables = _SweepTables(k, n)
     work = range(1 << (n - 1))
-    if threads == 1:
+    if workers == 1:
+        tables = _SweepTables(k, n)
         parts = [_sweep_chunk(tables, x1) for x1 in work]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda x1: _sweep_chunk(tables, x1), work))
+        import multiprocessing  # here: at module level it adds 20 ms to every command
+        with multiprocessing.Pool(min(workers, len(work)), _start_worker, (k, n)) as pool:
+            parts = pool.map(_worker_chunk, work, chunksize=1)
     scanned = 0
     merged: dict[int, tuple[int, list]] = {}
     for part_scanned, part_stats in parts:
@@ -349,7 +346,7 @@ def _sweep(k: int, n: int, threads: int = 1) -> tuple[int, dict[int, tuple[int, 
     }
 
 
-def verify_square(n: int, threads: int | None = None) -> VerifyReport:
+def verify_square(n: int, workers: int = 1) -> VerifyReport:
     """Exhaustively confirm the per-rank bound over all order-n matrices.
 
     Every rank stratum must top out exactly at its table bound, attained
@@ -360,19 +357,19 @@ def verify_square(n: int, threads: int | None = None) -> VerifyReport:
     is checked against that orbit with ``equivalent_to_d``, so a stratum
     that passes reports exactly one extremal orbit.
 
-    The report is identical for any thread count.  ``threads`` defaults
-    to the PERMAX_THREADS environment variable, else 1.
+    The report is identical for any number of sweep ``workers``.
     """
     if not (2 <= n <= 6):
         raise ShapeError(f"square sweep supports orders 2..6, got {n}")
-    nthreads = _resolve_threads(threads)
+    if workers < 1:
+        raise RangeError(f"worker count must be positive, got {workers}")
     t0 = time.monotonic()
     table = build_table(max(n, 5))
     bounds = {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
     top = dict(bounds)
     if n == 4:
         top[4] = 8  # the sanctioned deviation, on the orbit of D_(4,4,4)
-    scanned, merged = _sweep(n, n, nthreads)
+    scanned, merged = _sweep(n, n, workers)
     if sorted(merged) != list(range(1, n + 1)):
         raise RuntimeError("a rank stratum came up empty")
     out = []
@@ -671,6 +668,6 @@ def write_report(report: VerifyReport, fmt: str, path) -> None:
 
     JSON is a top-level array with a fixed key order per row; CSV carries
     the same columns.  Everything except the timing field is reproducible
-    across runs and thread counts.
+    across runs and worker counts.
     """
     Path(path).write_text(_render_report(report, fmt), encoding="utf-8")

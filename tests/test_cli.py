@@ -1,6 +1,9 @@
 """Command-line interface: outputs, report files, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,7 +109,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
 
 
 def test_counterexample_exit_two(monkeypatch, capsys):
-    def boom(n, threads=None):
+    def boom(n, workers=1):
         raise CounterexampleError("fabricated for the exit-code path")
 
     monkeypatch.setattr("permax.cli.verify_square", boom)
@@ -136,9 +139,19 @@ def test_bad_numeric_arguments_exit_one(capsys):
     assert main(["props", "--samples", "-5"]) == 1
     err = capsys.readouterr().err
     assert err == "error: sample count must be positive, got -5\n"
+    assert main(["verify", "--n", "3", "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "error: worker count must be positive, got 0\n"
 
 
-def test_bad_thread_variable_exit_one(monkeypatch, capsys):
-    monkeypatch.setenv("PERMAX_THREADS", "abc")
-    assert main(["verify", "--n", "3"]) == 1
-    assert capsys.readouterr().err == "error: PERMAX_THREADS must be an integer, got 'abc'\n"
+def test_cli_import_loads_no_pool_machinery():
+    # the worker pool is imported only when a sweep asks for it
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import permax.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    src = str(Path(permax.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

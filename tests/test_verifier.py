@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,19 +90,17 @@ def test_sweep_order_five():
 
 
 def test_sweep_thread_count_does_not_change_results():
-    single = verify_square(4, threads=1)
-    pooled = verify_square(4, threads=4)
+    single = verify_square(4, workers=1)
+    pooled = verify_square(4, workers=4)
     assert single.rows == pooled.rows
     assert single.scanned == pooled.scanned
 
 
-def test_sweep_rejects_bad_arguments(monkeypatch):
+def test_sweep_rejects_bad_arguments():
     with pytest.raises(ShapeError):
         verify_square(7)
-    with pytest.raises(RangeError):
-        verify_square(3, threads=0)
-    monkeypatch.setenv("PERMAX_THREADS", "2")
-    assert verify_square(3).rows == verify_square(3, threads=1).rows
+    with pytest.raises(RangeError, match="^worker count must be positive, got 0$"):
+        verify_square(3, workers=0)
 
 
 def test_mper_sweep_small_shapes():
@@ -244,8 +245,8 @@ def test_write_report_empty_and_errors(tmp_path):
 
 
 def test_reports_are_reproducible_modulo_timing(tmp_path):
-    a = dataclasses.replace(verify_square(4, threads=1), seconds=0.0)
-    b = dataclasses.replace(verify_square(4, threads=3), seconds=0.0)
+    a = dataclasses.replace(verify_square(4, workers=1), seconds=0.0)
+    b = dataclasses.replace(verify_square(4, workers=3), seconds=0.0)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     write_report(a, "json", pa)
     write_report(b, "json", pb)
@@ -253,13 +254,51 @@ def test_reports_are_reproducible_modulo_timing(tmp_path):
 
 
 def test_order_five_reports_match_across_thread_counts(tmp_path):
-    # the chunks share one span table, filled as the sweep runs
+    # each worker process fills its own span table as its chunks run
     paths = []
-    for threads in (1, 2, 4):
-        report = dataclasses.replace(verify_square(5, threads=threads), seconds=0.0)
-        paths.append(tmp_path / f"t{threads}.json")
+    for workers in (1, 2, 4):
+        report = dataclasses.replace(verify_square(5, workers=workers), seconds=0.0)
+        paths.append(tmp_path / f"w{workers}.json")
         write_report(report, "json", paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
+    import multiprocessing
+
+    asked = []
+
+    def no_pool(processes, initializer, initargs):
+        asked.append((processes, initargs))
+        raise OSError("pool refused")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    # order 3 has four chunks
+    with pytest.raises(OSError, match="pool refused"):
+        verify_square(3, 1000)
+    assert asked == [(4, (3, 3))]
+
+
+def test_worker_processes_start_by_spawn():
+    # spawned workers import the package afresh, so they see none of the
+    # patch below: the sweep succeeds only if its chunks run in them
+    code = (
+        "import multiprocessing, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from permax import verifier\n"
+        "serial = verifier.verify_square(4).rows\n"
+        "def refuse(k, n):\n"
+        "    raise RuntimeError('tables built in the parent process')\n"
+        "verifier._SweepTables = refuse\n"
+        "print(verifier.verify_square(4, 2).rows == serial)\n"
+    )
+    src = str(Path(permax.verifier.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "True\n"
 
 
 def test_stratum_rows_are_plain_data():
