@@ -28,21 +28,9 @@ from permax import (
     verify_properties,
     verify_square,
 )
+from permax.verifier import _random_transforms
 
 TABLE = build_table(12)
-
-
-def random_transforms(rng, n):
-    steps = []
-    for _ in range(rng.randint(0, 6)):
-        kind = rng.choice(("negR", "negC", "swapR", "swapC", "T"))
-        if kind == "T":
-            steps.append(("T",))
-        elif kind in ("negR", "negC"):
-            steps.append((kind, rng.randint(1, n)))
-        else:
-            steps.append((kind, rng.randint(1, n), rng.randint(1, n)))
-    return tuple(steps)
 
 
 def test_criterion_1_table_exactness():
@@ -200,7 +188,7 @@ def test_criterion_9_template_classification():
     ]
     for want, template in targets:
         for _ in range(10):
-            a = apply(template, random_transforms(rng, 6))
+            a = apply(template, _random_transforms(rng, 6))
             form = classify_form(a)
             assert form.tag == want
             assert apply(a, form.seq) == template

@@ -76,6 +76,18 @@ red.equivalent_to_d(a, 3)
     assert out == "D-orbit witness replay failed"
 
 
+def test_corrupted_row_sum_lookup_raises_under_optimize():
+    out = run_optimized(
+        """
+import permax.permanent as p
+real = p._row_sums(3)
+p._row_sums = lambda n: (real[0] + 1,) + real[1:]
+p.permanent_ryser(p.SignMatrix(3, 3, (0, 0, 0)))
+"""
+    )
+    assert out == "Glynn sum 61 is not a multiple of 2^2"
+
+
 @pytest.mark.parametrize("call", ["v.verify_square(3)", "v.verify_mper(2, 3)"])
 def test_wrong_scan_count_raises_under_optimize(call):
     # drops one matrix from the count of the first chunk

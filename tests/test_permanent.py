@@ -1,4 +1,4 @@
-"""Permanent evaluation: oracle, Gray-code path, rectangular forms, Laplace."""
+"""Permanent evaluation: oracle, Glynn fast path, rectangular forms, Laplace."""
 
 import itertools
 import math
@@ -65,8 +65,8 @@ def test_naive_order_ten_values():
 def test_naive_shape_guards():
     with pytest.raises(ShapeError):
         permanent_naive(d_matrix(3, 2, 1))
-    with pytest.raises(ShapeError):
-        permanent_naive(make_matrix([1] * 121, 11, 11))
+    # the oracle covers the whole shape budget, orders 11 and 12 included
+    assert permanent_naive(make_matrix([1] * 121, 11, 11)) == math.factorial(11)
 
 
 def test_ryser_known_values():
@@ -89,11 +89,23 @@ def test_ryser_matches_naive_exhaustively_small():
 
 
 def test_ryser_matches_naive_sampled():
+    # odd orders never meet a zero row sum; even orders stop products early
     rng = random.Random(3)
-    for n in (2, 4, 5, 6, 7):
+    for n in (1, 2, 3, 4, 5, 6, 7, 8):
         for _ in range(30):
             a = random_square(rng, n)
             assert permanent_ryser(a) == permanent_naive(a)
+
+
+def test_ryser_matches_naive_up_to_the_shape_budget():
+    rng = random.Random(29)
+    for n in (9, 10, 11, 12):
+        for _ in range(4):
+            a = random_square(rng, n)
+            assert permanent_ryser(a) == permanent_naive(a)
+    # both values come from neither evaluator: 12! and the diagonal recurrence
+    assert permanent_ryser(make_matrix([1] * 144, 12, 12)) == math.factorial(12)
+    assert permanent_ryser(d_matrix(12, 12, 12)) == per_d_diag(12, build_table(12))
 
 
 def test_rect_known_values():

@@ -28,19 +28,7 @@ from permax import (
     q_matrix,
     rank,
 )
-
-
-def random_transforms(rng, n, max_steps=6):
-    steps = []
-    for _ in range(rng.randint(0, max_steps)):
-        kind = rng.choice(("negR", "negC", "swapR", "swapC", "T"))
-        if kind == "T":
-            steps.append(("T",))
-        elif kind in ("negR", "negC"):
-            steps.append((kind, rng.randint(1, n)))
-        else:
-            steps.append((kind, rng.randint(1, n), rng.randint(1, n)))
-    return tuple(steps)
+from permax.verifier import _random_transforms
 
 
 def random_square(rng, n):
@@ -178,7 +166,7 @@ def test_classify_shuffled_templates_with_replay():
     ]
     for want, template in targets:
         for _ in range(10):
-            a = apply(template, random_transforms(rng, 6))
+            a = apply(template, _random_transforms(rng, 6))
             f = classify_form(a)
             assert f.tag == want
             assert apply(a, f.seq) == template  # bit-exact replay
@@ -229,7 +217,7 @@ def test_classify_singular_two_per_line_template():
     # the one singular family the order-6 case analysis names
     rng = random.Random(67)
     for _ in range(10):
-        a = apply(p_matrix(2), random_transforms(rng, 6))
+        a = apply(p_matrix(2), _random_transforms(rng, 6))
         f = classify_form(a)
         assert f.tag == "P2"
         assert apply(a, f.seq) == p_matrix(2)
@@ -251,7 +239,7 @@ def test_equivalent_to_d_on_orbit_elements():
     for n, r in ((4, 2), (5, 4), (6, 5), (6, 6)):
         target = d_matrix(n, n, r)
         for _ in range(5):
-            a = apply(target, random_transforms(rng, n))
+            a = apply(target, _random_transforms(rng, n))
             seq = equivalent_to_d(a, r)
             assert seq is not None
             assert apply(a, seq) == target
@@ -261,7 +249,7 @@ def test_equivalent_to_d_beyond_exhaustive_orders():
     rng = random.Random(73)
     for r in (6, 7):
         target = d_matrix(7, 7, r)
-        a = apply(target, random_transforms(rng, 7))
+        a = apply(target, _random_transforms(rng, 7))
         seq = equivalent_to_d(a, r)
         assert seq is not None and apply(a, seq) == target
     ones = make_matrix([1] * 49, 7, 7)
@@ -386,7 +374,7 @@ def test_canonical_form_orbit_invariance():
     for _ in range(40):
         n = rng.randint(2, 5)
         a = random_square(rng, n)
-        t = random_transforms(rng, n)
+        t = _random_transforms(rng, n)
         assert canonical_form(a) == canonical_form(apply(a, t))
 
 
