@@ -12,7 +12,7 @@ import functools
 import itertools
 
 from .errors import ShapeError
-from .sign_matrix import MAX_ROWS, SignMatrix, check_index_set, submatrix_delete, submatrix_select
+from .sign_matrix import SignMatrix, check_index_set, submatrix_delete, submatrix_select
 
 __all__ = [
     "permanent_naive",
@@ -21,8 +21,6 @@ __all__ = [
     "mper",
     "laplace_expand",
 ]
-
-_NAIVE_MAX = MAX_ROWS
 
 
 def permanent_naive(a: SignMatrix) -> int:
@@ -39,8 +37,6 @@ def permanent_naive(a: SignMatrix) -> int:
     if not a.is_square:
         raise ShapeError(f"permanent of a {a.rows}x{a.cols} matrix is undefined")
     n = a.rows
-    if n > _NAIVE_MAX:
-        raise ShapeError(f"naive oracle limited to order {_NAIVE_MAX}, got {n}")
     words = a.words
     full = (1 << n) - 1
     part = [0] * (full + 1)

@@ -137,7 +137,9 @@ def multiplicity_law(a: SignMatrix, b) -> bool:
     Appending b to a k x n matrix adds the selections through column n+1.
     Collecting every replace_family member over all selections of ``a``,
     keyed by origin columns, must hit each fresh selection exactly
-    n - k + 1 times.
+    n - k + 1 times.  Member i of the family built on selection gamma
+    puts b in place of parent column gamma[i], so the members are counted
+    from gamma alone.
     """
     col = list(b)
     if len(col) != a.rows:
@@ -145,11 +147,8 @@ def multiplicity_law(a: SignMatrix, b) -> bool:
     k, n = a.rows, a.cols
     seen: dict[tuple[int, ...], int] = {}
     for gamma in itertools.combinations(range(1, n + 1), k):
-        c = submatrix_select(a, range(1, k + 1), gamma)
-        fam = replace_family(c, col)
-        for i, _member in enumerate(fam.members):
-            # member i drops local column i+1, i.e. parent column gamma[i]
-            key = tuple(sorted(set(gamma) - {gamma[i]})) + (n + 1,)
+        for dropped in gamma:
+            key = tuple(j for j in gamma if j != dropped) + (n + 1,)
             seen[key] = seen.get(key, 0) + 1
     fresh = {
         delta + (n + 1,)

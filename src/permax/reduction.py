@@ -8,13 +8,15 @@ equivalent_to_d decides membership in a near-identity orbit at every
 order and shape by one signing test; canonical forms (order <= 6) serve
 canonical_form and the singular order-6 template P2 in classify_form.
 
-classify_form decides condition A at order >= 6 by one test: some two
-rows, or two columns, differ in d positions with 3 <= d <= n-3.  Such a
-pair is moved to rows 1 and 2 and row 1 is negated to all ones.  Without
-one, every row lies within two entries of the first row or its negative,
-and the remaining matrices are the near-identity forms and, at order 6,
-the P1 template.  All ties break toward the lowest index, which keeps the
-output deterministic.
+classify_form takes its near-identity tags from equivalent_to_d:
+DnMinus1 at every order, DnDiag at order >= 6.  The other forms come
+from one pair search: some two rows, or two columns, differ in d
+positions with lo <= d <= n-lo.  Such a pair is moved to rows 1 and 2
+and row 1 is negated to all ones.  With lo = 3 at order >= 6 that is
+condition A, tested first; at order 5, outside the D_(5,4) orbit, lo = 2
+always finds a pair, which leads to the special form.  At order 6 the
+matrices left are the P1 orbit, reached through q_block_form.  All ties
+break toward the lowest index, which keeps the output deterministic.
 """
 
 from __future__ import annotations
@@ -366,77 +368,36 @@ def _equivalence_witness(a: SignMatrix, target: SignMatrix) -> tuple[tuple, ...]
 # --- classification procedure ------------------------------------------------
 
 
-def _diagonal_negs(work: SignMatrix, steps: list[tuple], last: int) -> SignMatrix:
-    """Move the single -1 of each row 1..last onto the diagonal.
-
-    The negatives sit in distinct columns (equal rows would be singular),
-    so each column swap leaves the earlier diagonal entries in place.
-    """
-    for p in range(1, last + 1):
-        c = _neg_cols(work, p)[0]
-        if c != p:
-            work = _emit(work, steps, ("swapC", p, c))
-    return work
-
-
-def _reduce_one_negs(work: SignMatrix, steps: list[tuple], ones_row: int) -> SignMatrix:
-    """Finish when one row is all ones and the rest have one -1 each."""
-    n = work.rows
-    if ones_row != n:
-        work = _emit(work, steps, ("swapR", ones_row, n))
-    return _diagonal_negs(work, steps, n - 1)
-
-
-def _classify_five(a: SignMatrix) -> tuple[str, list[tuple]]:
-    steps: list[tuple] = []
-    work = _negate_to_ones_row(a, steps)
-    for i in range(2, 6):
-        if work.words[i - 1].bit_count() >= 3:
-            work = _emit(work, steps, ("negR", i))
-    two = next((i for i in range(2, 6) if work.words[i - 1].bit_count() == 2), None)
-    if two is not None:
-        if two != 2:
-            work = _emit(work, steps, ("swapR", 2, two))
-        c1 = _neg_cols(work, 2)[0]
-        if c1 != 1:
-            work = _emit(work, steps, ("swapC", 1, c1))
-        c2 = [c for c in _neg_cols(work, 2) if c != 1][0]
-        if c2 != 2:
-            work = _emit(work, steps, ("swapC", 2, c2))
-        return "D5Special", steps
-    _reduce_one_negs(work, steps, ones_row=1)
-    return "DnMinus1", steps
-
-
-def _far_pair(words: tuple[int, ...]) -> tuple[int, int] | None:
-    """First pair of lines (1-based) at Hamming distance 3..n-3, if any."""
+def _far_pair(words: tuple[int, ...], lo: int) -> tuple[int, int] | None:
+    """First pair of lines (1-based) at Hamming distance lo..n-lo, if any."""
     n = len(words)
     return next(
         (
             (i + 1, j + 1)
             for i, j in itertools.combinations(range(n), 2)
-            if 3 <= (words[i] ^ words[j]).bit_count() <= n - 3
+            if lo <= (words[i] ^ words[j]).bit_count() <= n - lo
         ),
         None,
     )
 
 
-def _condition_a_seq(a: SignMatrix) -> list[tuple] | None:
-    """Steps reaching condition A, or None when no transform sequence does.
+def _pair_seq(a: SignMatrix, lo: int) -> list[tuple] | None:
+    """Steps that make row 1 all ones and give row 2 between lo and n-lo
+    negatives, or None when no transform sequence does.
 
     Rows i and j at Hamming distance d become an all-ones row 1 and a row 2
     with d negatives once they are swapped to the top and the -1 columns of
     row i are negated, so a pair of rows (or, after a transpose, columns)
-    with 3 <= d <= n-3 reaches condition A.  The test is exact: negations
-    keep or complement (d -> n-d) the distance of a row or column pair,
+    with lo <= d <= n-lo suffices.  The test is exact: negations keep or
+    complement (d -> n-d) the distance of a row or column pair,
     permutations only move pairs, and the transpose exchanges rows with
-    columns, while the window 3..n-3 is closed under d -> n-d.
+    columns, while the window lo..n-lo is closed under d -> n-d.
     """
     work = a
     steps: list[tuple] = []
-    pair = _far_pair(a.words)
+    pair = _far_pair(a.words, lo)
     if pair is None:
-        pair = _far_pair(_transpose_words(a))
+        pair = _far_pair(_transpose_words(a), lo)
         if pair is None:
             return None
         work = _emit(work, steps, ("T",))
@@ -449,57 +410,61 @@ def _condition_a_seq(a: SignMatrix) -> list[tuple] | None:
     return steps
 
 
-def _classify_general(a: SignMatrix) -> tuple[str, list[tuple]]:
-    steps = _condition_a_seq(a)
-    if steps is not None:
-        return "ConditionA", steps
-    n = a.rows
-    steps = []
-    work = _negate_to_ones_row(a, steps)
+def _condition_a_seq(a: SignMatrix) -> list[tuple] | None:
+    """Steps reaching condition A (a row pair at distance 3..n-3), or None."""
+    return _pair_seq(a, 3)
 
-    # no pair sits at distance 3..n-3, so every row is within two entries
-    # of the all-ones first row or of its negative; nonsingularity rules out
-    # a second constant row, so after flipping each row has one or two -1s
-    for i in range(2, n + 1):
+
+def _d5_special_seq(a: SignMatrix) -> list[tuple]:
+    """Steps carrying a nonsingular order-5 matrix onto the special form:
+    row 1 all ones and row 2 equal to (-1, -1, 1, 1, 1).
+
+    Two rows always sit at distance 2 or 3: otherwise, with row 1 made all
+    ones and the other rows signed to at most one -1, two rows would be
+    equal.  Row 2 is signed to two -1s, which move to columns 1 and 2.
+    """
+    steps = _pair_seq(a, 2)
+    if steps is None:
+        raise RuntimeError("a nonsingular order-5 matrix has no row pair at distance 2 or 3")
+    work = apply(a, steps)
+    if work.words[1].bit_count() == 3:
+        work = _emit(work, steps, ("negR", 2))
+    negs = _neg_cols(work, 2)
+    return steps + _swaps("swapC", negs + [j for j in range(1, 6) if j not in negs])
+
+
+def _p1_seq(a: SignMatrix) -> list[tuple]:
+    """Steps carrying an order-6 matrix outside condition A and the D orbits
+    onto P1.
+
+    With no pair at distance 3, every row lies within two entries of the
+    all-ones row 1 or of its negative.  Outside the D orbits each row then
+    keeps two -1s, one column holds none, and the minor at (1|1) is a
+    single 5-cycle of q_block_form.
+    """
+    steps: list[tuple] = []
+    work = _negate_to_ones_row(a, steps)
+    for i in range(2, 7):
         if work.words[i - 1].bit_count() > 2:
             work = _emit(work, steps, ("negR", i))
-    one_rows = [i for i in range(2, n + 1) if work.words[i - 1].bit_count() == 1]
-    k = len(one_rows)
+    free = [j for j in range(1, 7) if not _col_neg_count(work, j)]
+    if not free:
+        raise RuntimeError("no condition A pair, near-identity orbit or P1 pattern at order 6")
+    if free[0] != 1:
+        work = _emit(work, steps, ("swapC", 1, free[0]))
+    sizes, sub_steps = q_block_form(submatrix_delete(work, (1,), (1,)))
+    if sizes != [5]:
+        raise RuntimeError("a split block structure is singular at order 6")
+    return steps + [(step[0], *[x + 1 for x in step[1:]]) for step in sub_steps]
 
-    if k == n - 1:
-        _reduce_one_negs(work, steps, ones_row=1)
-        return "DnMinus1", steps
 
-    if k == 1:
-        # a two-negative row missing the single row's -1 column would sit
-        # at distance 3 from it; so negating that column leaves the single
-        # row all ones and every other row with one -1
-        (r,) = one_rows
-        work = _emit(work, steps, ("negC", _neg_cols(work, r)[0]))
-        _reduce_one_negs(work, steps, ones_row=r)
-        return "DnMinus1", steps
-
-    counts = [_col_neg_count(work, j) for j in range(1, n + 1)]
-    if k == 0 and n - 1 in counts:
-        work = _emit(work, steps, ("negC", counts.index(n - 1) + 1))
-        _diagonal_negs(work, steps, n)
-        return "DnDiag", steps
-
-    if k == 0 and n == 6 and 0 in counts:
-        j = counts.index(0) + 1
-        if j != 1:
-            work = _emit(work, steps, ("swapC", 1, j))
-        sizes, sub_steps = q_block_form(submatrix_delete(work, (1,), (1,)))
-        for step in sub_steps:
-            steps.append((step[0], *[x + 1 for x in step[1:]]))
-        if sizes != [5]:
-            raise RuntimeError("a split block structure is singular at order 6")
-        return "P1", steps
-
-    raise RuntimeError(
-        f"no row or column pair at distance 3..{n - 3}, yet {k} rows keep a single -1"
-        " and no near-identity or P1 pattern applies"
-    )
+def _replayed(a: SignMatrix, tag: str, steps: list[tuple], holds) -> FormClass:
+    """The classification ``tag`` with ``steps``, once their replay lands on
+    a matrix for which ``holds`` is true."""
+    form = FormClass(tag, tuple(steps))
+    if not holds(apply(a, form.seq)):
+        raise RuntimeError(f"replayed sequence does not reach the {tag} template")
+    return form
 
 
 def _is_d5_template(b: SignMatrix) -> bool:
@@ -509,9 +474,12 @@ def _is_d5_template(b: SignMatrix) -> bool:
 def classify_form(a: SignMatrix) -> FormClass:
     """Reduce a nonsingular matrix of order >= 5 to one of the named forms.
 
-    The exact templates are recognized up front; otherwise the
-    constructive procedure runs and its transform sequence is replayed
-    for verification.
+    Membership in the near-identity orbits is decided by equivalent_to_d,
+    whose sequence is the witness.  At order >= 6 condition A is tested
+    first (the D orbits have no pair at distance 3..n-3); at order 6 what
+    remains is the P1 orbit.  At order 5 every matrix outside the D_(5,4)
+    orbit reaches the special form.  Constructed sequences are replayed
+    before returning.
     """
     if not a.is_square or a.rows < 5:
         raise ShapeError(f"classification needs a square matrix of order >= 5, got {a.rows}x{a.cols}")
@@ -526,31 +494,20 @@ def classify_form(a: SignMatrix) -> FormClass:
                 return FormClass("P2", seq)
         raise RankError("classification is defined for nonsingular matrices only")
 
-    if a == d_matrix(n, n, n - 1):
-        return FormClass("DnMinus1", ())
     if n >= 6:
-        if a == d_matrix(n, n, n):
-            return FormClass("DnDiag", ())
-        if n == 6 and a == _P1:
-            return FormClass("P1", ())
-        tag, steps = _classify_general(a)
-    else:
-        if _is_d5_template(a):
-            return FormClass("D5Special", ())
-        tag, steps = _classify_five(a)
-
-    form = FormClass(tag, tuple(steps))
-    b = apply(a, form.seq)
-    if tag == "DnMinus1":
-        ok = b == d_matrix(n, n, n - 1)
-    elif tag == "DnDiag":
-        ok = b == d_matrix(n, n, n)
-    elif tag == "P1":
-        ok = b == _P1
-    elif tag == "ConditionA":
-        ok = condition_A(b)
-    else:
-        ok = _is_d5_template(b)
-    if not ok:
-        raise RuntimeError(f"replayed sequence does not reach the {tag} template")
-    return form
+        steps = _condition_a_seq(a)
+        if steps is not None:
+            return _replayed(a, "ConditionA", steps, condition_A)
+    seq = equivalent_to_d(a, n - 1)
+    if seq is not None:
+        return FormClass("DnMinus1", seq)
+    if n == 5:
+        return _replayed(a, "D5Special", _d5_special_seq(a), _is_d5_template)
+    seq = equivalent_to_d(a, n)
+    if seq is not None:
+        return FormClass("DnDiag", seq)
+    if n == 6:
+        return _replayed(a, "P1", _p1_seq(a), _P1.__eq__)
+    raise RuntimeError(
+        f"no row or column pair at distance 3..{n - 3} and no near-identity orbit at order {n}"
+    )

@@ -634,37 +634,40 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
     )
 
 
-def _render_report(report: VerifyReport, fmt: str) -> str:
-    rows = sorted(report.rows, key=lambda row: row.rank)
-    if fmt == "json":
-        payload = [
-            {
-                "n": report.n,
-                "rank": row.rank,
-                "bound": row.bound,
-                "observed_max": row.observed_max,
-                "extremal_orbits": row.extremal_orbits,
-                "scanned": report.scanned,
-                "seconds": report.seconds,
-                "equality_class": row.equality_class,
-            }
-            for row in rows
+_STRATUM_FIELDS = (
+    "n", "rank", "bound", "observed_max", "extremal_orbits", "scanned", "seconds", "equality_class"
+)
+_CHECK_FIELDS = ("check", "cases", "scanned", "seconds")
+
+
+def _report_table(report: VerifyReport) -> tuple[tuple[str, ...], list[tuple]]:
+    """Column names and value rows: one per check when the report has
+    checks, else one per stratum in rank order."""
+    if report.checks:
+        return _CHECK_FIELDS, [
+            (name, cases, report.scanned, report.seconds) for name, cases in report.checks
         ]
-        return json.dumps(payload, indent=2) + "\n"
+    return _STRATUM_FIELDS, [
+        (
+            report.n, row.rank, row.bound, row.observed_max, row.extremal_orbits,
+            report.scanned, report.seconds, row.equality_class,
+        )
+        for row in sorted(report.rows, key=lambda row: row.rank)
+    ]
+
+
+def _render_report(report: VerifyReport, fmt: str) -> str:
+    fields, values = _report_table(report)
+    if fmt == "json":
+        return json.dumps([dict(zip(fields, v)) for v in values], indent=2) + "\n"
     if fmt == "csv":
-        lines = ["n,rank,bound,observed_max,extremal_orbits,scanned,seconds,equality_class"]
-        for row in rows:
-            lines.append(
-                f"{report.n},{row.rank},{row.bound},{row.observed_max},"
-                f"{row.extremal_orbits},{report.scanned},{report.seconds},"
-                f"{row.equality_class}"
-            )
-        return "\n".join(lines) + "\n"
+        return "\n".join([",".join(fields)] + [",".join(map(str, v)) for v in values]) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 
 
 def write_report(report: VerifyReport, fmt: str, path) -> None:
-    """Serialize the stratum rows of ``report`` to ``path``.
+    """Serialize ``report`` to ``path``: one row per stratum, or per check
+    for the property suite.
 
     JSON is a top-level array with a fixed key order per row; CSV carries
     the same columns.  Everything except the timing field is reproducible

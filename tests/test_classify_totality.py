@@ -1,5 +1,5 @@
-"""classify_form over whole orbits: exhaustive at order 6, orbit-invariant
-tags at orders 7-9."""
+"""classify_form over whole orbits: exhaustive at orders 5 and 6,
+orbit-invariant tags at orders 5 and 7-9."""
 
 import itertools
 import random
@@ -27,8 +27,24 @@ def check_replay(a, form):
     b = apply(a, form.seq)
     if form.tag == "ConditionA":
         assert condition_A(b)
+    elif form.tag == "D5Special":
+        assert b.words[0] == 0 and b.row_signs(2) == (-1, -1, 1, 1, 1)
     else:
         assert b == TEMPLATES[form.tag](a.rows)
+
+
+def test_order_five_totality():
+    # as at order 6: all-ones first row and column, then 4 distinct nonzero
+    # rows on columns 2..5; the D_(5,4) tag is decided by orbit membership
+    tags = Counter()
+    for rows in itertools.combinations(range(1, 16), 4):
+        a = SignMatrix(5, 5, (0,) + tuple(x << 1 for x in rows))
+        if rank(a) < 5:
+            continue
+        form = classify_form(a)
+        check_replay(a, form)
+        tags[form.tag] += 1
+    assert tags == {"D5Special": 915, "DnMinus1": 25}
 
 
 def test_order_six_totality():
@@ -56,25 +72,38 @@ def sparse_rows(rng, n):
     return SignMatrix(n, n, tuple(words))
 
 
+def invariant_tags(rng, n, draws):
+    """Tags of ``draws`` seeded orbit pairs at order n; each pair agrees."""
+    seen = Counter()
+    sources = [
+        lambda: d_matrix(n, n, n - 1),
+        lambda: d_matrix(n, n, n),
+        lambda: sparse_rows(rng, n),
+        lambda: SignMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))),
+    ]
+    for _ in range(draws):
+        base = rng.choice(sources)()
+        if rank(base) < n:
+            continue
+        a = apply(base, _random_transforms(rng, n))
+        b = apply(a, _random_transforms(rng, n))
+        fa, fb = classify_form(a), classify_form(b)
+        check_replay(a, fa)
+        check_replay(b, fb)
+        assert fa.tag == fb.tag
+        seen[fa.tag] += 1
+    return seen
+
+
 def test_tags_are_orbit_invariant_above_order_six():
     rng = random.Random(20251017)
     seen = Counter()
     for n in (7, 8, 9):
-        sources = [
-            lambda: d_matrix(n, n, n - 1),
-            lambda: d_matrix(n, n, n),
-            lambda: sparse_rows(rng, n),
-            lambda: SignMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))),
-        ]
-        for _ in range(150):
-            base = rng.choice(sources)()
-            if rank(base) < n:
-                continue
-            a = apply(base, _random_transforms(rng, n))
-            b = apply(a, _random_transforms(rng, n))
-            fa, fb = classify_form(a), classify_form(b)
-            check_replay(a, fa)
-            check_replay(b, fb)
-            assert fa.tag == fb.tag
-            seen[fa.tag] += 1
+        seen += invariant_tags(rng, n, 150)
     assert set(seen) == {"ConditionA", "DnMinus1", "DnDiag"}
+
+
+def test_tags_are_orbit_invariant_at_order_five():
+    # D_(5,5) lies outside the D_(5,4) orbit and reaches the special form
+    seen = invariant_tags(random.Random(20261018), 5, 300)
+    assert set(seen) == {"DnMinus1", "D5Special"}

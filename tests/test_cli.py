@@ -91,6 +91,23 @@ def test_props_subcommand(capsys):
     assert "all invariants held" in out
 
 
+def test_props_report_lists_checks(tmp_path, capsys):
+    jpath, cpath = tmp_path / "props.json", tmp_path / "props.csv"
+    assert main(["props", "--seed", "1", "--samples", "200", "--out", str(jpath)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.endswith(" cases ok")]
+    data = json.loads(jpath.read_text())
+    assert [f"{row['check']}: {row['cases']} cases ok" for row in data] == printed
+    assert all(list(row) == ["check", "cases", "scanned", "seconds"] for row in data)
+    assert len({row["scanned"] for row in data}) == 1
+
+    assert main(["props", "--seed", "1", "--samples", "200", "--out", str(cpath), "--format", "csv"]) == 0
+    lines = cpath.read_text().splitlines()
+    assert lines[0] == "check,cases,scanned,seconds"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        [row["check"], str(row["cases"]), str(row["scanned"])] for row in data
+    ]
+
+
 def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["per", "--file", str(tmp_path / "nope.txt")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -53,6 +53,17 @@ red.classify_form(red.apply(red.d_matrix(6, 6, 5), [("negR", 2)]))
     assert out == "replayed sequence does not reach the ConditionA template"
 
 
+def test_corrupted_order_five_replay_raises_under_optimize():
+    out = run_optimized(
+        """
+import permax.reduction as red
+red._d5_special_seq = lambda a: [("negR", 2)]
+red.classify_form(red.apply(red.d_matrix(5, 5, 5), [("swapR", 1, 3), ("negC", 4)]))
+"""
+    )
+    assert out == "replayed sequence does not reach the D5Special template"
+
+
 def test_corrupted_canonical_witness_raises_under_optimize():
     out = run_optimized(
         """
