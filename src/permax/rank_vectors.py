@@ -5,6 +5,14 @@ parent, so duplicates-as-matrices stay distinct members and multiplicity
 counts are unambiguous.  Rank vectors are indexed by descending rank:
 ``counts[0]`` is the number of members of full rank k, ``counts[k-1]``
 the number of rank-1 members.
+
+A rank vector is tallied straight from the parent's row words.  Each
+column is gathered once into a line of k +-1 entries; a member's rank
+is the Bareiss rank (``exact_rank._rank_rows``) of its k lines, which is
+the rank of the transposed selection.  No member becomes a SignMatrix.
+The member tuples that ``k_family`` and ``replace_family`` build are
+trusted as they stand; every other family is checked member by member,
+so a bad index set still raises IndexError.
 """
 
 from __future__ import annotations
@@ -14,8 +22,14 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import RankError, ShapeError
-from .exact_rank import rank
-from .sign_matrix import SignMatrix, append_column, d_matrix, submatrix_select
+from .exact_rank import _rank_rows, rank
+from .sign_matrix import (
+    SignMatrix,
+    append_column,
+    check_index_set,
+    d_matrix,
+    submatrix_select,
+)
 
 __all__ = [
     "SubmatrixFamily",
@@ -47,17 +61,44 @@ class SubmatrixFamily:
 
 def k_family(a: SignMatrix) -> SubmatrixFamily:
     """All C(n,k) column selections of a k x n matrix, in lexicographic order."""
-    k = a.rows
-    members = tuple(itertools.combinations(range(1, a.cols + 1), k))
-    return SubmatrixFamily(parent=a, members=members)
+    return SubmatrixFamily(parent=a, members=_selections(a.cols, a.rows))
+
+
+@functools.cache
+def _selections(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The k-subsets of 1..n in lexicographic order, built once per shape."""
+    return tuple(itertools.combinations(range(1, n + 1), k))
+
+
+def _checked_members(fam: SubmatrixFamily) -> tuple[tuple[int, ...], ...]:
+    """The members of ``fam``, once every one is a k-column selection of
+    its parent; IndexError for a bad index set, ShapeError for a size."""
+    k, n = fam.parent.rows, fam.parent.cols
+    if fam.members is _selections(n, k) or (
+        n == k + 1 and fam.members is _replace_members(k)
+    ):
+        return fam.members
+    members = tuple(check_index_set(cols, n) for cols in fam.members)
+    for cols in members:
+        if len(cols) != k:
+            raise ShapeError(f"member {cols} selects {len(cols)} columns, not {k}")
+    return members
+
+
+def _selection_rank(lines: list[tuple[int, ...]], cols: tuple[int, ...]) -> int:
+    """Rank of the selection ``cols`` from the parent's column ``lines``."""
+    return _rank_rows([list(lines[j - 1]) for j in cols])
 
 
 def family_rank_vector(fam: SubmatrixFamily) -> RankVector:
     """Rank vector of a family: counts[i] = members of rank k - i."""
-    k = fam.parent.rows
+    a = fam.parent
+    k = a.rows
+    members = _checked_members(fam)
+    lines = [tuple(-1 if (w >> j) & 1 else 1 for w in a.words) for j in range(a.cols)]
     counts = [0] * k
-    for i in range(len(fam.members)):
-        counts[k - rank(fam.member(i))] += 1
+    for cols in members:
+        counts[k - _selection_rank(lines, cols)] += 1
     return tuple(counts)
 
 
@@ -79,11 +120,13 @@ def replace_family(c: SignMatrix, b) -> SubmatrixFamily:
     col = list(b)
     if len(col) != c.rows:
         raise ShapeError(f"column height {len(col)} does not match order {c.rows}")
-    k = c.rows
-    parent = append_column(c, col)
-    all_ix = range(1, k + 2)
-    members = tuple(tuple(j for j in all_ix if j != i) for i in range(1, k + 1))
-    return SubmatrixFamily(parent=parent, members=members)
+    return SubmatrixFamily(parent=append_column(c, col), members=_replace_members(c.rows))
+
+
+@functools.cache
+def _replace_members(k: int) -> tuple[tuple[int, ...], ...]:
+    """{1..k+1} minus {i} for i = 1..k, built once per order."""
+    return tuple(tuple(j for j in range(1, k + 2) if j != i) for i in range(1, k + 1))
 
 
 def majorize_leq(r1: RankVector, r2: RankVector) -> bool:

@@ -21,6 +21,7 @@ break toward the lowest index, which keeps the output deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -348,19 +349,23 @@ def equivalent_to_d(a: SignMatrix, r: int) -> tuple[tuple, ...] | None:
     return None
 
 
-def _equivalence_witness(a: SignMatrix, target: SignMatrix) -> tuple[tuple, ...] | None:
-    """Transform sequence carrying ``a`` exactly onto ``target``, or None.
+@functools.cache
+def _p2_canonical() -> tuple[SignMatrix, tuple[tuple, ...]]:
+    """P2's canonical form and sequence, computed on first use."""
+    return _canonical_with_seq(_P2)
 
-    Exact for orders <= 6 via canonical-form comparison.
-    """
-    if a == target:
+
+def _p2_witness(a: SignMatrix) -> tuple[tuple, ...] | None:
+    """Transform sequence carrying order-6 ``a`` exactly onto P2, or None,
+    by canonical-form comparison."""
+    if a == _P2:
         return ()
     ca, seq_a = _canonical_with_seq(a)
-    ct, seq_t = _canonical_with_seq(target)
+    ct, seq_t = _p2_canonical()
     if ca.words != ct.words:
         return None
     seq = seq_a + invert_transforms(seq_t)
-    if apply(a, seq) != target:
+    if apply(a, seq) != _P2:
         raise RuntimeError("equivalence witness replay failed")
     return seq
 
@@ -489,7 +494,7 @@ def classify_form(a: SignMatrix) -> FormClass:
         # singular family the classification names; everything else
         # singular falls outside the procedure's hypothesis.
         if n == 6:
-            seq = _equivalence_witness(a, _P2)
+            seq = _p2_witness(a)
             if seq is not None:
                 return FormClass("P2", seq)
         raise RankError("classification is defined for nonsingular matrices only")

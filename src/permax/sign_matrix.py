@@ -119,8 +119,18 @@ def make_matrix(entries: list[int], rows: int, cols: int) -> SignMatrix:
 
 def append_column(a: SignMatrix, col) -> SignMatrix:
     """``a`` with the +1/-1 entries of ``col`` appended as column cols+1."""
-    entries = [e for i, c in enumerate(col, 1) for e in (*a.row_signs(i), c)]
-    return make_matrix(entries, a.rows, a.cols + 1)
+    col = list(col)
+    if len(col) != a.rows:
+        raise ShapeError(f"column height {len(col)} does not match row count {a.rows}")
+    bit = 1 << a.cols
+    words = []
+    for i, (w, e) in enumerate(zip(a.words, col), 1):
+        if e == -1:
+            w |= bit
+        elif e != 1:
+            raise ValueError(f"entry {e!r} at ({i},{a.cols + 1}) is not +1 or -1")
+        words.append(w)
+    return SignMatrix(a.rows, a.cols + 1, tuple(words))
 
 
 def d_matrix(n: int, k: int, l: int) -> SignMatrix:

@@ -36,10 +36,10 @@ from .errors import CounterexampleError, PropertyFailure, RangeError, ShapeError
 from .exact_rank import rank
 from .permanent import laplace_expand, mper, permanent_naive, permanent_ryser
 from .rank_vectors import (
+    SubmatrixFamily,
     check_min_law,
     family_rank_vector,
     multiplicity_law,
-    rank_vector,
     replace_family,
 )
 from .reduction import equivalent_to_d
@@ -125,10 +125,12 @@ class _SpanTable:
 
     ``step[i << m | x]`` is the id of span i extended by x.  Entries
     start at -1 and are filled on first use; every sweep process builds
-    its own table.  A flat 16-bit step array and flat form lists keep the
-    order-6 table (1,788 spans) near half a megabyte.  Lists, not tuples:
-    a freed table's tuples would park in the interpreter's tuple free
-    lists, and peak memory crept across repeated sweeps.
+    its own table.  Step ids are 32-bit: the order-7 table (m = 6) has
+    77,261 spans, past the 16-bit limit of 32,767.  The full order-6
+    table (1,788 spans) takes about 0.9 MB, 0.23 MB of it step ids.
+    Forms are kept in flat lists, not tuples: a freed table's tuples
+    would park in the interpreter's tuple free lists, and peak memory
+    crept across repeated sweeps.
     """
 
     def __init__(self, m: int) -> None:
@@ -139,7 +141,7 @@ class _SpanTable:
         self.m = m
         self.dim: list[int] = []
         self.mask: list[int] = []
-        self.step = array("h")
+        self.step = array("i")
         self._forms: list[list[int]] = []  # basis forms, concatenated
         self._ids: dict[int, int] = {}
         self._intern([tuple(int(i == j) for j in range(m)) for i in range(m)])
@@ -488,17 +490,22 @@ def _random_transforms(rng: random.Random, n: int) -> tuple[tuple, ...]:
 def _scaled_difference_holds(a: SignMatrix, col: list[int]) -> bool:
     """Appended-column law: summing the replacement families over every
     selection of ``a`` counts each fresh selection n - k + 1 times, so the
-    total equals that multiple of the rank-vector difference."""
+    total equals that multiple of the rank-vector difference.
+
+    The selections of ``a`` plus ``col`` are those of ``a`` and the fresh
+    ones through column n+1, so the difference is the rank vector of the
+    fresh selections alone and ``rank_vector(a)`` is not recomputed here."""
     k, n = a.rows, a.cols
-    base = rank_vector(a)
-    grown = rank_vector(append_column(a, col))
+    grown = append_column(a, col)
+    fresh = tuple(delta + (n + 1,) for delta in combinations(range(1, n + 1), k - 1))
+    diff = family_rank_vector(SubmatrixFamily(grown, fresh))
+    rows = list(range(1, k + 1))
     total = [0] * k
     for gamma in combinations(range(1, n + 1), k):
-        picked = submatrix_select(a, range(1, k + 1), gamma)
-        fv = family_rank_vector(replace_family(picked, col))
+        fv = family_rank_vector(replace_family(submatrix_select(a, rows, gamma), col))
         total = [t + f for t, f in zip(total, fv)]
     scale = n - k + 1
-    return total == [scale * (g - b) for g, b in zip(grown, base)]
+    return total == [scale * d for d in diff]
 
 
 def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:

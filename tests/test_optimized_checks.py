@@ -122,3 +122,20 @@ v.verify_properties(4, 400)
     head, _, matrix = out.partition("\n")
     assert head == "permanent oracle agreement violated"
     assert matrix.startswith("8 8\n")
+
+
+def test_wrong_selection_rank_raises_under_optimize():
+    # understates the rank of every selection through the parent's last column
+    out = run_optimized(
+        """
+import permax.rank_vectors as rv
+import permax.verifier as v
+real = rv._selection_rank
+rv._selection_rank = lambda lines, cols: max(1, real(lines, cols) - (cols[-1] == len(lines)))
+v.verify_properties(0, 200)
+"""
+    )
+    head, _, matrix = out.partition("\n")
+    assert head == "rank-vector minimality violated"
+    k, n = map(int, matrix.split("\n", 1)[0].split())
+    assert 2 <= k < n

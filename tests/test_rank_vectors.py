@@ -8,6 +8,7 @@ import pytest
 from permax import (
     RankError,
     ShapeError,
+    SignMatrix,
     SubmatrixFamily,
     check_min_law,
     d_matrix,
@@ -21,6 +22,7 @@ from permax import (
     rank,
     rank_vector,
     replace_family,
+    submatrix_select,
 )
 
 
@@ -45,6 +47,43 @@ def test_k_family_membership():
     assert square.member(0) == q_matrix(4)
 
     assert len(k_family(d_matrix(5, 4, 3)).members) == 5
+
+
+def selection_tally(a):
+    """Rank vector by the independent route: one SignMatrix per selection,
+    each ranked by ``rank``."""
+    counts = [0] * a.rows
+    for cols in itertools.combinations(range(1, a.cols + 1), a.rows):
+        counts[a.rows - rank(submatrix_select(a, range(1, a.rows + 1), cols))] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (2, 4), (3, 4), (3, 5)])
+def test_rank_vector_matches_selection_tally_exhaustively(k, n):
+    for i in range(1 << (k * n)):
+        words = tuple((i >> (r * n)) & ((1 << n) - 1) for r in range(k))
+        a = SignMatrix(k, n, words)
+        assert family_rank_vector(k_family(a)) == selection_tally(a), words
+
+
+def test_rank_vector_matches_selection_tally_sampled():
+    rng = random.Random(53)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        n = rng.randint(k, 8)
+        a = random_wide(rng, k, n)
+        assert family_rank_vector(k_family(a)) == selection_tally(a), a
+
+
+def test_hand_built_family_rejects_bad_members():
+    a = d_matrix(5, 3, 2)
+    for bad in [(1, 2, 6), (0, 1, 2), (2, 1, 3), (1, 1, 2), (1.0, 2, 3), ()]:
+        with pytest.raises(IndexError):
+            family_rank_vector(SubmatrixFamily(a, ((1, 2, 3), bad)))
+    with pytest.raises(ShapeError):
+        family_rank_vector(SubmatrixFamily(a, ((1, 2),)))
+    # members as lists are still index sets
+    assert family_rank_vector(SubmatrixFamily(a, ([1, 2, 3], [3, 4, 5]))) == (1, 0, 1)
 
 
 def test_rank_vector_values():
@@ -176,3 +215,12 @@ def test_multiplicity_law():
         assert multiplicity_law(a, b)
     with pytest.raises(ShapeError):
         multiplicity_law(d_matrix(4, 3, 2), [1, 1])
+
+
+def test_multiplicity_law_every_shape():
+    # the law reads only the shape and the column height, so one matrix
+    # per shape and column sign covers it
+    for n in range(3, 9):
+        for k in range(2, n):
+            for sign in (1, -1):
+                assert multiplicity_law(d_matrix(n, k, k - 1), [sign] * k), (k, n, sign)

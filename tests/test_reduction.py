@@ -2,7 +2,10 @@
 orbit equivalence, and canonical forms."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -28,7 +31,10 @@ from permax import (
     q_matrix,
     rank,
 )
+from permax import reduction
 from permax.verifier import _random_transforms
+
+SRC = os.path.dirname(os.path.dirname(reduction.__file__))
 
 
 def random_square(rng, n):
@@ -221,6 +227,40 @@ def test_classify_singular_two_per_line_template():
         f = classify_form(a)
         assert f.tag == "P2"
         assert apply(a, f.seq) == p_matrix(2)
+
+
+def test_p2_template_form_is_built_once_and_lazily(monkeypatch):
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import permax.reduction as r; print(r._p2_canonical.cache_info().misses)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert fresh.stdout.strip() == "0"  # importing computes nothing
+    calls = []
+    real = reduction._canonical_with_seq
+    monkeypatch.setattr(reduction, "_canonical_with_seq", lambda a: calls.append(a) or real(a))
+    reduction._p2_canonical.cache_clear()
+    rng = random.Random(79)
+    for _ in range(5):
+        a = apply(p_matrix(2), _random_transforms(rng, 6))
+        f = classify_form(a)
+        assert f.tag == "P2"
+        assert apply(a, f.seq) == p_matrix(2)
+    assert calls.count(p_matrix(2)) == 1
+
+
+def test_singular_order_six_outside_p2_raises():
+    with pytest.raises(RankError):
+        classify_form(d_matrix(6, 6, 4))  # rank 5, like P2
+    rng = random.Random(83)
+    p2 = canonical_form(p_matrix(2))
+    seen = 0
+    while seen < 10:
+        a = random_square(rng, 6)
+        if rank(a) == 6 or canonical_form(a) == p2:
+            continue
+        with pytest.raises(RankError):
+            classify_form(a)
+        seen += 1
 
 
 # --- orbit equivalence ------------------------------------------------------

@@ -8,6 +8,7 @@ from a Counter.
 
 import gc
 import math
+import random
 import tracemalloc
 import weakref
 from collections import Counter
@@ -63,6 +64,24 @@ def test_span_transitions_match_bareiss(n):
             # span no larger
             assert table.dim[cid] == grown
             assert bit_rank(g + [x] + gens[cid], m) == grown, (g, x)
+
+
+def test_order_seven_span_walks_match_bareiss():
+    # m = 6 is the span table of an order-7 sweep; a matrix with row 1
+    # all ones and rows 1 - 2x below it has rank 1 + dim span{x}
+    table = verifier._SpanTable(6)
+    rng = random.Random(71)
+    for _ in range(300):
+        sid, rows = 0, []
+        for _ in range(6):
+            x = rng.getrandbits(6)
+            sid = table.child(sid, x)
+            rows.append(x)
+            a = SignMatrix(len(rows) + 1, 7, (0,) + tuple(r << 1 for r in rows))
+            assert 1 + table.dim[sid] == rank(a), rows
+    # the full order-7 table has 77,261 spans; every id must fit a step
+    table.step[0] = 77_260
+    assert table.step[0] == 77_260
 
 
 def reference_chunk(k, n, x1):
