@@ -159,7 +159,8 @@ def check_min_law(a: SignMatrix) -> bool:
     """Whether the one-short near-identity family sits below ``a``.
 
     For a full-row-rank k x n matrix, R(D_(n,k,k-1)) is expected to be
-    minimal in the prefix-sum order; callers assert the returned value.
+    minimal in the prefix-sum order; verify_properties raises
+    PropertyFailure on a False result.
     """
     k, n = a.rows, a.cols
     r = rank(a)

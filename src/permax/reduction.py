@@ -5,8 +5,8 @@ sequence realizing it, and the sequence is replayed before returning,
 so callers can trust the witness bit-exactly.
 
 equivalent_to_d decides membership in a near-identity orbit at every
-order and shape by one signing test; canonical forms (order <= 6) serve
-canonical_form and the singular order-6 template P2 in classify_form.
+order and shape by one signing test.  canonical_form (order <= 6) is a
+standalone orbit label; no other operation uses it.
 
 classify_form takes its near-identity tags from equivalent_to_d:
 DnMinus1 at every order, DnDiag at order >= 6.  The other forms come
@@ -15,13 +15,14 @@ positions with lo <= d <= n-lo.  Such a pair is moved to rows 1 and 2
 and row 1 is negated to all ones.  With lo = 3 at order >= 6 that is
 condition A, tested first; at order 5, outside the D_(5,4) orbit, lo = 2
 always finds a pair, which leads to the special form.  At order 6 the
-matrices left are the P1 orbit, reached through q_block_form.  All ties
-break toward the lowest index, which keeps the output deterministic.
+nonsingular matrices left are the P1 orbit, and the singular ones the
+classification names are the P2 orbit; one template match reaches
+either.  All ties break toward the lowest index, which keeps the output
+deterministic.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ from .sign_matrix import (
     apply,
     apply_step,
     d_matrix,
-    invert_transforms,
     p_matrix,
     submatrix_delete,
 )
@@ -349,27 +349,6 @@ def equivalent_to_d(a: SignMatrix, r: int) -> tuple[tuple, ...] | None:
     return None
 
 
-@functools.cache
-def _p2_canonical() -> tuple[SignMatrix, tuple[tuple, ...]]:
-    """P2's canonical form and sequence, computed on first use."""
-    return _canonical_with_seq(_P2)
-
-
-def _p2_witness(a: SignMatrix) -> tuple[tuple, ...] | None:
-    """Transform sequence carrying order-6 ``a`` exactly onto P2, or None,
-    by canonical-form comparison."""
-    if a == _P2:
-        return ()
-    ca, seq_a = _canonical_with_seq(a)
-    ct, seq_t = _p2_canonical()
-    if ca.words != ct.words:
-        return None
-    seq = seq_a + invert_transforms(seq_t)
-    if apply(a, seq) != _P2:
-        raise RuntimeError("equivalence witness replay failed")
-    return seq
-
-
 # --- classification procedure ------------------------------------------------
 
 
@@ -438,29 +417,39 @@ def _d5_special_seq(a: SignMatrix) -> list[tuple]:
     return steps + _swaps("swapC", negs + [j for j in range(1, 6) if j not in negs])
 
 
-def _p1_seq(a: SignMatrix) -> list[tuple]:
-    """Steps carrying an order-6 matrix outside condition A and the D orbits
-    onto P1.
+def _degrees(words: tuple[int, ...]) -> list[int]:
+    return sorted(sum(w >> j & 1 for w in words) for j in range(6))
 
-    With no pair at distance 3, every row lies within two entries of the
-    all-ones row 1 or of its negative.  Outside the D orbits each row then
-    keeps two -1s, one column holds none, and the minor at (1|1) is a
-    single 5-cycle of q_block_form.
+
+def _template_seq(a: SignMatrix, template: SignMatrix) -> list[tuple] | None:
+    """Steps carrying order-6 ``a`` onto ``template`` (P1 or P2), or None.
+
+    Both templates have an all-ones row 1 and two -1s in every other row;
+    read as edges on the six columns, rows 2-6 form a 5-cycle (P1) or two
+    adjacent centres with two leaves each (P2), and either graph is the
+    only one with its degree sequence.  Row 1 of ``a`` is negated to all
+    ones and every other row signed to at most two -1s; when rows 2-6 are
+    then five distinct edges with the template's degrees, a column
+    bijection carries them onto the template's edges, and the rows are
+    placed by edge.
     """
     steps: list[tuple] = []
     work = _negate_to_ones_row(a, steps)
     for i in range(2, 7):
         if work.words[i - 1].bit_count() > 2:
             work = _emit(work, steps, ("negR", i))
-    free = [j for j in range(1, 7) if not _col_neg_count(work, j)]
-    if not free:
-        raise RuntimeError("no condition A pair, near-identity orbit or P1 pattern at order 6")
-    if free[0] != 1:
-        work = _emit(work, steps, ("swapC", 1, free[0]))
-    sizes, sub_steps = q_block_form(submatrix_delete(work, (1,), (1,)))
-    if sizes != [5]:
-        raise RuntimeError("a split block structure is singular at order 6")
-    return steps + [(step[0], *[x + 1 for x in step[1:]]) for step in sub_steps]
+    edges, want = work.words[1:], template.words[1:]
+    if any(w.bit_count() != 2 for w in edges) or len(set(edges)) != 5:
+        return None
+    if _degrees(edges) != _degrees(want):
+        return None
+    ends = [[j for j in range(6) if w >> j & 1] for w in edges]
+    for perm in itertools.permutations(range(6)):
+        moved = [1 << perm[j] | 1 << perm[k] for j, k in ends]
+        if set(moved) == set(want):
+            steps += _swaps("swapC", [perm.index(c) + 1 for c in range(6)])
+            return steps + _swaps("swapR", [1] + [moved.index(w) + 2 for w in want])
+    return None
 
 
 def _replayed(a: SignMatrix, tag: str, steps: list[tuple], holds) -> FormClass:
@@ -483,8 +472,9 @@ def classify_form(a: SignMatrix) -> FormClass:
     whose sequence is the witness.  At order >= 6 condition A is tested
     first (the D orbits have no pair at distance 3..n-3); at order 6 what
     remains is the P1 orbit.  At order 5 every matrix outside the D_(5,4)
-    orbit reaches the special form.  Constructed sequences are replayed
-    before returning.
+    orbit reaches the special form.  A singular input raises RankError
+    unless it lies in the orbit of the rank-5 template P2.  Constructed
+    sequences are replayed before returning.
     """
     if not a.is_square or a.rows < 5:
         raise ShapeError(f"classification needs a square matrix of order >= 5, got {a.rows}x{a.cols}")
@@ -494,9 +484,9 @@ def classify_form(a: SignMatrix) -> FormClass:
         # singular family the classification names; everything else
         # singular falls outside the procedure's hypothesis.
         if n == 6:
-            seq = _p2_witness(a)
-            if seq is not None:
-                return FormClass("P2", seq)
+            steps = _template_seq(a, _P2)
+            if steps is not None:
+                return _replayed(a, "P2", steps, _P2.__eq__)
         raise RankError("classification is defined for nonsingular matrices only")
 
     if n >= 6:
@@ -512,7 +502,9 @@ def classify_form(a: SignMatrix) -> FormClass:
     if seq is not None:
         return FormClass("DnDiag", seq)
     if n == 6:
-        return _replayed(a, "P1", _p1_seq(a), _P1.__eq__)
+        steps = _template_seq(a, _P1)
+        if steps is not None:
+            return _replayed(a, "P1", steps, _P1.__eq__)
     raise RuntimeError(
         f"no row or column pair at distance 3..{n - 3} and no near-identity orbit at order {n}"
     )

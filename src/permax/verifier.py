@@ -494,7 +494,12 @@ def _scaled_difference_holds(a: SignMatrix, col: list[int]) -> bool:
 
     The selections of ``a`` plus ``col`` are those of ``a`` and the fresh
     ones through column n+1, so the difference is the rank vector of the
-    fresh selections alone and ``rank_vector(a)`` is not recomputed here."""
+    fresh selections alone and ``rank_vector(a)`` is not recomputed here.
+
+    Both sides tally the same matrices, so the law is a counting identity
+    that holds for any rank function: it checks the ``replace_family`` and
+    ``append_column`` bookkeeping.  A wrong selection rank is caught only
+    by the minimality law."""
     k, n = a.rows, a.cols
     grown = append_column(a, col)
     fresh = tuple(delta + (n + 1,) for delta in combinations(range(1, n + 1), k - 1))

@@ -64,6 +64,17 @@ red.classify_form(red.apply(red.d_matrix(5, 5, 5), [("swapR", 1, 3), ("negC", 4)
     assert out == "replayed sequence does not reach the D5Special template"
 
 
+def test_corrupted_template_replay_raises_under_optimize():
+    out = run_optimized(
+        """
+import permax.reduction as red
+red._swaps = lambda kind, target: []
+red.classify_form(red.apply(red.p_matrix(2), [("swapR", 2, 6), ("swapC", 1, 3), ("negR", 4)]))
+"""
+    )
+    assert out == "replayed sequence does not reach the P2 template"
+
+
 def test_corrupted_canonical_witness_raises_under_optimize():
     out = run_optimized(
         """

@@ -2,15 +2,13 @@
 orbit equivalence, and canonical forms."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 from permax import (
     FORM_TAGS,
+    FormClass,
     PreconditionError,
     RankError,
     ShapeError,
@@ -33,8 +31,6 @@ from permax import (
 )
 from permax import reduction
 from permax.verifier import _random_transforms
-
-SRC = os.path.dirname(os.path.dirname(reduction.__file__))
 
 
 def random_square(rng, n):
@@ -229,23 +225,58 @@ def test_classify_singular_two_per_line_template():
         assert apply(a, f.seq) == p_matrix(2)
 
 
-def test_p2_template_form_is_built_once_and_lazily(monkeypatch):
-    fresh = subprocess.run(
-        [sys.executable, "-c", "import permax.reduction as r; print(r._p2_canonical.cache_info().misses)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
-    )
-    assert fresh.stdout.strip() == "0"  # importing computes nothing
-    calls = []
-    real = reduction._canonical_with_seq
-    monkeypatch.setattr(reduction, "_canonical_with_seq", lambda a: calls.append(a) or real(a))
-    reduction._p2_canonical.cache_clear()
-    rng = random.Random(79)
-    for _ in range(5):
-        a = apply(p_matrix(2), _random_transforms(rng, 6))
-        f = classify_form(a)
-        assert f.tag == "P2"
-        assert apply(a, f.seq) == p_matrix(2)
-    assert calls.count(p_matrix(2)) == 1
+def test_classification_needs_no_canonical_forms(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("canonical form requested")
+
+    monkeypatch.setattr(reduction, "_canonical_with_seq", refuse)
+    rng = random.Random(101)
+    for template in (p_matrix(1), p_matrix(2), d_matrix(6, 6, 5), d_matrix(6, 6, 6)):
+        for _ in range(10):
+            a = scramble(rng, template)
+            assert apply(a, classify_form(a).seq) == template
+    seen = 0
+    while seen < 10:
+        a = random_square(rng, 6)
+        if rank(a) == 6:
+            f = classify_form(a)
+            assert f.tag == "ConditionA" and condition_A(apply(a, f.seq))
+            seen += 1
+    with pytest.raises(RankError):
+        classify_form(d_matrix(6, 6, 4))  # rank 5, like P2
+    assert classify_form(p_matrix(1)) == FormClass("P1", ())
+    assert classify_form(p_matrix(2)) == FormClass("P2", ())
+
+
+def test_p2_orbit_exhaustively():
+    # Negating columns to an all-ones row 1 and signing every other row to
+    # at most two -1s carries every member of P2's orbit (no two rows at
+    # distance 3) to a row 1 of ones and five rows among the 22 words of
+    # weight <= 2, up to row order.  On each singular multiset the P2 tag
+    # must agree with canonical forms, computed only where the orbit
+    # invariants |per| = 16 and "no row or column pair at distance 3"
+    # already match P2's.
+    p2 = p_matrix(2)
+    p2_canon = canonical_form(p2)
+    light = [w for w in range(64) if w.bit_count() <= 2]
+    members = 0
+    for rows in itertools.combinations_with_replacement(light, 5):
+        a = SignMatrix(6, 6, (0,) + rows)
+        if rank(a) == 6:
+            continue
+        in_orbit = (
+            abs(permanent_ryser(a)) == 16
+            and reduction._pair_seq(a, 3) is None
+            and canonical_form(a) == p2_canon
+        )
+        try:
+            f = classify_form(a)
+        except RankError:
+            assert not in_orbit, rows
+            continue
+        assert in_orbit and f.tag == "P2" and apply(a, f.seq) == p2, rows
+        members += 1
+    assert members == 90
 
 
 def test_singular_order_six_outside_p2_raises():

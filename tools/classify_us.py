@@ -1,0 +1,97 @@
+"""Microseconds per order-6 ``classify_form`` call, by outcome, and per
+order-6 ``canonical_form`` call.
+
+Usage, from the repository root:
+
+    python3 tools/classify_us.py [--src DIR]
+
+``--src`` names the directory holding the ``permax`` package (default
+``src`` next to this directory), so the same script can time two
+checkouts.  Each outcome gets 20 seeded order-6 inputs: uniform
+nonsingular matrices tagged ConditionA, scrambled copies of the
+templates D_(6,5), D_(6,6), P1 and P2 (random row and column signs and
+orders, transposed half the time), and uniform singular matrices that
+raise RankError.  ``canonical_form`` is timed on 20 uniform matrices.
+One pass makes one call per input, and the best of ``REPEATS`` passes is
+reported as microseconds per call, one line per outcome.  The best pass
+is the one least disturbed by other load on the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+MATRICES = 20
+REPEATS = 7
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    from permax import RankError, SignMatrix, apply, canonical_form, classify_form, d_matrix, p_matrix
+
+    rng = random.Random(13)
+
+    def uniform() -> SignMatrix:
+        return SignMatrix(6, 6, tuple(rng.getrandbits(6) for _ in range(6)))
+
+    def scrambled(template: SignMatrix) -> SignMatrix:
+        steps = [("negR", i) for i in range(1, 7) if rng.random() < 0.5]
+        steps += [("negC", j) for j in range(1, 7) if rng.random() < 0.5]
+        steps += [("swapR", i, rng.randint(i, 6)) for i in range(1, 7)]
+        steps += [("swapC", j, rng.randint(j, 6)) for j in range(1, 7)]
+        if rng.random() < 0.5:
+            steps.append(("T",))
+        return apply(template, steps)
+
+    def tag(a: SignMatrix) -> str:
+        try:
+            return classify_form(a).tag
+        except RankError:
+            return "RankError"
+
+    def drawn(want: str) -> list[SignMatrix]:
+        mats: list[SignMatrix] = []
+        while len(mats) < MATRICES:
+            a = uniform()
+            if tag(a) == want:
+                mats.append(a)
+        return mats
+
+    def classify(a: SignMatrix) -> None:
+        try:
+            classify_form(a)
+        except RankError:
+            pass
+
+    templates = {
+        "DnMinus1": d_matrix(6, 6, 5),
+        "DnDiag": d_matrix(6, 6, 6),
+        "P1": p_matrix(1),
+        "P2": p_matrix(2),
+    }
+    cases = [("classify ConditionA", classify, drawn("ConditionA"))]
+    cases += [
+        (f"classify {name}", classify, [scrambled(t) for _ in range(MATRICES)])
+        for name, t in templates.items()
+    ]
+    cases.append(("classify RankError", classify, drawn("RankError")))
+    cases.append(("canonical_form", canonical_form, [uniform() for _ in range(MATRICES)]))
+    for label, call, mats in cases:
+        best = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            for a in mats:
+                call(a)
+            best = min(best, time.perf_counter() - t0)
+        print(f"{label} {best / MATRICES * 1e6:.1f}")
+
+
+if __name__ == "__main__":
+    main()
