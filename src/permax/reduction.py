@@ -184,11 +184,31 @@ def q_block_form(a: SignMatrix) -> tuple[list[int], tuple[tuple, ...]]:
 #
 # Minimal row-major 0/1 code (bit 1 = entry -1, column 1 read first) over the
 # full orbit: negations, row and column permutations, and the transpose when
-# the matrix is square.  The search anchors one row as all-ones (fixing the
-# column negations), then extends row by row; columns stay grouped in an
-# ordered partition of still-interchangeable positions, refined by each
-# placed row.  Frontier states with equal prefix merge, which keeps highly
-# symmetric inputs from branching factorially.
+# the matrix is square.  The search anchors one row as all-ones, which fixes
+# the column negations (the negated anchor complements every other row, a
+# state the merge below already holds, so it is not tried).  It then extends
+# row by row over a breadth-first frontier that keeps only the states
+# reaching the least code so far.  A state holds an ordered partition of the
+# columns still interchangeable, one bitmask per cell, refined by each
+# placed row into its +1 part and then its -1 part.
+#
+# Read within a cell as zeros then ones, a candidate row's code is fixed by
+# its count of -1s per cell, and a smaller count in an earlier cell is a
+# smaller code.  The cell sizes are fixed by the code prefix, hence equal in
+# every state at one depth, so count tuples compare across states: one pass
+# finds the least count tuple over every (state, row, sign), and only the
+# candidates tied on it refine their partition.  The code row is rebuilt
+# from the cell sizes and the counts.
+#
+# Two states merge when their remaining rows, read through the state's cell
+# order (the position of each column once the cells are listed in order)
+# and taken up to sign, form the same multiset.  The merge is exact: the
+# positions give a column bijection that maps each cell onto the cell of
+# the same rank and the one state's remaining rows onto the other's, up to
+# sign.  Counts per cell, and the refinements they make, are preserved
+# under it, and every row is tried with both signs, so both states reach
+# the same future codes.  Symmetric inputs thus keep a frontier of a few
+# states instead of branching factorially.
 
 
 def _swaps(kind: str, target: list[int]) -> list[tuple]:
@@ -203,96 +223,89 @@ def _swaps(kind: str, target: list[int]) -> list[tuple]:
     return steps
 
 
+def _cell_order(part: tuple[int, ...]) -> list[int]:
+    """The columns of the cell bitmasks ``part``, cell by cell, ascending
+    within each cell."""
+    order = []
+    for g in part:
+        while g:
+            low = g & -g
+            order.append(low.bit_length() - 1)
+            g ^= low
+    return order
+
+
 def _canonical_with_seq(a: SignMatrix) -> tuple[SignMatrix, tuple[tuple, ...]]:
     rows, cols = a.rows, a.cols
     mask = (1 << cols) - 1
+
+    def merge_key(base: tuple[int, ...], used: int, part: tuple[int, ...]) -> tuple[int, ...]:
+        order = _cell_order(part)
+        rest = []
+        for k in range(rows):
+            if not used >> k & 1:
+                w, v = base[k], 0
+                for p, c in enumerate(order):
+                    if w >> c & 1:
+                        v |= 1 << p
+                rest.append(min(v, v ^ mask))
+        return tuple(sorted(rest))
+
+    # state: (base words after column negations, used-row bitmask, cell
+    #         bitmasks, (t, anchor row, column negations), placements)
     orientations = [(0, a.words)]
     if a.is_square:
         orientations.append((1, _transpose_words(a)))
-
-    # state: (base words after column negations, used-row bitmask, partition,
-    #         trace) where trace = (t, anchor row, anchor negated, placements)
     frontier: dict = {}
-    init_part = (tuple(range(cols)),)
     for t, words in orientations:
         for r0 in range(rows):
-            for negfirst in (0, 1):
-                colmask = words[r0] if not negfirst else (~words[r0]) & mask
-                base = tuple(w ^ colmask for w in words)
-                rest = tuple(
-                    sorted(
-                        tuple(sorted((w, (~w) & mask)))
-                        for w in base[:r0] + base[r0 + 1:]
-                    )
-                )
-                key = (init_part, rest)
-                if key not in frontier:
-                    frontier[key] = (base, 1 << r0, init_part, (t, r0, negfirst, colmask, ()))
+            base = tuple(w ^ words[r0] for w in words)
+            key = merge_key(base, 1 << r0, (mask,))
+            if key not in frontier:
+                frontier[key] = (base, 1 << r0, (mask,), (t, r0, words[r0]), ())
 
-    code: list[tuple[int, ...]] = [(0,) * cols]
+    code = [0]
+    sizes = (cols,)
     for _depth in range(1, rows):
-        best_row: tuple[int, ...] | None = None
-        extensions: dict = {}
-        for base, used, part, trace in frontier.values():
+        candidates = []
+        for state in frontier.values():
+            base, used, part = state[:3]
             for i in range(rows):
-                if used & (1 << i):
-                    continue
-                for f in (0, 1):
-                    w = base[i] if not f else (~base[i]) & mask
-                    row_code = []
-                    new_part = []
-                    for g in part:
-                        zeros = tuple(c for c in g if not (w >> c) & 1)
-                        ones = tuple(c for c in g if (w >> c) & 1)
-                        row_code.extend([0] * len(zeros) + [1] * len(ones))
-                        if zeros:
-                            new_part.append(zeros)
-                        if ones:
-                            new_part.append(ones)
-                    row_code = tuple(row_code)
-                    if best_row is not None and row_code > best_row:
-                        continue
-                    if best_row is None or row_code < best_row:
-                        best_row = row_code
-                        extensions = {}
-                    new_used = used | (1 << i)
-                    rest = tuple(
-                        sorted(
-                            tuple(sorted((base[k], (~base[k]) & mask)))
-                            for k in range(rows)
-                            if not new_used & (1 << k)
-                        )
-                    )
-                    key = (tuple(new_part), rest, row_code)
-                    if key not in extensions:
-                        t, r0, negfirst, colmask, placed = trace
-                        extensions[key] = (
-                            base,
-                            new_used,
-                            tuple(new_part),
-                            (t, r0, negfirst, colmask, placed + ((i, f),)),
-                        )
+                if not used >> i & 1:
+                    counts = tuple((base[i] & g).bit_count() for g in part)
+                    candidates.append((counts, state, i, 0))
+                    candidates.append((tuple(s - c for s, c in zip(sizes, counts)), state, i, 1))
+        best = min(c[0] for c in candidates)
+        extensions: dict = {}
+        for counts, (base, used, part, origin, placed), i, f in candidates:
+            if counts != best:
+                continue
+            w = base[i] ^ mask if f else base[i]
+            new_part = tuple(h for g in part for h in (g & ~w, g & w) if h)
+            new_used = used | 1 << i
+            key = merge_key(base, new_used, new_part)
+            if key not in extensions:
+                extensions[key] = (base, new_used, new_part, origin, placed + ((i, f),))
         frontier = extensions
-        code.append(best_row)  # type: ignore[arg-type]
+        word, offset = 0, 0
+        for s, c in zip(sizes, best):
+            word |= ((1 << c) - 1) << (offset + s - c)
+            offset += s
+        code.append(word)
+        sizes = tuple(x for s, c in zip(sizes, best) for x in (s - c, c) if x)
 
     # all surviving states realize the same minimal code; take the first
-    base, used, part, trace = next(iter(frontier.values()))
-    t, r0, negfirst, colmask, placed = trace
-
-    canon_words = tuple(sum(bit << j for j, bit in enumerate(row)) for row in code)
+    _base, _used, part, (t, r0, colmask), placed = next(iter(frontier.values()))
+    canon_words = tuple(code)
     canon = SignMatrix(rows, cols, canon_words)
 
     steps: list[tuple] = []
     if t:
         steps.append(("T",))
-    for j in range(cols):
-        if (colmask >> j) & 1:
-            steps.append(("negC", j + 1))
-    neg_rows = ([r0 + 1] if negfirst else []) + [i + 1 for i, f in placed if f]
-    for i in sorted(neg_rows):
-        steps.append(("negR", i))
+    steps += [("negC", j + 1) for j in range(cols) if colmask >> j & 1]
+    steps += [("negR", i + 1) for i in sorted(i for i, f in placed if f)]
     steps += _swaps("swapR", [r0 + 1] + [i + 1 for i, _f in placed])
-    steps += _swaps("swapC", [c + 1 for g in part for c in sorted(g)])
+    steps += _swaps("swapC", [c + 1 for c in _cell_order(part)])
 
     if apply(a, steps).words != canon_words:
         raise RuntimeError("canonical witness replay failed")
@@ -418,7 +431,7 @@ def _d5_special_seq(a: SignMatrix) -> list[tuple]:
 
 
 def _degrees(words: tuple[int, ...]) -> list[int]:
-    return sorted(sum(w >> j & 1 for w in words) for j in range(6))
+    return [sum(w >> j & 1 for w in words) for j in range(6)]
 
 
 def _template_seq(a: SignMatrix, template: SignMatrix) -> list[tuple] | None:
@@ -431,7 +444,8 @@ def _template_seq(a: SignMatrix, template: SignMatrix) -> list[tuple] | None:
     ones and every other row signed to at most two -1s; when rows 2-6 are
     then five distinct edges with the template's degrees, a column
     bijection carries them onto the template's edges, and the rows are
-    placed by edge.
+    placed by edge.  Such a bijection keeps degrees, so only those are
+    tried: 5! for P1 and 2! * 4! for P2.
     """
     steps: list[tuple] = []
     work = _negate_to_ones_row(a, steps)
@@ -441,13 +455,18 @@ def _template_seq(a: SignMatrix, template: SignMatrix) -> list[tuple] | None:
     edges, want = work.words[1:], template.words[1:]
     if any(w.bit_count() != 2 for w in edges) or len(set(edges)) != 5:
         return None
-    if _degrees(edges) != _degrees(want):
+    deg, want_deg = _degrees(edges), _degrees(want)
+    if sorted(deg) != sorted(want_deg):
         return None
+    classes = sorted(set(deg))
+    by_degree = [j for d in classes for j in range(6) if deg[j] == d]
+    slots = [[k for k in range(6) if want_deg[k] == d] for d in classes]
     ends = [[j for j in range(6) if w >> j & 1] for w in edges]
-    for perm in itertools.permutations(range(6)):
+    for images in itertools.product(*map(itertools.permutations, slots)):
+        perm = dict(zip(by_degree, itertools.chain.from_iterable(images)))
         moved = [1 << perm[j] | 1 << perm[k] for j, k in ends]
         if set(moved) == set(want):
-            steps += _swaps("swapC", [perm.index(c) + 1 for c in range(6)])
+            steps += _swaps("swapC", [j + 1 for j in sorted(perm, key=perm.get)])
             return steps + _swaps("swapR", [1] + [moved.index(w) + 2 for w in want])
     return None
 

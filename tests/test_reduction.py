@@ -472,3 +472,73 @@ def test_canonical_form_order_six_and_guard():
     )
     with pytest.raises(ShapeError):
         canonical_form(make_matrix([1] * 49, 7, 7))
+
+
+def _orbit(words, n):
+    """Every image of an order-n matrix under every row and column
+    permutation, row and column negation, and the transpose."""
+    full = (1 << n) - 1
+    transposed = tuple(sum((w >> j & 1) << i for i, w in enumerate(words)) for j in range(n))
+    images = set()
+    for m in (words, transposed):
+        for perm in itertools.permutations(range(n)):
+            moved = [sum((w >> c & 1) << j for j, c in enumerate(perm)) for w in m]
+            for col_neg in range(1 << n):
+                for row_neg in range(1 << n):
+                    signed = [w ^ col_neg ^ (full if row_neg >> i & 1 else 0) for i, w in enumerate(moved)]
+                    images.update(itertools.permutations(signed))
+    return images
+
+
+def _least_code(images, n):
+    """The image whose row-major code (bit 1 = entry -1, column 1 read
+    first) is least."""
+    return min(images, key=lambda ws: [w >> j & 1 for w in ws for j in range(n)])
+
+
+def test_canonical_form_is_the_orbit_minimum():
+    # brute force over the whole group, independent of the search
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        least = {}
+        for x in range(1 << n * n):
+            words = tuple(x >> n * i & full for i in range(n))
+            if words not in least:
+                orbit = _orbit(words, n)
+                least.update(dict.fromkeys(orbit, _least_code(orbit, n)))
+            assert canonical_form(SignMatrix(n, n, words)).words == least[words], words
+    rng = random.Random(97)
+    samples = [random_square(rng, 4) for _ in range(6)]
+    samples += [apply(d_matrix(4, 4, r), _random_transforms(rng, 4)) for r in (2, 3, 4)]
+    for a in samples:
+        assert canonical_form(a).words == _least_code(_orbit(a.words, 4), 4), a.words
+
+
+# canonical words of the nine order-6 templates, computed before the search
+# merged frontier states up to cell relabeling; a change to the search must
+# not relabel an orbit
+TEMPLATE_CANON = {
+    "D0": (0, 0, 0, 0, 0, 0),
+    "D1": (0, 0, 0, 0, 0, 32),
+    "D2": (0, 0, 0, 0, 32, 16),
+    "D3": (0, 0, 0, 32, 16, 8),
+    "D4": (0, 0, 32, 16, 8, 4),
+    "D5": (0, 32, 16, 8, 4, 2),
+    "D6": (0, 48, 40, 36, 34, 30),
+    "P1": (0, 48, 40, 20, 10, 6),
+    "P2": (0, 48, 40, 36, 18, 46),
+}
+
+
+def test_template_canonical_words_are_pinned():
+    rng = random.Random(101)
+    templates = {f"D{r}": d_matrix(6, 6, r) for r in range(7)}
+    templates.update(P1=p_matrix(1), P2=p_matrix(2))
+    for name, t in templates.items():
+        for k in range(6):
+            steps = [("negR", i) for i in range(1, 7) if rng.random() < 0.5]
+            steps += [("negC", j) for j in range(1, 7) if rng.random() < 0.5]
+            steps += [("swapR", i, rng.randint(i, 6)) for i in range(1, 7)]
+            steps += [("swapC", j, rng.randint(j, 6)) for j in range(1, 7)]
+            steps += [("T",)] * (k % 2)
+            assert canonical_form(apply(t, steps)).words == TEMPLATE_CANON[name], (name, steps)

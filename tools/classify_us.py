@@ -11,7 +11,9 @@ checkouts.  Each outcome gets 20 seeded order-6 inputs: uniform
 nonsingular matrices tagged ConditionA, scrambled copies of the
 templates D_(6,5), D_(6,6), P1 and P2 (random row and column signs and
 orders, transposed half the time), and uniform singular matrices that
-raise RankError.  ``canonical_form`` is timed on 20 uniform matrices.
+raise RankError.  ``canonical_form`` is timed on 20 uniform matrices
+and on the same scrambled template copies: symmetric inputs, which
+cost its search the most.
 One pass makes one call per input, and the best of ``REPEATS`` passes is
 reported as microseconds per call, one line per outcome.  The best pass
 is the one least disturbed by other load on the machine.
@@ -77,12 +79,11 @@ def main() -> None:
         "P2": p_matrix(2),
     }
     cases = [("classify ConditionA", classify, drawn("ConditionA"))]
-    cases += [
-        (f"classify {name}", classify, [scrambled(t) for _ in range(MATRICES)])
-        for name, t in templates.items()
-    ]
+    copies = {name: [scrambled(t) for _ in range(MATRICES)] for name, t in templates.items()}
+    cases += [(f"classify {name}", classify, mats) for name, mats in copies.items()]
     cases.append(("classify RankError", classify, drawn("RankError")))
-    cases.append(("canonical_form", canonical_form, [uniform() for _ in range(MATRICES)]))
+    cases.append(("canonical_form uniform", canonical_form, [uniform() for _ in range(MATRICES)]))
+    cases += [(f"canonical_form {name}", canonical_form, mats) for name, mats in copies.items()]
     for label, call, mats in cases:
         best = float("inf")
         for _ in range(REPEATS):
