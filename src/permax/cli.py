@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 when a verification run finds a violated
 bound or property, 1 for bad input (unreadable file, malformed matrix,
-unsupported shape).
+unsupported shape, bad argument).
 """
 
 from __future__ import annotations
@@ -105,13 +105,26 @@ def _cmd_props(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line; exit 2 stays for violations."""
+
+    def error(self, message: str) -> None:
+        self.exit(1, f"error: {message}\n")
+
+
+def _out_path(text: str) -> str:
+    if not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {Path(text).parent} does not exist")
+    return text
+
+
 def _add_report_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write the report to this path")
+    p.add_argument("--out", type=_out_path, help="write the report to this path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permax",
         description="Verification toolkit for the rank bound on permanents of (-1,1)-matrices.",
     )

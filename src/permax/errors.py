@@ -4,7 +4,6 @@ __all__ = [
     "ShapeError",
     "RankError",
     "RangeError",
-    "PreconditionError",
     "CounterexampleError",
     "PropertyFailure",
 ]
@@ -20,10 +19,6 @@ class RankError(ValueError):
 
 class RangeError(ValueError):
     """Numeric argument outside the supported range of a table or recurrence."""
-
-
-class PreconditionError(ValueError):
-    """Structural precondition violated (e.g. a line without exactly two -1s)."""
 
 
 class CounterexampleError(RuntimeError):

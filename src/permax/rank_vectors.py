@@ -38,7 +38,6 @@ __all__ = [
     "family_rank_vector",
     "replace_family",
     "majorize_leq",
-    "majorize_lt",
     "check_min_law",
     "multiplicity_law",
 ]
@@ -140,19 +139,6 @@ def majorize_leq(r1: RankVector, r2: RankVector) -> bool:
         if s1 > s2:
             return False
     return True
-
-
-def majorize_lt(r1: RankVector, r2: RankVector) -> bool:
-    """Strict variant: majorize_leq holds and some prefix inequality is strict."""
-    if not majorize_leq(r1, r2):
-        return False
-    s1 = s2 = 0
-    for a, b in zip(r1, r2):
-        s1 += a
-        s2 += b
-        if s1 < s2:
-            return True
-    return False
 
 
 def check_min_law(a: SignMatrix) -> bool:

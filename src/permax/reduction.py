@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import PreconditionError, RankError, ShapeError
+from .errors import RankError, ShapeError
 from .exact_rank import rank
 from .sign_matrix import (
     SignMatrix,
@@ -35,14 +35,11 @@ from .sign_matrix import (
     apply_step,
     d_matrix,
     p_matrix,
-    submatrix_delete,
 )
 
 __all__ = [
     "FormClass",
-    "normalize_first_line",
     "condition_A",
-    "q_block_form",
     "classify_form",
     "equivalent_to_d",
     "canonical_form",
@@ -73,49 +70,11 @@ def _neg_cols(work: SignMatrix, i: int) -> list[int]:
     return [j + 1 for j in range(work.cols) if (w >> j) & 1]
 
 
-def _col_neg_count(work: SignMatrix, j: int) -> int:
-    bit = 1 << (j - 1)
-    return sum(1 for w in work.words if w & bit)
-
-
 def _negate_to_ones_row(work: SignMatrix, steps: list[tuple]) -> SignMatrix:
     """Negate the columns where row 1 is -1, leaving row 1 all ones."""
     for j in _neg_cols(work, 1):
         work = _emit(work, steps, ("negC", j))
     return work
-
-
-def normalize_first_line(a: SignMatrix) -> tuple[SignMatrix, tuple[tuple, ...]]:
-    """All-ones first row and column via negations, preserving |per|.
-
-    For a nonsingular input, a row/column pair whose deletion leaves a
-    full-rank minor is first permuted to position (1,1), so the output
-    additionally has a rank n-1 minor at (1|1).
-    """
-    if not a.is_square:
-        raise ShapeError(f"normalization needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    work = a
-    steps: list[tuple] = []
-    if n >= 2 and rank(a) == n:
-        found = None
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if rank(submatrix_delete(a, (i,), (j,))) == n - 1:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        i, j = found  # a full-rank matrix always has one
-        if i != 1:
-            work = _emit(work, steps, ("swapR", 1, i))
-        if j != 1:
-            work = _emit(work, steps, ("swapC", 1, j))
-    work = _negate_to_ones_row(work, steps)
-    for i in range(2, n + 1):
-        if work.entry(i, 1) == -1:
-            work = _emit(work, steps, ("negR", i))
-    return work, tuple(steps)
 
 
 def condition_A(a: SignMatrix) -> bool:
@@ -124,60 +83,6 @@ def condition_A(a: SignMatrix) -> bool:
         raise ShapeError(f"condition needs a square matrix of order >= 6, got {a.rows}x{a.cols}")
     neg = a.words[1].bit_count()
     return a.words[0] == 0 and neg >= 3 and a.cols - neg >= 3
-
-
-def q_block_form(a: SignMatrix) -> tuple[list[int], tuple[tuple, ...]]:
-    """Permute a two-negatives-per-line matrix into diagonal cyclic blocks.
-
-    The -1 pattern of such a matrix is a disjoint union of cycles; the
-    returned permutations place each cycle as a block with -1 on its
-    diagonal, superdiagonal, and lower-left corner, all other entries 1.
-    Block sizes are returned in placement order.
-    """
-    for i in range(1, a.rows + 1):
-        if a.words[i - 1].bit_count() != 2:
-            raise PreconditionError(f"row {i} has {a.words[i - 1].bit_count()} negative entries, need 2")
-    for j in range(1, a.cols + 1):
-        if _col_neg_count(a, j) != 2:
-            raise PreconditionError(f"column {j} has {_col_neg_count(a, j)} negative entries, need 2")
-    n = a.rows
-    work = a
-    steps: list[tuple] = []
-    sizes: list[int] = []
-    pos = 1
-    while pos <= n:
-        start = pos
-        c1, c2 = _neg_cols(work, start)
-        if c1 != start:
-            work = _emit(work, steps, ("swapC", start, c1))
-        c2 = [c for c in _neg_cols(work, start) if c != start][0]
-        if c2 != start + 1:
-            work = _emit(work, steps, ("swapC", start + 1, c2))
-        q = start + 1
-        while True:
-            bit = 1 << (q - 1)
-            r = next(i for i in range(1, n + 1) if i != q - 1 and work.words[i - 1] & bit)
-            if r != q:
-                work = _emit(work, steps, ("swapR", q, r))
-            other = [c for c in _neg_cols(work, q) if c != q][0]
-            if other == start:
-                sizes.append(q - start + 1)
-                pos = q + 1
-                break
-            if other != q + 1:
-                work = _emit(work, steps, ("swapC", q + 1, other))
-            q += 1
-    expected = []
-    base = 0
-    for size in sizes:
-        for p in range(size):
-            w = 1 << (base + p)
-            w |= 1 << (base + p + 1) if p + 1 < size else 1 << base
-            expected.append(w)
-        base += size
-    if work.words != tuple(expected):
-        raise RuntimeError("block placement left a stray entry")
-    return sizes, tuple(steps)
 
 
 # --- canonical orbit representative -----------------------------------------

@@ -45,7 +45,6 @@ __all__ = [
     "check_index_set",
     "parse_matrix_text",
     "format_matrix_text",
-    "parse_transforms",
     "format_transforms",
 ]
 
@@ -361,23 +360,3 @@ def format_transforms(steps) -> str:
             raise ValueError(f"malformed transform step {step!r}")
         parts.append(" ".join([kind, *map(str, step[1:])]))
     return "; ".join(parts)
-
-
-def parse_transforms(text: str) -> tuple[tuple, ...]:
-    steps: list[tuple] = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        toks = chunk.split()
-        kind = toks[0]
-        if kind not in _STEP_ARITY:
-            raise ValueError(f"unknown transform {kind!r}")
-        if len(toks) - 1 != _STEP_ARITY[kind]:
-            raise ValueError(f"{kind} takes {_STEP_ARITY[kind]} indices: {chunk!r}")
-        try:
-            args = tuple(int(t) for t in toks[1:])
-        except ValueError:
-            raise ValueError(f"non-integer index in {chunk!r}") from None
-        steps.append((kind, *args))
-    return tuple(steps)

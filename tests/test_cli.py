@@ -143,10 +143,33 @@ def test_props_oracle_disagreement_exit_two(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("FAIL: permanent oracle agreement violated\n8 8\n")
 
 
-def test_unknown_arguments_exit_two():
+def test_unknown_arguments_exit_two(capsys):
+    # usage errors are bad input: exit 1 and one line, as for a bad file
+    for argv in (["per", "--file", "x", "--method", "magic"], ["verify", "--n", "abc"], []):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(SystemExit) as info:
-        main(["per", "--file", "x", "--method", "magic"])
-    assert info.value.code == 2
+        main(["--help"])
+    assert info.value.code == 0
+
+
+def test_missing_report_directory_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("permax.cli.verify_square", refuse)
+    monkeypatch.setattr("permax.cli.verify_properties", refuse)
+    missing = tmp_path / "missing" / "x.json"
+    for argv in (["verify", "--n", "3"], ["props", "--samples", "10"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(missing)])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: argument --out: directory {missing.parent} does not exist\n"
+    assert not missing.parent.exists()
 
 
 def test_bad_numeric_arguments_exit_one(capsys):

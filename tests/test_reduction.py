@@ -1,5 +1,5 @@
-"""Constructive reductions: normalization, block form, classification,
-orbit equivalence, and canonical forms."""
+"""Constructive reductions: condition A, classification, orbit
+equivalence, and canonical forms."""
 
 import itertools
 import random
@@ -9,7 +9,6 @@ import pytest
 from permax import (
     FORM_TAGS,
     FormClass,
-    PreconditionError,
     RankError,
     ShapeError,
     SignMatrix,
@@ -21,11 +20,8 @@ from permax import (
     equivalent_to_d,
     make_matrix,
     mper,
-    neg_count,
-    normalize_first_line,
     p_matrix,
     permanent_ryser,
-    q_block_form,
     q_matrix,
     rank,
 )
@@ -35,63 +31,6 @@ from permax.verifier import _random_transforms
 
 def random_square(rng, n):
     return make_matrix([rng.choice((1, -1)) for _ in range(n * n)], n, n)
-
-
-def block_diag_q(sizes):
-    """Square matrix with the given Q-blocks on the diagonal, +1 elsewhere."""
-    n = sum(sizes)
-    entries = [[1] * n for _ in range(n)]
-    at = 0
-    for s in sizes:
-        q = q_matrix(s)
-        for i in range(s):
-            for j in range(s):
-                entries[at + i][at + j] = q.entry(i + 1, j + 1)
-        at += s
-    return make_matrix([e for row in entries for e in row], n, n)
-
-
-# --- normalization ---------------------------------------------------------
-
-
-def test_normalize_identity_on_all_ones():
-    j4 = make_matrix([1] * 16, 4, 4)
-    assert normalize_first_line(j4) == (j4, ())
-
-
-def test_normalize_first_line_properties():
-    rng = random.Random(53)
-    for _ in range(80):
-        n = rng.randint(2, 6)
-        a = random_square(rng, n)
-        out, seq = normalize_first_line(a)
-        assert apply(a, seq) == out
-        assert out.row_signs(1) == (1,) * n
-        assert all(out.entry(i, 1) == 1 for i in range(1, n + 1))
-        assert abs(permanent_ryser(out)) == abs(permanent_ryser(a))
-
-
-def test_normalize_negated_first_row():
-    a = apply(d_matrix(4, 4, 4), [("negR", 1)])
-    out, seq = normalize_first_line(a)
-    assert out.row_signs(1) == (1, 1, 1, 1)
-    assert abs(permanent_ryser(out)) == 8
-
-
-def test_normalize_nonsingular_minor():
-    # for nonsingular input, the (1|1) minor of the output keeps rank n-1
-    rng = random.Random(59)
-    found = 0
-    while found < 20:
-        a = random_square(rng, 5)
-        if rank(a) < 5:
-            continue
-        found += 1
-        out, _ = normalize_first_line(a)
-        minor = make_matrix(
-            [out.entry(i, j) for i in range(2, 6) for j in range(2, 6)], 4, 4
-        )
-        assert rank(minor) == 4
 
 
 # --- the three-positive/three-negative row test ----------------------------
@@ -104,47 +43,6 @@ def test_condition_predicate():
     assert condition_A(good)
     with pytest.raises(ShapeError):
         condition_A(d_matrix(5, 5, 4))
-
-
-# --- Q-block decomposition --------------------------------------------------
-
-
-def test_q_block_form_single_blocks():
-    for m in (2, 3, 5):
-        sizes, seq = q_block_form(q_matrix(m))
-        assert sizes == [m]
-        assert apply(q_matrix(m), seq) == q_matrix(m)
-
-
-def test_q_block_form_recovers_shuffled_blocks():
-    rng = random.Random(20250819)
-    for sizes in ([2, 3], [3, 3], [2, 2, 2]):
-        base = block_diag_q(sizes)
-        n = base.rows
-        steps = []
-        for _ in range(12):
-            steps.append(("swapR", rng.randint(1, n), rng.randint(1, n)))
-            steps.append(("swapC", rng.randint(1, n), rng.randint(1, n)))
-        shuffled = apply(base, steps)
-        got, seq = q_block_form(shuffled)
-        assert sorted(got) == sorted(sizes)
-        out = apply(shuffled, seq)
-        # replay must produce exactly the claimed diagonal blocks
-        at = 1
-        for s in got:
-            block = make_matrix(
-                [out.entry(i, j) for i in range(at, at + s) for j in range(at, at + s)],
-                s,
-                s,
-            )
-            assert block == q_matrix(s)
-            at += s
-        assert neg_count(out) == 2 * n
-
-
-def test_q_block_form_rejects_wrong_line_counts():
-    with pytest.raises(PreconditionError):
-        q_block_form(d_matrix(4, 4, 2))
 
 
 # --- form classification ----------------------------------------------------

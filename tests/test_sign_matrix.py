@@ -17,7 +17,6 @@ from permax import (
     neg_count,
     p_matrix,
     parse_matrix_text,
-    parse_transforms,
     q_matrix,
     submatrix_delete,
     submatrix_select,
@@ -201,9 +200,5 @@ def test_transform_text_round_trip():
     seq = (("negR", 3), ("swapC", 1, 4), ("T",))
     text = format_transforms(seq)
     assert text == "negR 3; swapC 1 4; T"
-    assert parse_transforms(text) == seq
-    assert parse_transforms("") == ()
-    with pytest.raises(ValueError):
-        parse_transforms("spin 2")
     with pytest.raises(ValueError):
         format_transforms([("swapR", 1)])

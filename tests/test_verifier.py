@@ -204,6 +204,37 @@ def test_property_suite_reports_oracle_disagreement(monkeypatch):
     assert skewed[0].rows == 8 and len(skewed) == 1
 
 
+WIDE_SHAPES = [(k, n) for k in (2, 3, 4) for n in range(k + 1, 8)]
+
+
+def test_property_suite_checks_the_multiplicity_law_once_per_shape(monkeypatch):
+    real = permax.verifier.multiplicity_law
+    shapes = []
+
+    def counted(a, b):
+        shapes.append((a.rows, a.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(permax.verifier, "multiplicity_law", counted)
+    verify_properties(seed=0, samples=200)
+    assert shapes == WIDE_SHAPES
+    verify_properties(seed=5, samples=2000)
+    assert shapes == WIDE_SHAPES * 2
+
+
+def test_property_suite_reports_a_multiplicity_violation(monkeypatch):
+    real = permax.verifier.multiplicity_law
+    monkeypatch.setattr(
+        permax.verifier, "multiplicity_law", lambda a, b: (a.rows, a.cols) != (3, 7) and real(a, b)
+    )
+    with pytest.raises(PropertyFailure) as info:
+        verify_properties(seed=0, samples=200)
+    head, _, matrix = str(info.value).partition("\n")
+    assert head == "rank-vector multiplicity violated"
+    a = parse_matrix_text(matrix)
+    assert (a.rows, a.cols) == (3, 7)
+
+
 def test_write_report_formats(tmp_path):
     report = verify_square(3)
     fixed = dataclasses.replace(report, seconds=0.0)
