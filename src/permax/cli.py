@@ -113,8 +113,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_path(text: str) -> str:
-    if not Path(text).parent.is_dir():
-        raise argparse.ArgumentTypeError(f"directory {Path(text).parent} does not exist")
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {path.parent} does not exist")
     return text
 
 

@@ -16,7 +16,9 @@ shared prefixes are computed once.  Each selection's permanent is
 linear in the last row, so one pass per parent and selection gives
 every leaf's value.  The rank comes from a table of row spans and the
 weight from the runs of equal rows, so a leaf evaluates no permanent
-and runs no elimination.  The callers hold the bounds.
+and runs no elimination.  One routine, ``_verdict``, admits a shape by
+the kernel's cost and judges every rank stratum against its bound and
+one table of sanctioned deviations.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .d_family import bound_for_rank, build_table
 from .errors import CounterexampleError, PropertyFailure, RangeError, ShapeError
@@ -348,66 +350,91 @@ def _sweep(k: int, n: int, workers: int = 1) -> tuple[int, dict[int, tuple[int, 
     }
 
 
+# The strata that depart from the rule "the maximum is the bound, attained
+# on the orbit of D_(n,k,r-1) alone": (k, n, rank) -> (maximum, sizes s of
+# the D_(n,k,s) orbits attaining it), where a maximum of None is the bound.
+_SANCTIONED = {
+    (4, 4, 4): (8, (4,)),  # nonsingular order 4 tops out above the table's 4
+    (3, 4, 3): (None, (2, 3)),  # D_(4,3,3) attains the selection bound too
+}
+
+
+def _verdict(
+    k: int, n: int, workers: int, bounds: Callable[[], dict[int, int]]
+) -> VerifyReport:
+    """Sweep shape (k, n) and judge each rank stratum ``bounds()`` names.
+
+    A shape is admitted when its leaves, the C(2^(n-1)+k-2, k-1) row
+    multisets, times its passes per leaf, one per k-column selection, fit
+    the 2^20 budget; ``bounds`` runs only then.  There are at least
+    2^(n-1) leaves, so a shape with n > 21 is refused without counting.
+
+    A stratum must top out exactly at its bound, or at its sanctioned
+    maximum, and every matrix attaining it must lie in the orbit of
+    D_(n,k,s) for one expected size s, each size reached by some matrix."""
+    if not 2 <= k <= n:
+        raise RangeError(f"need 2 <= k <= n, got k={k}, n={n}")
+    cost = math.comb((1 << (n - 1)) + k - 2, k - 1) * math.comb(n, k) if n <= 21 else None
+    if cost is None or cost > 1 << 20:
+        raise RangeError(
+            f"shape ({k},{n}) needs {cost or f'at least 2^{n - 1}'} row multisets x selections,"
+            " over the 2^20 budget"
+        )
+    t0 = time.monotonic()
+    judged = bounds()
+    scanned, merged = _sweep(k, n, workers)
+    rows = []
+    for r, bound in judged.items():
+        top, sizes = _SANCTIONED.get((k, n, r), (None, (r - 1,)))
+        top = bound if top is None else top
+        mx, reps = merged.get(r, (-1, []))  # an empty stratum tops out at -1
+        where = f"shape ({k},{n}) rank {r}"
+        if mx > top:
+            raise CounterexampleError(
+                f"{where}: maximum {mx} beats the bound {top}:\n" + format_matrix_text(reps[0])
+            )
+        if mx < top:
+            raise CounterexampleError(f"{where}: maximum {mx} misses the bound {top}")
+        reached = set()
+        for a in reps:
+            size = next((s for s in sizes if equivalent_to_d(a, s) is not None), None)
+            if size is None:
+                raise CounterexampleError(
+                    f"{where}: extremal matrix outside the expected orbits:\n"
+                    + format_matrix_text(a)
+                )
+            reached.add(size)
+        for s in sizes:
+            if s not in reached:
+                raise CounterexampleError(f"{where}: no extremal matrix in the D_({n},{k},{s}) orbit")
+        rows.append(StratumRow(
+            rank=r, bound=bound, observed_max=mx, extremal_orbits=len(sizes),
+            equality_class=_CLASS_EXCEPTION if (k, n, r) in _SANCTIONED else _CLASS_PLAIN,
+        ))
+    return VerifyReport(
+        n=n, rows=tuple(rows), scanned=scanned, seconds=round(time.monotonic() - t0, 3)
+    )
+
+
 def verify_square(n: int, workers: int = 1) -> VerifyReport:
     """Exhaustively confirm the per-rank bound over all order-n matrices.
 
-    Every rank stratum must top out exactly at its table bound, attained
-    on a single orbit equivalent to the matching near-identity matrix.
-    The one sanctioned deviation is order 4 nonsingular, where the
-    maximum is 8 on the fully negated diagonal orbit and every other
-    value stays at or below the table's 4.  Every extremal representative
-    is checked against that orbit with ``equivalent_to_d``, so a stratum
-    that passes reports exactly one extremal orbit.
+    Every rank-r stratum must top out exactly at per D_(n,r-1), attained
+    on the orbit of that matrix alone.  The one sanctioned deviation is
+    order 4 nonsingular, where the maximum is 8 on the fully negated
+    diagonal orbit and every other value stays at or below the table's 4.
+    Orders 2..6 fit the sweep budget.
 
     The report is identical for any number of sweep ``workers``.
     """
-    if not (2 <= n <= 6):
-        raise ShapeError(f"square sweep supports orders 2..6, got {n}")
     if workers < 1:
         raise RangeError(f"worker count must be positive, got {workers}")
-    t0 = time.monotonic()
-    table = build_table(max(n, 5))
-    bounds = {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
-    top = dict(bounds)
-    if n == 4:
-        top[4] = 8  # the sanctioned deviation, on the orbit of D_(4,4,4)
-    scanned, merged = _sweep(n, n, workers)
-    if sorted(merged) != list(range(1, n + 1)):
-        raise RuntimeError("a rank stratum came up empty")
-    out = []
-    for r in range(1, n + 1):
-        mx, reps = merged[r]
-        if mx > top[r]:
-            raise CounterexampleError(
-                f"|per| = {mx} beats the rank-{r} bound {bounds[r]} at order {n}:\n"
-                + format_matrix_text(reps[0])
-            )
-        if mx < top[r]:
-            raise CounterexampleError(
-                f"rank-{r} stratum tops out at {mx}; bound {top[r]} not attained"
-            )
-        exception = top[r] != bounds[r]
-        for a in reps:
-            if equivalent_to_d(a, r if exception else r - 1) is None:
-                raise CounterexampleError(
-                    f"rank-{r} extremal matrix sits outside the expected orbit:\n"
-                    + format_matrix_text(a)
-                )
-        out.append(
-            StratumRow(
-                rank=r,
-                bound=bounds[r],
-                observed_max=mx,
-                extremal_orbits=1,
-                equality_class=_CLASS_EXCEPTION if exception else _CLASS_PLAIN,
-            )
-        )
-    return VerifyReport(
-        n=n,
-        rows=tuple(out),
-        scanned=scanned,
-        seconds=round(time.monotonic() - t0, 3),
-    )
+
+    def bounds() -> dict[int, int]:
+        table = build_table(n)
+        return {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
+
+    return _verdict(n, n, workers, bounds)
 
 
 def verify_mper(k: int, n: int) -> VerifyReport:
@@ -415,52 +442,13 @@ def verify_mper(k: int, n: int) -> VerifyReport:
 
     Sweeps every k x n matrix with all-ones first row and column up to
     row order, and checks the full-row-rank ones against the one-short
-    near-identity bound.  Shapes are admitted by cost, not by a fixed
-    list: 2^((k-1)(n-1)) raw matrices times C(n,k) column selections
-    must fit under 2^20.  Equality must land on the near-identity orbit
-    D_(n,k,k-1), except shape (3, 4) where D_(4,3,3) attains the bound
-    too; each attaining representative is matched to one of these orbits
-    with ``equivalent_to_d``, and each of them must be attained.
+    near-identity bound mper D_(n,k,k-1), attained on that orbit alone
+    except at shape (3, 4), where D_(4,3,3) attains it too.  Shapes are
+    admitted by the sweep budget, not by a fixed list.
     """
-    if not (2 <= k < n):
+    if not 2 <= k < n:
         raise RangeError(f"need 2 <= k < n, got k={k}, n={n}")
-    cost = (1 << ((k - 1) * (n - 1))) * math.comb(n, k)
-    if cost > 1 << 20:
-        raise RangeError(
-            f"shape ({k},{n}) needs {cost} permanent evaluations, over the 2^20 budget"
-        )
-    t0 = time.monotonic()
-    bound = mper(d_matrix(n, k, k - 1))
-    sizes = [k - 1, 3] if (k, n) == (3, 4) else [k - 1]
-    scanned, merged = _sweep(k, n)
-    best, reps = merged.get(k, (-1, []))
-    if best > bound:
-        raise CounterexampleError(
-            f"selection maximum {best} beats the bound {bound} at shape ({k},{n}):\n"
-            + format_matrix_text(reps[0])
-        )
-    if best < bound:
-        raise CounterexampleError(
-            f"selection bound {bound} not attained at shape ({k},{n}); maximum {best}"
-        )
-    matched = {next((r for r in sizes if equivalent_to_d(a, r) is not None), None) for a in reps}
-    if matched != set(sizes):
-        raise CounterexampleError(
-            f"equality orbits at shape ({k},{n}) differ from the expected family"
-        )
-    row = StratumRow(
-        rank=k,
-        bound=bound,
-        observed_max=best,
-        extremal_orbits=len(sizes),
-        equality_class=_CLASS_EXCEPTION if (k, n) == (3, 4) else _CLASS_PLAIN,
-    )
-    return VerifyReport(
-        n=n,
-        rows=(row,),
-        scanned=scanned,
-        seconds=round(time.monotonic() - t0, 3),
-    )
+    return _verdict(k, n, 1, lambda: {k: mper(d_matrix(n, k, k - 1))})
 
 
 def _random_square(rng: random.Random, n: int) -> SignMatrix:
@@ -538,38 +526,26 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
             + format_matrix_text(a)
         )
 
-    # the two permanent evaluators must agree everywhere
-    cases = 0
-    for order in (2, 3, 4):
-        for a in enumerate_normalized(order):
-            if permanent_ryser(a) != permanent_naive(a):
-                fail("permanent oracle agreement", a)
-            cases += 1
-    for order, pct in ((5, 85), (6, 10), (7, 4), (8, 1)):
-        for _ in range(samples * pct // 100):
-            a = _random_square(rng, order)
-            if permanent_ryser(a) != permanent_naive(a):
-                fail("permanent oracle agreement", a)
-            cases += 1
-    done("ryser_vs_naive", cases)
-
-    # order-4 permanents are multiples of 4; |per| is an orbit invariant,
-    # so the normalized slice covers every orbit
-    cases = 0
-    for a in enumerate_normalized(4):
-        if permanent_ryser(a) % 4:
-            fail("order-4 divisibility by 4", a)
-        cases += 1
-    done("order4_divisibility", cases)
-
-    # total bound n! with its unique all-ones equality orbit, and the
-    # (n-2)(n-1)! ceiling for everything else
-    cases = 0
+    # one pass over the normalized slices of orders 2-5, one permanent
+    # each: up to order 4 the two evaluators agree and, at order 4, per is
+    # a multiple of 4; |per| is an orbit invariant, so the slices cover
+    # every orbit of the total bound n!, attained on the all-ones orbit
+    # alone, with (n-2)(n-1)! as the ceiling for everything else
+    oracle = div4 = total = 0
     for order in (2, 3, 4, 5):
         top = math.factorial(order)
         rest = (order - 2) * math.factorial(order - 1)
         for a in enumerate_normalized(order):
-            p = abs(permanent_ryser(a))
+            p = permanent_ryser(a)
+            if order < 5:
+                if p != permanent_naive(a):
+                    fail("permanent oracle agreement", a)
+                oracle += 1
+            if order == 4:
+                if p % 4:
+                    fail("order-4 divisibility by 4", a)
+                div4 += 1
+            p = abs(p)
             if p > top:
                 fail("total permanent bound", a, f"|per| = {p} > {top}")
             if p == top:
@@ -577,8 +553,16 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
                     fail("total-bound equality orbit", a)
             elif p > rest:
                 fail("non-equality permanent ceiling", a, f"|per| = {p} > {rest}")
-            cases += 1
-    done("total_bound", cases)
+            total += 1
+    for order, pct in ((5, 85), (6, 10), (7, 4), (8, 1)):
+        for _ in range(samples * pct // 100):
+            a = _random_square(rng, order)
+            if permanent_ryser(a) != permanent_naive(a):
+                fail("permanent oracle agreement", a)
+            oracle += 1
+    done("ryser_vs_naive", oracle)
+    done("order4_divisibility", div4)
+    done("total_bound", total)
 
     # expansion along one or two rows agrees with the direct value
     cases = max(1, samples // 100)

@@ -120,6 +120,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["verify", "--n", "9"]) == 1
     capsys.readouterr()
 
+    assert main(["verify-mper", "--k", "4", "--n", "7"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: shape (4,7) needs 1601600 row multisets x selections, over the 2^20 budget\n"
+    )
+
     singular = write(tmp_path, "j6.txt", d_matrix(6, 6, 0))
     assert main(["classify", "--file", singular]) == 1
     capsys.readouterr()
@@ -170,6 +175,16 @@ def test_missing_report_directory_fails_before_the_run(tmp_path, monkeypatch, ca
         err = capsys.readouterr().err
         assert err == f"error: argument --out: directory {missing.parent} does not exist\n"
     assert not missing.parent.exists()
+
+
+def test_directory_report_path_fails_before_the_run(tmp_path, capsys):
+    for argv in (["verify", "--n", "4"], ["props", "--samples", "10"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(tmp_path)])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: argument --out: {tmp_path} is a directory\n"
 
 
 def test_bad_numeric_arguments_exit_one(capsys):

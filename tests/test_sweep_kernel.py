@@ -160,7 +160,7 @@ def test_leaf_counterexample_names_the_matrix(monkeypatch):
     with pytest.raises(CounterexampleError) as info:
         verifier.verify_square(5)
     head, text = str(info.value).split("\n", 1)
-    assert head == "|per| = 48 beats the rank-3 bound 47 at order 5:"
+    assert head == "shape (5,5) rank 3: maximum 48 beats the bound 47:"
     a = parse_matrix_text(text)
     assert (a.rows, a.cols) == (5, 5)
     assert rank(a) == 3
@@ -174,7 +174,7 @@ def test_wide_counterexample_names_the_matrix(monkeypatch):
     with pytest.raises(CounterexampleError) as info:
         verifier.verify_mper(3, 4)
     head, text = str(info.value).split("\n", 1)
-    assert head == "selection maximum 8 beats the bound 7 at shape (3,4):"
+    assert head == "shape (3,4) rank 3: maximum 8 beats the bound 7:"
     a = parse_matrix_text(text)
     assert (a.rows, a.cols) == (3, 4)
     assert rank(a) == 3

@@ -18,6 +18,7 @@ from permax import (
     StratumRow,
     VerifyReport,
     enumerate_normalized,
+    mper,
     parse_matrix_text,
     permanent_ryser,
     rank,
@@ -97,8 +98,12 @@ def test_sweep_thread_count_does_not_change_results():
 
 
 def test_sweep_rejects_bad_arguments():
-    with pytest.raises(ShapeError):
+    with pytest.raises(
+        RangeError, match=r"^shape \(7,7\) needs 119877472 row multisets x selections, over the 2\^20 budget$"
+    ):
         verify_square(7)
+    with pytest.raises(RangeError, match="^need 2 <= k <= n, got k=1, n=1$"):
+        verify_square(1)
     with pytest.raises(RangeError, match="^worker count must be positive, got 0$"):
         verify_square(3, workers=0)
 
@@ -117,8 +122,43 @@ def test_mper_sweep_small_shapes():
 
     with pytest.raises(RangeError):
         verify_mper(1, 3)
-    with pytest.raises(RangeError, match=r"^shape \(5,6\) needs 6291456 permanent evaluations, over the 2\^20 budget$"):
-        verify_mper(5, 6)
+    with pytest.raises(RangeError, match=r"^shape \(4,7\) needs 1601600 row multisets x selections, over the 2\^20 budget$"):
+        verify_mper(4, 7)
+    with pytest.raises(RangeError, match=r"^shape \(3,40\) needs at least 2\^39 row multisets x selections, over"):
+        verify_mper(3, 40)
+
+
+def test_mper_sweep_shape_five_six():
+    # C(35,4) = 52,360 row multisets x 6 selections fit the budget
+    report = verify_mper(5, 6)
+    assert report.scanned == 2 ** 20
+    assert [(s.bound, s.observed_max, s.extremal_orbits, s.equality_class) for s in report.rows] == [
+        (176, 176, 1, "D-only")
+    ]
+
+
+class Admitted(Exception):
+    pass
+
+
+def test_admission_is_one_budget_rule(monkeypatch):
+    def admitted(k, n, workers=1):
+        raise Admitted
+
+    monkeypatch.setattr(permax.verifier, "_sweep", admitted)
+    passed = []
+    for n in range(2, 17):
+        for k in range(2, n + 1):
+            try:
+                verify_square(n) if k == n else verify_mper(k, n)
+            except Admitted:
+                passed.append((k, n))
+            except RangeError as exc:
+                assert "over the 2^20 budget" in str(exc), (k, n)
+    assert [s for s in passed if s[0] == s[1]] == [(n, n) for n in range(2, 7)]
+    assert sorted(s for s in passed if s[0] < s[1]) == sorted(
+        [(2, n) for n in range(3, 15)] + [(3, n) for n in range(4, 9)] + [(4, 5), (4, 6), (5, 6)]
+    )
 
 
 def refusing(r_refused):
@@ -132,16 +172,44 @@ def test_square_sweep_reports_a_matrix_outside_the_orbit(monkeypatch):
     with pytest.raises(CounterexampleError) as info:
         verify_square(4)
     head, _, text = str(info.value).partition("\n")
-    assert head == "rank-4 extremal matrix sits outside the expected orbit:"
+    assert head == "shape (4,4) rank 4: extremal matrix outside the expected orbits:"
     a = parse_matrix_text(text)
     assert (a.rows, rank(a), abs(permanent_ryser(a))) == (4, 4, 8)
 
 
 def test_mper_sweep_reports_a_missing_equality_orbit(monkeypatch):
+    real = permax.verifier.equivalent_to_d
     monkeypatch.setattr(permax.verifier, "equivalent_to_d", refusing(3))
     with pytest.raises(CounterexampleError) as info:
         verify_mper(3, 4)
-    assert str(info.value) == "equality orbits at shape (3,4) differ from the expected family"
+    head, _, text = str(info.value).partition("\n")
+    assert head == "shape (3,4) rank 3: extremal matrix outside the expected orbits:"
+    a = parse_matrix_text(text)
+    assert (a.rows, a.cols, rank(a), mper(a)) == (3, 4, 3, 8)
+    assert real(a, 3) is not None and real(a, 2) is None
+
+
+def test_mper_sweep_needs_both_equality_orbits(monkeypatch):
+    # every extremal matrix passes as D_(4,3,2), so D_(4,3,3) is never reached
+    real = permax.verifier.equivalent_to_d
+    monkeypatch.setattr(permax.verifier, "equivalent_to_d", lambda a, r: () if r == 2 else real(a, r))
+    with pytest.raises(CounterexampleError) as info:
+        verify_mper(3, 4)
+    assert str(info.value) == "shape (3,4) rank 3: no extremal matrix in the D_(4,3,3) orbit"
+
+
+def test_empty_stratum_misses_the_bound(monkeypatch):
+    real = permax.verifier._sweep
+
+    def without_rank_two(k, n, workers=1):
+        scanned, merged = real(k, n, workers)
+        del merged[2]
+        return scanned, merged
+
+    monkeypatch.setattr(permax.verifier, "_sweep", without_rank_two)
+    with pytest.raises(CounterexampleError) as info:
+        verify_square(3)
+    assert str(info.value) == "shape (3,3) rank 2: maximum -1 misses the bound 2"
 
 
 def test_sweeps_need_no_canonical_forms(monkeypatch):
