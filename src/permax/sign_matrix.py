@@ -32,7 +32,6 @@ __all__ = [
     "MAX_ROWS",
     "MAX_COLS",
     "make_matrix",
-    "append_column",
     "d_matrix",
     "q_matrix",
     "p_matrix",
@@ -114,22 +113,6 @@ def make_matrix(entries: list[int], rows: int, cols: int) -> SignMatrix:
                 raise ValueError(f"entry {e!r} at ({i + 1},{j + 1}) is not +1 or -1")
         words.append(w)
     return SignMatrix(rows, cols, tuple(words))
-
-
-def append_column(a: SignMatrix, col) -> SignMatrix:
-    """``a`` with the +1/-1 entries of ``col`` appended as column cols+1."""
-    col = list(col)
-    if len(col) != a.rows:
-        raise ShapeError(f"column height {len(col)} does not match row count {a.rows}")
-    bit = 1 << a.cols
-    words = []
-    for i, (w, e) in enumerate(zip(a.words, col), 1):
-        if e == -1:
-            w |= bit
-        elif e != 1:
-            raise ValueError(f"entry {e!r} at ({i},{a.cols + 1}) is not +1 or -1")
-        words.append(w)
-    return SignMatrix(a.rows, a.cols + 1, tuple(words))
 
 
 def d_matrix(n: int, k: int, l: int) -> SignMatrix:

@@ -21,7 +21,6 @@ from permax import (
     submatrix_delete,
     submatrix_select,
 )
-from permax.sign_matrix import append_column
 
 J2 = make_matrix([1, 1, 1, 1], 2, 2)
 
@@ -57,39 +56,6 @@ def test_make_matrix_rejects_bad_input():
         make_matrix([1] * 6, 3, 2)  # wide-or-square only
     with pytest.raises(ShapeError):
         SignMatrix(13, 13, tuple([0] * 13))
-
-
-def test_append_column():
-    a = make_matrix([1, -1, 1, 1, 1, -1], 2, 3)
-    assert append_column(a, [-1, 1]).to_entries() == [1, -1, 1, -1, 1, 1, -1, 1]
-    with pytest.raises(ValueError):
-        append_column(a, [0, 1])
-    with pytest.raises(ShapeError):
-        append_column(a, [1])
-
-
-def test_append_column_matches_make_matrix():
-    rng = random.Random(59)
-    for _ in range(200):
-        k = rng.randint(1, 6)
-        n = rng.randint(k, 15)
-        entries = [rng.choice((1, -1)) for _ in range(k * n)]
-        col = [rng.choice((1, -1)) for _ in range(k)]
-        rows = [entries[i * n : (i + 1) * n] + [col[i]] for i in range(k)]
-        want = make_matrix([e for row in rows for e in row], k, n + 1)
-        assert append_column(make_matrix(entries, k, n), iter(col)) == want
-
-
-def test_append_column_rejects_bad_columns():
-    a = make_matrix([1, -1, 1, 1, 1, -1], 2, 3)
-    for col in ([1], [1, 1, 1], []):
-        with pytest.raises(ShapeError):
-            append_column(a, col)
-    for col in ([1, 2], [-1, 0], [1, "1"]):
-        with pytest.raises(ValueError):
-            append_column(a, col)
-    with pytest.raises(ShapeError):  # a 17th column leaves the budget
-        append_column(SignMatrix(1, 16, (0,)), [1])
 
 
 def test_d_matrix_shape_and_negatives():
