@@ -2,7 +2,9 @@
 
 Every public operation that claims a reduction returns the transform
 sequence realizing it, and the sequence is replayed before returning,
-so callers can trust the witness bit-exactly.
+so callers can trust the witness bit-exactly.  Every witness has one
+form, built and replayed by _witness: an optional transpose, column
+negations, row negations, a row order and a column order.
 
 equivalent_to_d decides membership in a near-identity orbit at every
 order and shape by one signing test.  canonical_form (order <= 6) is a
@@ -28,14 +30,7 @@ from dataclasses import dataclass
 
 from .errors import RankError, ShapeError
 from .exact_rank import rank
-from .sign_matrix import (
-    SignMatrix,
-    _transpose_words,
-    apply,
-    apply_step,
-    d_matrix,
-    p_matrix,
-)
+from .sign_matrix import SignMatrix, _transpose_words, apply, d_matrix, p_matrix
 
 __all__ = [
     "FormClass",
@@ -48,8 +43,7 @@ __all__ = [
 FORM_TAGS = ("DnMinus1", "DnDiag", "P1", "P2", "ConditionA", "D5Special")
 
 # the two exceptional order-6 templates, built once
-_P1 = p_matrix(1)
-_P2 = p_matrix(2)
+_TEMPLATES = {"P1": p_matrix(1), "P2": p_matrix(2)}
 
 
 @dataclass(frozen=True)
@@ -60,29 +54,43 @@ class FormClass:
     seq: tuple[tuple, ...]
 
 
-def _emit(work: SignMatrix, steps: list[tuple], step: tuple) -> SignMatrix:
-    steps.append(step)
-    return apply_step(work, step)
-
-
-def _neg_cols(work: SignMatrix, i: int) -> list[int]:
-    w = work.words[i - 1]
-    return [j + 1 for j in range(work.cols) if (w >> j) & 1]
-
-
-def _negate_to_ones_row(work: SignMatrix, steps: list[tuple]) -> SignMatrix:
-    """Negate the columns where row 1 is -1, leaving row 1 all ones."""
-    for j in _neg_cols(work, 1):
-        work = _emit(work, steps, ("negC", j))
-    return work
-
-
 def condition_A(a: SignMatrix) -> bool:
-    """All-ones first row, and a second row with three entries of each sign."""
+    """All-ones first row, and a second row with at least three entries of
+    each sign."""
     if not a.is_square or a.rows < 6:
         raise ShapeError(f"condition needs a square matrix of order >= 6, got {a.rows}x{a.cols}")
     neg = a.words[1].bit_count()
     return a.words[0] == 0 and neg >= 3 and a.cols - neg >= 3
+
+
+def _swaps(kind: str, order) -> list[tuple]:
+    """Swap steps of ``kind`` that bring line order[p] to position p (0-based
+    lines, 1-based steps)."""
+    current = list(range(len(order)))
+    steps: list[tuple] = []
+    for p, want in enumerate(order):
+        q = current.index(want)
+        if q != p:
+            steps.append((kind, p + 1, q + 1))
+            current[p], current[q] = current[q], current[p]
+    return steps
+
+
+def _witness(
+    a: SignMatrix, what: str, holds, t: int, colmask: int, rowmask: int, row_order, col_order
+) -> tuple[tuple, ...]:
+    """The one witness form, replayed: transpose ``a`` when ``t``, negate the
+    columns in ``colmask`` and then the rows in ``rowmask`` (bit i = line
+    i+1), and move row row_order[p] and column col_order[p] to position p.
+    Raises RuntimeError unless ``holds`` is true of the replayed matrix."""
+    steps = [("T",)] if t else []
+    steps += [("negC", j + 1) for j in range(a.cols) if colmask >> j & 1]
+    steps += [("negR", i + 1) for i in range(a.rows) if rowmask >> i & 1]
+    steps += _swaps("swapR", row_order)
+    steps += _swaps("swapC", col_order)
+    if not holds(apply(a, steps)):
+        raise RuntimeError(f"replayed sequence does not reach {what}")
+    return tuple(steps)
 
 
 # --- canonical orbit representative -----------------------------------------
@@ -114,18 +122,6 @@ def condition_A(a: SignMatrix) -> bool:
 # under it, and every row is tried with both signs, so both states reach
 # the same future codes.  Symmetric inputs thus keep a frontier of a few
 # states instead of branching factorially.
-
-
-def _swaps(kind: str, target: list[int]) -> list[tuple]:
-    """Swap steps of ``kind`` that bring position target[p-1] to position p."""
-    current = list(range(1, len(target) + 1))
-    steps: list[tuple] = []
-    for p, want in enumerate(target, start=1):
-        q = current.index(want) + 1
-        if q != p:
-            steps.append((kind, p, q))
-            current[p - 1], current[q - 1] = current[q - 1], current[p - 1]
-    return steps
 
 
 def _cell_order(part: tuple[int, ...]) -> list[int]:
@@ -201,20 +197,12 @@ def _canonical_with_seq(a: SignMatrix) -> tuple[SignMatrix, tuple[tuple, ...]]:
 
     # all surviving states realize the same minimal code; take the first
     _base, _used, part, (t, r0, colmask), placed = next(iter(frontier.values()))
-    canon_words = tuple(code)
-    canon = SignMatrix(rows, cols, canon_words)
-
-    steps: list[tuple] = []
-    if t:
-        steps.append(("T",))
-    steps += [("negC", j + 1) for j in range(cols) if colmask >> j & 1]
-    steps += [("negR", i + 1) for i in sorted(i for i, f in placed if f)]
-    steps += _swaps("swapR", [r0 + 1] + [i + 1 for i, _f in placed])
-    steps += _swaps("swapC", [c + 1 for c in _cell_order(part)])
-
-    if apply(a, steps).words != canon_words:
-        raise RuntimeError("canonical witness replay failed")
-    return canon, tuple(steps)
+    canon = SignMatrix(rows, cols, tuple(code))
+    rowmask = sum(1 << i for i, f in placed if f)
+    row_order = [r0] + [i for i, _f in placed]
+    return canon, _witness(
+        a, "the canonical form", canon.__eq__, t, colmask, rowmask, row_order, _cell_order(part)
+    )
 
 
 def canonical_form(a: SignMatrix) -> SignMatrix:
@@ -255,69 +243,49 @@ def equivalent_to_d(a: SignMatrix, r: int) -> tuple[tuple, ...] | None:
             held = [i for i, c in enumerate(cells) if c]
             if len(held) != r or len({cells[i] for i in held}) != r:
                 continue
-            steps = [("negC", j + 1) for j in range(n) if (colmask >> j) & 1]
-            steps += [("negR", i + 1) for i, f in enumerate(flips) if f]
-            placed = held + [i for i in range(k) if not cells[i]]
-            steps += _swaps("swapR", [i + 1 for i in placed])
-            used = [cells[i].bit_length() for i in held]
-            steps += _swaps("swapC", used + [j for j in range(1, n + 1) if j not in used])
-            if apply(a, steps) != target:
-                raise RuntimeError("D-orbit witness replay failed")
-            return tuple(steps)
+            rowmask = sum(1 << i for i, f in enumerate(flips) if f)
+            row_order = held + [i for i in range(k) if not cells[i]]
+            used = [cells[i].bit_length() - 1 for i in held]
+            col_order = used + [j for j in range(n) if j not in used]
+            what = f"D_({n},{k},{r})"
+            return _witness(a, what, target.__eq__, 0, colmask, rowmask, row_order, col_order)
     return None
 
 
 # --- classification procedure ------------------------------------------------
 
 
-def _far_pair(words: tuple[int, ...], lo: int) -> tuple[int, int] | None:
-    """First pair of lines (1-based) at Hamming distance lo..n-lo, if any."""
-    n = len(words)
-    return next(
-        (
-            (i + 1, j + 1)
-            for i, j in itertools.combinations(range(n), 2)
-            if lo <= (words[i] ^ words[j]).bit_count() <= n - lo
-        ),
-        None,
-    )
+def _far_pair(a: SignMatrix, lo: int) -> tuple[int, tuple[int, ...], int, int] | None:
+    """The first pair of rows, or else of columns, at Hamming distance
+    lo..n-lo, as (t, lines, i, j): t = 1 for columns, ``lines`` the rows of
+    ``a`` or of its transpose, and i < j the pair's 0-based indices; None
+    when no pair is that far apart.
 
-
-def _pair_seq(a: SignMatrix, lo: int) -> list[tuple] | None:
-    """Steps that make row 1 all ones and give row 2 between lo and n-lo
-    negatives, or None when no transform sequence does.
-
-    Rows i and j at Hamming distance d become an all-ones row 1 and a row 2
-    with d negatives once they are swapped to the top and the -1 columns of
-    row i are negated, so a pair of rows (or, after a transpose, columns)
-    with lo <= d <= n-lo suffices.  The test is exact: negations keep or
-    complement (d -> n-d) the distance of a row or column pair,
-    permutations only move pairs, and the transpose exchanges rows with
-    columns, while the window lo..n-lo is closed under d -> n-d.
+    Lines i and j at distance d become an all-ones row 1 and a row 2 with
+    d negatives once they are swapped to the top and the -1 columns of
+    line i are negated.  The test is exact: negations keep or complement
+    (d -> n-d) the distance of a row or column pair, permutations only
+    move pairs, and the transpose exchanges rows with columns, while the
+    window lo..n-lo is closed under d -> n-d.
     """
-    work = a
-    steps: list[tuple] = []
-    pair = _far_pair(a.words, lo)
-    if pair is None:
-        pair = _far_pair(_transpose_words(a), lo)
-        if pair is None:
-            return None
-        work = _emit(work, steps, ("T",))
-    i, j = pair
-    if i != 1:
-        work = _emit(work, steps, ("swapR", 1, i))
-    if j != 2:
-        work = _emit(work, steps, ("swapR", 2, j))
-    _negate_to_ones_row(work, steps)
-    return steps
+    n = a.rows
+    for t in (0, 1):
+        lines = _transpose_words(a) if t else a.words
+        for i, j in itertools.combinations(range(n), 2):
+            if lo <= (lines[i] ^ lines[j]).bit_count() <= n - lo:
+                return t, lines, i, j
+    return None
 
 
-def _condition_a_seq(a: SignMatrix) -> list[tuple] | None:
-    """Steps reaching condition A (a row pair at distance 3..n-3), or None."""
-    return _pair_seq(a, 3)
+def _to_top(n: int, i: int, j: int) -> list[int]:
+    """Row order after swapping row i to the top, then row j to second."""
+    order = list(range(n))
+    order[0], order[i] = order[i], order[0]
+    order[1], order[j] = order[j], order[1]
+    return order
 
 
-def _d5_special_seq(a: SignMatrix) -> list[tuple]:
+def _d5_special_seq(a: SignMatrix) -> tuple[tuple, ...]:
     """Steps carrying a nonsingular order-5 matrix onto the special form:
     row 1 all ones and row 2 equal to (-1, -1, 1, 1, 1).
 
@@ -325,22 +293,30 @@ def _d5_special_seq(a: SignMatrix) -> list[tuple]:
     ones and the other rows signed to at most one -1, two rows would be
     equal.  Row 2 is signed to two -1s, which move to columns 1 and 2.
     """
-    steps = _pair_seq(a, 2)
-    if steps is None:
+    pair = _far_pair(a, 2)
+    if pair is None:
         raise RuntimeError("a nonsingular order-5 matrix has no row pair at distance 2 or 3")
-    work = apply(a, steps)
-    if work.words[1].bit_count() == 3:
-        work = _emit(work, steps, ("negR", 2))
-    negs = _neg_cols(work, 2)
-    return steps + _swaps("swapC", negs + [j for j in range(1, 6) if j not in negs])
+    t, lines, i, j = pair
+    w = lines[i] ^ lines[j]
+    flip = w.bit_count() == 3
+    negs = [c for c in range(5) if (w >> c & 1) != flip]
+    order = negs + [c for c in range(5) if c not in negs]
+    return _witness(
+        a, "the D5Special template", _is_d5_template, t, lines[i], flip << j, _to_top(5, i, j), order
+    )
+
+
+def _is_d5_template(b: SignMatrix) -> bool:
+    return b.words[0] == 0 and b.row_signs(2) == (-1, -1, 1, 1, 1)
 
 
 def _degrees(words: tuple[int, ...]) -> list[int]:
     return [sum(w >> j & 1 for w in words) for j in range(6)]
 
 
-def _template_seq(a: SignMatrix, template: SignMatrix) -> list[tuple] | None:
-    """Steps carrying order-6 ``a`` onto ``template`` (P1 or P2), or None.
+def _template_seq(a: SignMatrix, tag: str) -> tuple[tuple, ...] | None:
+    """Steps carrying order-6 ``a`` onto the template ``tag`` (P1 or P2), or
+    None.
 
     Both templates have an all-ones row 1 and two -1s in every other row;
     read as edges on the six columns, rows 2-6 form a 5-cycle (P1) or two
@@ -352,12 +328,11 @@ def _template_seq(a: SignMatrix, template: SignMatrix) -> list[tuple] | None:
     placed by edge.  Such a bijection keeps degrees, so only those are
     tried: 5! for P1 and 2! * 4! for P2.
     """
-    steps: list[tuple] = []
-    work = _negate_to_ones_row(a, steps)
-    for i in range(2, 7):
-        if work.words[i - 1].bit_count() > 2:
-            work = _emit(work, steps, ("negR", i))
-    edges, want = work.words[1:], template.words[1:]
+    template = _TEMPLATES[tag]
+    edges = [w ^ a.words[0] for w in a.words[1:]]
+    flips = [w.bit_count() > 2 for w in edges]
+    edges = [w ^ 63 if f else w for w, f in zip(edges, flips)]
+    want = template.words[1:]
     if any(w.bit_count() != 2 for w in edges) or len(set(edges)) != 5:
         return None
     deg, want_deg = _degrees(edges), _degrees(want)
@@ -371,22 +346,12 @@ def _template_seq(a: SignMatrix, template: SignMatrix) -> list[tuple] | None:
         perm = dict(zip(by_degree, itertools.chain.from_iterable(images)))
         moved = [1 << perm[j] | 1 << perm[k] for j, k in ends]
         if set(moved) == set(want):
-            steps += _swaps("swapC", [j + 1 for j in sorted(perm, key=perm.get)])
-            return steps + _swaps("swapR", [1] + [moved.index(w) + 2 for w in want])
+            rowmask = sum(f << i for i, f in enumerate(flips, start=1))
+            row_order = [0] + [moved.index(w) + 1 for w in want]
+            col_order = sorted(perm, key=perm.get)
+            what = f"the {tag} template"
+            return _witness(a, what, template.__eq__, 0, a.words[0], rowmask, row_order, col_order)
     return None
-
-
-def _replayed(a: SignMatrix, tag: str, steps: list[tuple], holds) -> FormClass:
-    """The classification ``tag`` with ``steps``, once their replay lands on
-    a matrix for which ``holds`` is true."""
-    form = FormClass(tag, tuple(steps))
-    if not holds(apply(a, form.seq)):
-        raise RuntimeError(f"replayed sequence does not reach the {tag} template")
-    return form
-
-
-def _is_d5_template(b: SignMatrix) -> bool:
-    return b.words[0] == 0 and b.row_signs(2) == (-1, -1, 1, 1, 1)
 
 
 def classify_form(a: SignMatrix) -> FormClass:
@@ -408,27 +373,31 @@ def classify_form(a: SignMatrix) -> FormClass:
         # singular family the classification names; everything else
         # singular falls outside the procedure's hypothesis.
         if n == 6:
-            steps = _template_seq(a, _P2)
-            if steps is not None:
-                return _replayed(a, "P2", steps, _P2.__eq__)
+            seq = _template_seq(a, "P2")
+            if seq is not None:
+                return FormClass("P2", seq)
         raise RankError("classification is defined for nonsingular matrices only")
 
     if n >= 6:
-        steps = _condition_a_seq(a)
-        if steps is not None:
-            return _replayed(a, "ConditionA", steps, condition_A)
+        pair = _far_pair(a, 3)
+        if pair is not None:
+            t, lines, i, j = pair
+            seq = _witness(
+                a, "the ConditionA template", condition_A, t, lines[i], 0, _to_top(n, i, j), range(n)
+            )
+            return FormClass("ConditionA", seq)
     seq = equivalent_to_d(a, n - 1)
     if seq is not None:
         return FormClass("DnMinus1", seq)
     if n == 5:
-        return _replayed(a, "D5Special", _d5_special_seq(a), _is_d5_template)
+        return FormClass("D5Special", _d5_special_seq(a))
     seq = equivalent_to_d(a, n)
     if seq is not None:
         return FormClass("DnDiag", seq)
     if n == 6:
-        steps = _template_seq(a, _P1)
-        if steps is not None:
-            return _replayed(a, "P1", steps, _P1.__eq__)
+        seq = _template_seq(a, "P1")
+        if seq is not None:
+            return FormClass("P1", seq)
     raise RuntimeError(
         f"no row or column pair at distance 3..{n - 3} and no near-identity orbit at order {n}"
     )

@@ -42,60 +42,47 @@ def run_optimized(body: str) -> str:
     return proc.stdout.strip()
 
 
+def run_with_swaps_dropped(call: str) -> str:
+    """Run ``call`` under ``python -O`` with every witness's swap steps
+    dropped, so its replay misses the target."""
+    patch = "import permax.reduction as red\nred._swaps = lambda kind, order: []"
+    return run_optimized(f"{patch}\n{call}")
+
+
 def test_corrupted_classification_replay_raises_under_optimize():
-    out = run_optimized(
-        """
-import permax.reduction as red
-red._condition_a_seq = lambda a: [("negR", 1)]
-red.classify_form(red.apply(red.d_matrix(6, 6, 5), [("negR", 2)]))
-"""
-    )
+    # rows 1 and 4 are the first pair at distance 3, so row 4 must move up
+    out = run_with_swaps_dropped("red.classify_form(red.SignMatrix(6, 6, (0, 1, 2, 7, 16, 32)))")
     assert out == "replayed sequence does not reach the ConditionA template"
 
 
 def test_corrupted_order_five_replay_raises_under_optimize():
-    out = run_optimized(
-        """
-import permax.reduction as red
-red._d5_special_seq = lambda a: [("negR", 2)]
-red.classify_form(red.apply(red.d_matrix(5, 5, 5), [("swapR", 1, 3), ("negC", 4)]))
-"""
+    out = run_with_swaps_dropped(
+        "red.classify_form(red.apply(red.d_matrix(5, 5, 5), [('swapR', 1, 3), ('negC', 4)]))"
     )
     assert out == "replayed sequence does not reach the D5Special template"
 
 
 def test_corrupted_template_replay_raises_under_optimize():
-    out = run_optimized(
-        """
-import permax.reduction as red
-red._swaps = lambda kind, target: []
-red.classify_form(red.apply(red.p_matrix(2), [("swapR", 2, 6), ("swapC", 1, 3), ("negR", 4)]))
-"""
+    out = run_with_swaps_dropped(
+        "red.classify_form(red.apply(red.p_matrix(2), "
+        "[('swapR', 2, 6), ('swapC', 1, 3), ('negR', 4)]))"
     )
     assert out == "replayed sequence does not reach the P2 template"
 
 
 def test_corrupted_canonical_witness_raises_under_optimize():
-    out = run_optimized(
-        """
-import permax.reduction as red
-red._swaps = lambda kind, target: []
-red.canonical_form(red.apply(red.d_matrix(5, 5, 3), [("swapR", 1, 4), ("swapC", 2, 5)]))
-"""
+    out = run_with_swaps_dropped(
+        "red.canonical_form(red.apply(red.d_matrix(5, 5, 3), [('swapR', 1, 4), ('swapC', 2, 5)]))"
     )
-    assert out == "canonical witness replay failed"
+    assert out == "replayed sequence does not reach the canonical form"
 
 
 def test_corrupted_d_orbit_witness_raises_under_optimize():
-    out = run_optimized(
-        """
-import permax.reduction as red
-red._swaps = lambda kind, target: []
-a = red.apply(red.d_matrix(7, 7, 3), [("swapR", 1, 5), ("swapC", 2, 6), ("negR", 3)])
-red.equivalent_to_d(a, 3)
-"""
+    out = run_with_swaps_dropped(
+        "red.equivalent_to_d(red.apply(red.d_matrix(7, 7, 3), "
+        "[('swapR', 1, 5), ('swapC', 2, 6), ('negR', 3)]), 3)"
     )
-    assert out == "D-orbit witness replay failed"
+    assert out == "replayed sequence does not reach D_(7,7,3)"
 
 
 def test_corrupted_row_sum_lookup_raises_under_optimize():

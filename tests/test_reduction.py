@@ -164,7 +164,7 @@ def test_p2_orbit_exhaustively():
             continue
         in_orbit = (
             abs(permanent_ryser(a)) == 16
-            and reduction._pair_seq(a, 3) is None
+            and reduction._far_pair(a, 3) is None
             and canonical_form(a) == p2_canon
         )
         try:
@@ -440,3 +440,44 @@ def test_template_canonical_words_are_pinned():
             steps += [("swapC", j, rng.randint(j, 6)) for j in range(1, 7)]
             steps += [("T",)] * (k % 2)
             assert canonical_form(apply(t, steps)).words == TEMPLATE_CANON[name], (name, steps)
+
+
+# --- witness form -----------------------------------------------------------
+
+STEP_RANK = {"T": 0, "negC": 1, "negR": 2, "swapR": 3, "swapC": 4}
+
+
+def assert_normal_form(seq):
+    """An optional T, then negC on strictly increasing columns, then negR on
+    strictly increasing rows, then swapR, then swapC."""
+    ranks = [STEP_RANK[step[0]] for step in seq]
+    assert ranks == sorted(ranks) and ranks.count(0) <= 1, seq
+    for kind in ("negC", "negR"):
+        lines = [step[1] for step in seq if step[0] == kind]
+        assert lines == sorted(set(lines)), seq
+
+
+def test_every_witness_has_the_normal_form():
+    rng = random.Random(103)
+    order_five = [
+        SignMatrix(5, 5, (0,) + tuple(x << 1 for x in rows))
+        for rows in itertools.combinations(range(1, 16), 4)
+    ]
+    templates = [d_matrix(6, 6, r) for r in range(7)] + [p_matrix(1), p_matrix(2)]
+    order_six = [scramble(rng, t) for t in templates for _ in range(10)]
+    order_six += [random_square(rng, 6) for _ in range(30)]  # mostly ConditionA
+    tags = set()
+    for a in order_five + order_six:
+        try:
+            form = classify_form(a)
+        except RankError:
+            pass
+        else:
+            assert_normal_form(form.seq)
+            tags.add(form.tag)
+        for r in range(a.rows + 1):
+            seq = equivalent_to_d(a, r)
+            if seq is not None:
+                assert_normal_form(seq)
+        assert_normal_form(reduction._canonical_with_seq(a)[1])
+    assert tags == set(FORM_TAGS)

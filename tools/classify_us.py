@@ -1,5 +1,5 @@
-"""Microseconds per order-6 ``classify_form`` call, by outcome, and per
-order-6 ``canonical_form`` call.
+"""Microseconds per order-6 ``classify_form`` call, by outcome, per
+order-6 ``canonical_form`` call, and per order-6 ``equivalent_to_d`` call.
 
 Usage, from the repository root:
 
@@ -13,7 +13,9 @@ templates D_(6,5), D_(6,6), P1 and P2 (random row and column signs and
 orders, transposed half the time), and uniform singular matrices that
 raise RankError.  ``canonical_form`` is timed on 20 uniform matrices
 and on the same scrambled template copies: symmetric inputs, which
-cost its search the most.
+cost its search the most.  ``equivalent_to_d(a, r)`` is timed on 20
+scrambled copies of each D_(6,r), r = 0..6: the calls the sweeps make on
+their extremal representatives.
 One pass makes one call per input, and the best of ``REPEATS`` passes is
 reported as microseconds per call, one line per outcome.  The best pass
 is the one least disturbed by other load on the machine.
@@ -36,7 +38,16 @@ def main() -> None:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    from permax import RankError, SignMatrix, apply, canonical_form, classify_form, d_matrix, p_matrix
+    from permax import (
+        RankError,
+        SignMatrix,
+        apply,
+        canonical_form,
+        classify_form,
+        d_matrix,
+        equivalent_to_d,
+        p_matrix,
+    )
 
     rng = random.Random(13)
 
@@ -84,6 +95,9 @@ def main() -> None:
     cases.append(("classify RankError", classify, drawn("RankError")))
     cases.append(("canonical_form uniform", canonical_form, [uniform() for _ in range(MATRICES)]))
     cases += [(f"canonical_form {name}", canonical_form, mats) for name, mats in copies.items()]
+    for r in range(7):
+        mats = [scrambled(d_matrix(6, 6, r)) for _ in range(MATRICES)]
+        cases.append((f"equivalent_to_d D_(6,{r})", lambda a, r=r: equivalent_to_d(a, r), mats))
     for label, call, mats in cases:
         best = float("inf")
         for _ in range(REPEATS):
