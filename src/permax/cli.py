@@ -18,7 +18,9 @@ from .permanent import mper, permanent_naive, permanent_rect, permanent_ryser
 from .rank_vectors import rank_vector
 from .reduction import classify_form
 from .sign_matrix import SignMatrix, format_transforms, parse_matrix_text
-from .verifier import VerifyReport, verify_mper, verify_properties, verify_square, write_report
+from .verifier import (
+    VerifyReport, _encode, verify_mper, verify_properties, verify_square, write_report
+)
 
 __all__ = ["main"]
 
@@ -46,19 +48,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_dtable(args: argparse.Namespace) -> int:
     table = build_table(args.n_max)
-    rows = [
-        (n, k, table.value(n, k))
-        for n in range(1, args.n_max + 1)
-        for k in range(n + 1)
-    ]
-    if args.format == "json":
-        import json
-
-        print(json.dumps([{"n": n, "k": k, "per": p} for n, k, p in rows], indent=2))
-    else:
-        print("n,k,per")
-        for n, k, p in rows:
-            print(f"{n},{k},{p}")
+    rows = [(n, k, table.value(n, k)) for n in range(1, args.n_max + 1) for k in range(n + 1)]
+    sys.stdout.write(_encode(("n", "k", "per"), rows, args.format))
     return 0
 
 
@@ -74,32 +65,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_report(report: VerifyReport, args: argparse.Namespace) -> None:
+def _emit_report(report: VerifyReport, args: argparse.Namespace) -> int:
+    for name, cases in report.checks:
+        print(f"{name}: {cases} cases ok")
     for row in report.rows:
         print(
             f"rank {row.rank}: bound {row.bound}, observed {row.observed_max}, "
             f"orbits {row.extremal_orbits}, {row.equality_class}"
         )
-    print(f"scanned {report.scanned} matrices in {report.seconds}s")
-    if args.out:
-        write_report(report, args.format, args.out)
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    _emit_report(verify_square(args.n, args.workers), args)
-    return 0
-
-
-def _cmd_verify_mper(args: argparse.Namespace) -> int:
-    _emit_report(verify_mper(args.k, args.n), args)
-    return 0
-
-
-def _cmd_props(args: argparse.Namespace) -> int:
-    report = verify_properties(args.seed, args.samples)
-    for name, cases in report.checks:
-        print(f"{name}: {cases} cases ok")
-    print(f"all invariants held ({report.scanned} cases, {report.seconds}s)")
+    if report.checks:
+        print(f"all invariants held ({report.scanned} cases, {report.seconds}s)")
+    else:
+        print(f"scanned {report.scanned} matrices in {report.seconds}s")
     if args.out:
         write_report(report, args.format, args.out)
     return 0
@@ -159,19 +136,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     _add_report_args(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=lambda a: _emit_report(verify_square(a.n, a.workers), a))
 
     p = sub.add_parser("verify-mper", help="exhaustive wide-matrix selection sweep")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_report_args(p)
-    p.set_defaults(func=_cmd_verify_mper)
+    p.set_defaults(func=lambda a: _emit_report(verify_mper(a.k, a.n), a))
 
     p = sub.add_parser("props", help="randomized invariant suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100_000)
     _add_report_args(p)
-    p.set_defaults(func=_cmd_props)
+    p.set_defaults(func=lambda a: _emit_report(verify_properties(a.seed, a.samples), a))
 
     return parser
 

@@ -12,7 +12,7 @@ import functools
 import itertools
 
 from .errors import ShapeError
-from .sign_matrix import SignMatrix, check_index_set, submatrix_delete, submatrix_select
+from .sign_matrix import SignMatrix, check_index_set, submatrix_select
 
 __all__ = [
     "permanent_naive",
@@ -132,10 +132,13 @@ def laplace_expand(a: SignMatrix, beta) -> int:
     b = check_index_set(beta, n)
     if len(b) >= n:
         raise ShapeError(f"row set {b} must be a proper subset of 1..{n}")
+    lines = range(1, n + 1)
+    rest = [i for i in lines if i not in b]
     total = 0
-    for alpha in itertools.combinations(range(1, n + 1), len(b)):
+    for alpha in itertools.combinations(lines, len(b)):
         top = permanent_ryser(submatrix_select(a, b, alpha))
         if top == 0:
             continue
-        total += top * permanent_ryser(submatrix_delete(a, b, alpha))
+        others = [j for j in lines if j not in alpha]
+        total += top * permanent_ryser(submatrix_select(a, rest, others))
     return total

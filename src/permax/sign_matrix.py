@@ -38,7 +38,6 @@ __all__ = [
     "apply",
     "apply_step",
     "invert_transforms",
-    "submatrix_delete",
     "submatrix_select",
     "neg_count",
     "check_index_set",
@@ -172,14 +171,10 @@ def p_matrix(which: int) -> SignMatrix:
     return make_matrix([e for row in rows for e in row], 6, 6)
 
 
-def check_index_set(
-    members, n: int, *, allow_empty: bool = False
-) -> tuple[int, ...]:
-    """Validate a strictly increasing 1-based index set drawn from {1..n}."""
+def check_index_set(members, n: int) -> tuple[int, ...]:
+    """Validate a nonempty, strictly increasing 1-based index set drawn from {1..n}."""
     ix = tuple(members)
     if not ix:
-        if allow_empty:
-            return ix
         raise IndexError("empty index set not allowed here")
     prev = 0
     for v in ix:
@@ -260,30 +255,15 @@ def invert_transforms(steps) -> tuple[tuple, ...]:
     return tuple(reversed(tuple(steps)))
 
 
-def submatrix_delete(a: SignMatrix, alpha, beta) -> SignMatrix:
-    """Submatrix after deleting rows alpha and columns beta."""
-    ra = check_index_set(alpha, a.rows, allow_empty=True)
-    cb = check_index_set(beta, a.cols, allow_empty=True)
-    keep_r = [i for i in range(1, a.rows + 1) if i not in set(ra)]
-    keep_c = [j for j in range(1, a.cols + 1) if j not in set(cb)]
-    return _gather(a, keep_r, keep_c)
-
-
 def submatrix_select(a: SignMatrix, alpha, beta) -> SignMatrix:
     """Submatrix on the intersection of rows alpha and columns beta."""
     ra = check_index_set(alpha, a.rows)
     cb = check_index_set(beta, a.cols)
-    return _gather(a, list(ra), list(cb))
-
-
-def _gather(a: SignMatrix, rows: list[int], cols: list[int]) -> SignMatrix:
-    if not rows or not cols:
-        raise ShapeError("submatrix must keep at least one row and one column")
     words = []
-    for i in rows:
+    for i in ra:
         w = a.words[i - 1]
-        words.append(sum(((w >> (j - 1)) & 1) << p for p, j in enumerate(cols)))
-    return SignMatrix(len(rows), len(cols), tuple(words))
+        words.append(sum(((w >> (j - 1)) & 1) << p for p, j in enumerate(cb)))
+    return SignMatrix(len(ra), len(cb), tuple(words))
 
 
 # --- text format -----------------------------------------------------------

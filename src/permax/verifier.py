@@ -608,8 +608,8 @@ def _report_table(report: VerifyReport) -> tuple[tuple[str, ...], list[tuple]]:
     ]
 
 
-def _render_report(report: VerifyReport, fmt: str) -> str:
-    fields, values = _report_table(report)
+def _encode(fields: tuple[str, ...], values: list[tuple], fmt: str) -> str:
+    """A JSON array of objects keyed in ``fields`` order, or CSV with a header."""
     if fmt == "json":
         return json.dumps([dict(zip(fields, v)) for v in values], indent=2) + "\n"
     if fmt == "csv":
@@ -625,4 +625,4 @@ def write_report(report: VerifyReport, fmt: str, path) -> None:
     the same columns.  Everything except the timing field is reproducible
     across runs and worker counts.
     """
-    Path(path).write_text(_render_report(report, fmt), encoding="utf-8")
+    Path(path).write_text(_encode(*_report_table(report), fmt), encoding="utf-8")

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, report files, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,17 +41,25 @@ def test_rank_and_rankvec(tmp_path, capsys):
 
 
 def test_dtable_formats(capsys):
+    rows = [
+        (1, 0, 1), (1, 1, -1),
+        (2, 0, 2), (2, 1, 0), (2, 2, 2),
+        (3, 0, 6), (3, 1, 2), (3, 2, 2), (3, 3, -2),
+    ]
+    for n_max, expected in ((0, []), (3, rows)):
+        assert main(["dtable", "--n-max", str(n_max)]) == 0
+        csv_lines = ["n,k,per"] + [f"{n},{k},{p}" for n, k, p in expected]
+        assert capsys.readouterr().out == "\n".join(csv_lines) + "\n"
+
+        assert main(["dtable", "--n-max", str(n_max), "--format", "json"]) == 0
+        objects = [{"n": n, "k": k, "per": p} for n, k, p in expected]
+        assert capsys.readouterr().out == json.dumps(objects, indent=2) + "\n"
+
     assert main(["dtable", "--n-max", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n,k,per"
-    assert lines[1] == "1,0,1"
     assert lines[-1] == "4,4,8"
     # 2 + 3 + 4 + 5 value rows
     assert len(lines) == 15
-
-    assert main(["dtable", "--n-max", "3", "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert {"n": 3, "k": 3, "per": -2} in rows
 
 
 def test_classify_output(tmp_path, capsys):
@@ -68,9 +77,13 @@ def test_classify_output(tmp_path, capsys):
 def test_verify_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--n", "3", "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "rank 1: bound 6, observed 6, orbits 1, D-only"
-    assert lines[-1].startswith("scanned 16 matrices in ")
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "rank 1: bound 6, observed 6, orbits 1, D-only",
+        "rank 2: bound 2, observed 2, orbits 1, D-only",
+        "rank 3: bound 2, observed 2, orbits 1, D-only",
+    ]
+    assert re.fullmatch(r"scanned 16 matrices in \d+\.\d+s", summary)
     data = json.loads(out.read_text())
     assert [row["bound"] for row in data] == [6, 2, 2]
 
@@ -86,9 +99,16 @@ def test_verify_mper_csv_report(tmp_path, capsys):
 
 def test_props_subcommand(capsys):
     assert main(["props", "--seed", "1", "--samples", "200"]) == 0
-    out = capsys.readouterr().out
-    assert "ryser_vs_naive" in out
-    assert "all invariants held" in out
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "ryser_vs_naive: 730 cases ok",
+        "order4_divisibility: 512 cases ok",
+        "total_bound: 66066 cases ok",
+        "laplace_expansion: 2 cases ok",
+        "transform_invariance: 20 cases ok",
+        "rank_vector_laws: 2961 cases ok",
+    ]
+    assert re.fullmatch(r"all invariants held \(70291 cases, \d+\.\d+s\)", summary)
 
 
 def test_props_report_lists_checks(tmp_path, capsys):

@@ -99,3 +99,14 @@ def test_bound_lookup():
 def test_table_guard():
     with pytest.raises(OverflowError):
         build_table(21)
+
+
+@pytest.mark.parametrize(
+    "identity, n, rows_needed",
+    [(per_d_diag, 5, 4), (laplace_identity, 7, 5), (gap_value, 9, 5)],
+)
+def test_identity_needs_its_table_rows(identity, n, rows_needed):
+    # the table lookup itself rejects a table too small for n
+    assert identity(n, build_table(rows_needed)) == identity(n, TABLE)
+    with pytest.raises(RangeError):
+        identity(n, build_table(rows_needed - 1))

@@ -18,7 +18,6 @@ from permax import (
     p_matrix,
     parse_matrix_text,
     q_matrix,
-    submatrix_delete,
     submatrix_select,
 )
 
@@ -130,16 +129,6 @@ def test_transform_inversion_round_trip():
                 steps.append((kind, rng.randint(1, 6), rng.randint(1, 6)))
         b = apply(a, steps)
         assert apply(b, invert_transforms(steps)) == a
-
-
-def test_submatrix_delete():
-    assert submatrix_delete(d_matrix(4, 4, 3), [4], [4]) == d_matrix(3, 3, 3)
-    a = p_matrix(2)
-    assert submatrix_delete(a, [], []) == a
-    j4 = make_matrix([1] * 16, 4, 4)
-    assert submatrix_delete(j4, [1], [2]) == make_matrix([1] * 9, 3, 3)
-    with pytest.raises(IndexError):
-        submatrix_delete(j4, [5], [])
 
 
 def test_submatrix_select():
