@@ -29,7 +29,6 @@ from .reduction import (
 from .sign_matrix import (
     SignMatrix,
     apply,
-    apply_step,
     check_index_set,
     d_matrix,
     format_matrix_text,
@@ -68,7 +67,6 @@ __all__ = [
     "StratumRow",
     "VerifyReport",
     "apply",
-    "apply_step",
     "bound_for_rank",
     "build_table",
     "canonical_form",

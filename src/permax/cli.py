@@ -2,12 +2,14 @@
 
 Exit codes: 0 on success, 2 when a verification run finds a violated
 bound or property, 1 for bad input (unreadable file, malformed matrix,
-unsupported shape, bad argument).
+unsupported shape, bad argument).  Report files are written before
+anything is printed; a stdout closed by its reader exits 0, silently.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -66,6 +68,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _emit_report(report: VerifyReport, args: argparse.Namespace) -> int:
+    if args.out:
+        write_report(report, args.format, args.out)
     for name, cases in report.checks:
         print(f"{name}: {cases} cases ok")
     for row in report.rows:
@@ -77,8 +81,6 @@ def _emit_report(report: VerifyReport, args: argparse.Namespace) -> int:
         print(f"all invariants held ({report.scanned} cases, {report.seconds}s)")
     else:
         print(f"scanned {report.scanned} matrices in {report.seconds}s")
-    if args.out:
-        write_report(report, args.format, args.out)
     return 0
 
 
@@ -156,7 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # the run succeeded; its reader left early
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CounterexampleError, PropertyFailure) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2

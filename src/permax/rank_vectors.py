@@ -17,7 +17,7 @@ import functools
 import itertools
 
 from .errors import RankError, ShapeError
-from .exact_rank import _rank_rows, rank
+from .exact_rank import _rank_rows
 from .sign_matrix import SignMatrix, d_matrix
 
 __all__ = [
@@ -68,13 +68,14 @@ def check_min_law(a: SignMatrix) -> bool:
 
     For a full-row-rank k x n matrix, R(D_(n,k,k-1)) is expected to be
     minimal in the prefix-sum order; verify_properties raises
-    PropertyFailure on a False result.
+    PropertyFailure on a False result.  Full row rank is read off the
+    rank vector: some k columns have rank k exactly when ``a`` has rank k.
     """
     k, n = a.rows, a.cols
-    r = rank(a)
-    if r < k:
-        raise RankError(f"rank {r} < row count {k}; the minimality law needs full row rank")
-    return majorize_leq(_one_short_rank_vector(n, k), rank_vector(a))
+    counts = rank_vector(a)
+    if not counts[0]:
+        raise RankError(f"no {k} columns of rank {k}; the minimality law needs full row rank")
+    return majorize_leq(_one_short_rank_vector(n, k), counts)
 
 
 @functools.cache

@@ -156,7 +156,7 @@ def _canonical_with_seq(a: SignMatrix) -> tuple[SignMatrix, tuple[tuple, ...]]:
     #         bitmasks, (t, anchor row, column negations), placements)
     orientations = [(0, a.words)]
     if a.is_square:
-        orientations.append((1, _transpose_words(a)))
+        orientations.append((1, _transpose_words(a.words, a.cols)))
     frontier: dict = {}
     for t, words in orientations:
         for r0 in range(rows):
@@ -270,7 +270,7 @@ def _far_pair(a: SignMatrix, lo: int) -> tuple[int, tuple[int, ...], int, int] |
     """
     n = a.rows
     for t in (0, 1):
-        lines = _transpose_words(a) if t else a.words
+        lines = _transpose_words(a.words, a.cols) if t else a.words
         for i, j in itertools.combinations(range(n), 2):
             if lo <= (lines[i] ^ lines[j]).bit_count() <= n - lo:
                 return t, lines, i, j

@@ -36,7 +36,6 @@ __all__ = [
     "q_matrix",
     "p_matrix",
     "apply",
-    "apply_step",
     "invert_transforms",
     "submatrix_select",
     "neg_count",
@@ -141,34 +140,18 @@ def q_matrix(m: int) -> SignMatrix:
     return SignMatrix(m, m, tuple(words))
 
 
-_P1_ROWS = (
-    (1, 1, 1, 1, 1, 1),
-    (1, -1, -1, 1, 1, 1),
-    (1, 1, -1, -1, 1, 1),
-    (1, 1, 1, -1, -1, 1),
-    (1, 1, 1, 1, -1, -1),
-    (1, -1, 1, 1, 1, -1),
-)
-
-_P2_ROWS = (
-    (1, 1, 1, 1, 1, 1),
-    (-1, -1, 1, 1, 1, 1),
-    (-1, 1, -1, 1, 1, 1),
-    (-1, 1, 1, -1, 1, 1),
-    (1, 1, 1, -1, -1, 1),
-    (1, 1, 1, -1, 1, -1),
-)
+# the two exceptional order-6 matrices, one string per row ("-" marks -1)
+_P_ROWS = {
+    1: ("++++++", "+--+++", "++--++", "+++--+", "++++--", "+-+++-"),
+    2: ("++++++", "--++++", "-+-+++", "-++-++", "+++--+", "+++-+-"),
+}
 
 
 def p_matrix(which: int) -> SignMatrix:
-    """The two exceptional nonsingular 6x6 matrices with permanent 16."""
-    if which == 1:
-        rows = _P1_ROWS
-    elif which == 2:
-        rows = _P2_ROWS
-    else:
+    """The two exceptional 6x6 matrices with permanent 16: P1 nonsingular, P2 of rank 5."""
+    if which not in _P_ROWS:
         raise ValueError(f"p_matrix expects 1 or 2, got {which}")
-    return make_matrix([e for row in rows for e in row], 6, 6)
+    return make_matrix([-1 if c == "-" else 1 for row in _P_ROWS[which] for c in row], 6, 6)
 
 
 def check_index_set(members, n: int) -> tuple[int, ...]:
@@ -191,63 +174,56 @@ def neg_count(a: SignMatrix) -> int:
     return sum(w.bit_count() for w in a.words)
 
 
-def _transpose_words(a: SignMatrix) -> tuple[int, ...]:
-    return tuple(
-        sum(((a.words[i] >> j) & 1) << i for i in range(a.rows))
-        for j in range(a.cols)
-    )
+def _transpose_words(words, cols: int) -> tuple[int, ...]:
+    """The columns of row ``words`` as row words."""
+    return tuple(sum(((w >> j) & 1) << i for i, w in enumerate(words)) for j in range(cols))
 
 
-def apply_step(a: SignMatrix, step: tuple) -> SignMatrix:
-    """Apply one transform step; raises IndexError on out-of-range indices."""
-    kind = step[0]
-    if kind == "negR":
-        (i,) = step[1:]
-        if not (1 <= i <= a.rows):
-            raise IndexError(f"negR {i} outside 1..{a.rows}")
-        mask = (1 << a.cols) - 1
-        words = list(a.words)
-        words[i - 1] ^= mask
-        return SignMatrix(a.rows, a.cols, tuple(words))
-    if kind == "negC":
-        (j,) = step[1:]
-        if not (1 <= j <= a.cols):
-            raise IndexError(f"negC {j} outside 1..{a.cols}")
-        bit = 1 << (j - 1)
-        return SignMatrix(a.rows, a.cols, tuple(w ^ bit for w in a.words))
-    if kind == "swapR":
-        i, k = step[1:]
-        if not (1 <= i <= a.rows and 1 <= k <= a.rows):
-            raise IndexError(f"swapR {i} {k} outside 1..{a.rows}")
-        words = list(a.words)
-        words[i - 1], words[k - 1] = words[k - 1], words[i - 1]
-        return SignMatrix(a.rows, a.cols, tuple(words))
-    if kind == "swapC":
-        j, k = step[1:]
-        if not (1 <= j <= a.cols and 1 <= k <= a.cols):
-            raise IndexError(f"swapC {j} {k} outside 1..{a.cols}")
-        bj, bk = 1 << (j - 1), 1 << (k - 1)
-        words = []
-        for w in a.words:
-            vj, vk = (w >> (j - 1)) & 1, (w >> (k - 1)) & 1
-            if vj != vk:
-                w ^= bj | bk
-            words.append(w)
-        return SignMatrix(a.rows, a.cols, tuple(words))
-    if kind == "T":
-        if not a.is_square:
-            raise ShapeError(
-                f"transpose of {a.rows}x{a.cols} leaves the rows <= cols budget"
-            )
-        return SignMatrix(a.cols, a.rows, _transpose_words(a))
-    raise ValueError(f"unknown transform step {step!r}")
+_STEP_ARITY = {"negR": 1, "negC": 1, "swapR": 2, "swapC": 2, "T": 0}
+
+
+def _check_step(step) -> str:
+    """The kind of ``step``; raises ValueError unless kind and arity match."""
+    if not step or _STEP_ARITY.get(step[0]) != len(step) - 1:
+        raise ValueError(f"malformed transform step {step!r}")
+    return step[0]
 
 
 def apply(a: SignMatrix, steps) -> SignMatrix:
-    """Apply a transform sequence in order.  Preserves |permanent| and rank."""
+    """Apply a transform sequence in order.  Preserves |permanent| and rank.
+
+    A step's arity names its action (0 transpose, 1 negate, 2 swap) and
+    its last letter its axis; only a square matrix transposes, so the
+    shape never changes.
+    """
+    rows, cols = a.rows, a.cols
+    words = list(a.words)
     for step in steps:
-        a = apply_step(a, step)
-    return a
+        arity = _STEP_ARITY[_check_step(step)]
+        on_cols = step[0][-1] == "C"
+        size = cols if on_cols else rows
+        if not all(1 <= i <= size for i in step[1:]):
+            raise IndexError(f"{format_transforms([step])} outside 1..{size}")
+        if arity == 0:
+            if rows != cols:
+                raise ShapeError(f"transpose of {rows}x{cols} leaves the rows <= cols budget")
+            words = list(_transpose_words(words, cols))
+        elif on_cols:
+            # bits holds the step's columns (one for swapC j j): a negation
+            # flips them in every row, a swap in the rows where they differ
+            bits = sum({1 << (j - 1) for j in step[1:]})
+            words = [w ^ bits if arity == 1 or 0 < w & bits < bits else w for w in words]
+        elif arity == 1:
+            words[step[1] - 1] ^= (1 << cols) - 1
+        else:
+            i, k = step[1] - 1, step[2] - 1
+            words[i], words[k] = words[k], words[i]
+    return SignMatrix(rows, cols, tuple(words))
+
+
+def format_transforms(steps) -> str:
+    """The text form of a transform sequence, e.g. ``negR 3; swapC 1 4; T``."""
+    return "; ".join(" ".join([_check_step(s), *map(str, s[1:])]) for s in steps)
 
 
 def invert_transforms(steps) -> tuple[tuple, ...]:
@@ -308,18 +284,3 @@ def format_matrix_text(a: SignMatrix) -> str:
     for i in range(1, a.rows + 1):
         lines.append(" ".join(f"{e:2d}" for e in a.row_signs(i)))
     return "\n".join(lines) + "\n"
-
-
-# --- transform text form ---------------------------------------------------
-
-_STEP_ARITY = {"negR": 1, "negC": 1, "swapR": 2, "swapC": 2, "T": 0}
-
-
-def format_transforms(steps) -> str:
-    parts = []
-    for step in steps:
-        kind = step[0]
-        if kind not in _STEP_ARITY or len(step) - 1 != _STEP_ARITY[kind]:
-            raise ValueError(f"malformed transform step {step!r}")
-        parts.append(" ".join([kind, *map(str, step[1:])]))
-    return "; ".join(parts)

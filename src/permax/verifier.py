@@ -34,12 +34,13 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .d_family import bound_for_rank, build_table
-from .errors import CounterexampleError, PropertyFailure, RangeError, ShapeError
+from .errors import CounterexampleError, PropertyFailure, RangeError, RankError, ShapeError
 from .exact_rank import rank
 from .permanent import laplace_expand, mper, permanent_naive, permanent_ryser
 from .rank_vectors import check_min_law
 from .reduction import equivalent_to_d
 from .sign_matrix import (
+    _STEP_ARITY,
     SignMatrix,
     apply,
     d_matrix,
@@ -457,13 +458,8 @@ def _random_wide(rng: random.Random, k: int, n: int) -> SignMatrix:
 def _random_transforms(rng: random.Random, n: int) -> tuple[tuple, ...]:
     steps: list[tuple] = []
     for _ in range(rng.randint(0, 6)):
-        kind = rng.choice(("negR", "negC", "swapR", "swapC", "T"))
-        if kind == "T":
-            steps.append(("T",))
-        elif kind in ("negR", "negC"):
-            steps.append((kind, rng.randint(1, n)))
-        else:
-            steps.append((kind, rng.randint(1, n), rng.randint(1, n)))
+        kind = rng.choice(tuple(_STEP_ARITY))  # table order fixes the draws
+        steps.append((kind, *(rng.randint(1, n) for _ in range(_STEP_ARITY[kind]))))
     return tuple(steps)
 
 
@@ -558,7 +554,16 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
 
     # rank-vector minimality, which a wrong selection rank breaks:
     # exhaustive at the smallest wide shapes, then sampled across the
-    # supported range
+    # supported range.  Every matrix has full row rank by ``rank``, so a
+    # rank vector with no full-rank selection (RankError) misses the law too.
+    def min_law(a: SignMatrix) -> None:
+        try:
+            held = check_min_law(a)
+        except RankError:
+            held = False
+        if not held:
+            fail("rank-vector minimality", a)
+
     cases = 0
     for k, n in ((2, 3), (2, 4), (3, 4)):
         for i in range(1 << (k * n)):
@@ -566,14 +571,12 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
             a = SignMatrix(k, n, words)
             if rank(a) < k:
                 continue
-            if not check_min_law(a):
-                fail("rank-vector minimality", a)
+            min_law(a)
             cases += 1
     for _ in range(max(1, samples // 200)):
         k = rng.randint(2, 4)
         a = _random_wide(rng, k, rng.randint(k + 1, 7))
-        if not check_min_law(a):
-            fail("rank-vector minimality", a)
+        min_law(a)
         cases += 1
     done("rank_vector_laws", cases)
 

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, report files, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -230,3 +231,24 @@ def test_cli_import_loads_no_pool_machinery():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["dtable", "--n-max", "3"], ["verify", "--n", "3"]], ids=["dtable", "verify"])
+def test_closed_stdout_exits_zero_after_writing_the_report(tmp_path, argv):
+    out = tmp_path / "report.json"
+    if argv[0] == "verify":
+        argv = argv + ["--out", str(out)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the run starts
+    src = str(Path(permax.__file__).parent.parent)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "permax.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (0, "")
+    if argv[0] == "verify":
+        assert json.loads(out.read_text())[0]["rank"] == 1

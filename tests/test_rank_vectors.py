@@ -93,7 +93,7 @@ def test_majorize_is_a_partial_order():
 def test_min_law_trivial_cases():
     assert check_min_law(d_matrix(6, 3, 2))
     assert check_min_law(q_matrix(3))  # full-rank square: both vectors (1,0,0)
-    with pytest.raises(RankError):
+    with pytest.raises(RankError, match="^no 2 columns of rank 2; the minimality law needs full row rank$"):
         check_min_law(make_matrix([1] * 8, 2, 4))
 
 

@@ -8,7 +8,6 @@ from permax import (
     ShapeError,
     SignMatrix,
     apply,
-    apply_step,
     d_matrix,
     format_matrix_text,
     format_transforms,
@@ -94,18 +93,72 @@ def test_p_matrix_negative_counts():
 
 def test_apply_step_kinds():
     a = make_matrix([1, 1, 1, -1], 2, 2)
-    assert apply_step(a, ("negR", 1)).row_signs(1) == (-1, -1)
-    assert apply_step(a, ("negC", 2)).entry(2, 2) == 1
-    assert apply_step(a, ("swapR", 1, 2)).row_signs(1) == (1, -1)
-    assert apply_step(a, ("swapC", 1, 2)).row_signs(2) == (-1, 1)
-    t = apply_step(make_matrix([1, -1, 1, 1, 1, 1, 1, 1, 1], 3, 3), ("T",))
+    assert apply(a, [("negR", 1)]).row_signs(1) == (-1, -1)
+    assert apply(a, [("negC", 2)]).entry(2, 2) == 1
+    assert apply(a, [("swapR", 1, 2)]).row_signs(1) == (1, -1)
+    assert apply(a, [("swapC", 1, 2)]).row_signs(2) == (-1, 1)
+    t = apply(make_matrix([1, -1, 1, 1, 1, 1, 1, 1, 1], 3, 3), [("T",)])
     assert t.entry(2, 1) == -1 and t.entry(1, 2) == 1
-    with pytest.raises(IndexError):
-        apply_step(a, ("negR", 3))
-    with pytest.raises(ShapeError):
-        apply_step(make_matrix([1] * 6, 2, 3), ("T",))  # 3x2 breaks rows <= cols
-    with pytest.raises(ValueError):
-        apply_step(a, ("rot", 1))
+
+
+def _reference_apply(entries: list[list[int]], steps) -> list[list[int]]:
+    """The transforms on a list of +1/-1 rows, 1-based, one step at a time."""
+    m = [row[:] for row in entries]
+    for step in steps:
+        kind, idx = step[0], step[1:]
+        if kind == "negR":
+            m[idx[0] - 1] = [-e for e in m[idx[0] - 1]]
+        elif kind == "negC":
+            for row in m:
+                row[idx[0] - 1] *= -1
+        elif kind == "swapR":
+            m[idx[0] - 1], m[idx[1] - 1] = m[idx[1] - 1], m[idx[0] - 1]
+        elif kind == "swapC":
+            for row in m:
+                row[idx[0] - 1], row[idx[1] - 1] = row[idx[1] - 1], row[idx[0] - 1]
+        else:
+            m = [list(col) for col in zip(*m)]
+    return m
+
+
+@pytest.mark.parametrize("rows,cols", [(n, n) for n in range(2, 7)] + [(2, 5), (3, 7), (4, 6), (1, 4)])
+def test_apply_matches_list_reference(rows, cols):
+    rng = random.Random(rows * 100 + cols)
+    arity = {"negR": 1, "negC": 1, "swapR": 2, "swapC": 2, "T": 0}
+    kinds = list(arity)[: 5 if rows == cols else 4]  # a wide matrix cannot transpose
+    for _ in range(200):
+        entries = [[rng.choice((1, -1)) for _ in range(cols)] for _ in range(rows)]
+        steps = []
+        for _ in range(rng.randint(1, 8)):
+            kind = rng.choice(kinds)
+            size = cols if kind in ("negC", "swapC") else rows
+            steps.append((kind, *(rng.randint(1, size) for _ in range(arity[kind]))))
+        flat = [e for row in entries for e in row]
+        got = apply(make_matrix(flat, rows, cols), steps)
+        want = _reference_apply(entries, steps)
+        assert got == make_matrix([e for row in want for e in row], rows, cols), steps
+
+
+@pytest.mark.parametrize(
+    "step,error,message",
+    [
+        (("negR", 3), IndexError, "negR 3 outside 1..2"),
+        (("negC", 0), IndexError, "negC 0 outside 1..3"),
+        (("swapR", 1, 3), IndexError, "swapR 1 3 outside 1..2"),
+        (("swapC", 4, 1), IndexError, "swapC 4 1 outside 1..3"),
+        (("T",), ShapeError, "transpose of 2x3 leaves the rows <= cols budget"),
+        (("rot", 1), ValueError, "malformed transform step ('rot', 1)"),
+        (("swapR", 1), ValueError, "malformed transform step ('swapR', 1)"),
+        (("T", 1), ValueError, "malformed transform step ('T', 1)"),
+        ((), ValueError, "malformed transform step ()"),
+    ],
+    ids=["negR", "negC", "swapR", "swapC", "T", "unknown-kind", "short-swapR", "long-T", "empty"],
+)
+def test_apply_error_contract(step, error, message):
+    a = make_matrix([1, -1, 1, 1, 1, -1], 2, 3)
+    with pytest.raises(error) as info:
+        apply(a, [("negR", 1), step])
+    assert str(info.value) == message
 
 
 def test_apply_fixed_points():
@@ -155,5 +208,5 @@ def test_transform_text_round_trip():
     seq = (("negR", 3), ("swapC", 1, 4), ("T",))
     text = format_transforms(seq)
     assert text == "negR 3; swapC 1 4; T"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^malformed transform step \('swapR', 1\)$"):
         format_transforms([("swapR", 1)])
