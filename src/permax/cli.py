@@ -96,7 +96,10 @@ def _out_path(text: str) -> str:
     if path.is_dir():
         raise argparse.ArgumentTypeError(f"{path} is a directory")
     if not path.parent.is_dir():
-        raise argparse.ArgumentTypeError(f"directory {path.parent} does not exist")
+        raise argparse.ArgumentTypeError(
+            f"{path.parent} is not a directory" if path.parent.exists()
+            else f"directory {path.parent} does not exist"
+        )
     return text
 
 

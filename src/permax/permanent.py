@@ -12,7 +12,7 @@ import functools
 import itertools
 
 from .errors import ShapeError
-from .sign_matrix import SignMatrix, check_index_set, submatrix_select
+from .sign_matrix import SignMatrix, _check_index_set, submatrix_select
 
 __all__ = [
     "permanent_naive",
@@ -129,7 +129,7 @@ def laplace_expand(a: SignMatrix, beta) -> int:
     if not a.is_square:
         raise ShapeError(f"Laplace expansion needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
-    b = check_index_set(beta, n)
+    b = _check_index_set(beta, n)
     if len(b) >= n:
         raise ShapeError(f"row set {b} must be a proper subset of 1..{n}")
     lines = range(1, n + 1)

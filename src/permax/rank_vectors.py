@@ -21,6 +21,7 @@ from .exact_rank import _rank_rows
 from .sign_matrix import SignMatrix, d_matrix
 
 __all__ = [
+    "RankVector",
     "rank_vector",
     "majorize_leq",
     "check_min_law",

@@ -33,6 +33,7 @@ from .exact_rank import rank
 from .sign_matrix import SignMatrix, _transpose_words, apply, d_matrix, p_matrix
 
 __all__ = [
+    "FORM_TAGS",
     "FormClass",
     "condition_A",
     "classify_form",

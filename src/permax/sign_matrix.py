@@ -29,8 +29,6 @@ from .errors import ShapeError
 
 __all__ = [
     "SignMatrix",
-    "MAX_ROWS",
-    "MAX_COLS",
     "make_matrix",
     "d_matrix",
     "q_matrix",
@@ -38,8 +36,6 @@ __all__ = [
     "apply",
     "invert_transforms",
     "submatrix_select",
-    "neg_count",
-    "check_index_set",
     "parse_matrix_text",
     "format_matrix_text",
     "format_transforms",
@@ -83,13 +79,6 @@ class SignMatrix:
             raise IndexError(f"row {i} outside 1..{self.rows}")
         w = self.words[i - 1]
         return tuple(-1 if (w >> j) & 1 else 1 for j in range(self.cols))
-
-    def to_entries(self) -> list[int]:
-        """Row-major list of +1/-1 entries (inverse of make_matrix)."""
-        out: list[int] = []
-        for w in self.words:
-            out.extend(-1 if (w >> j) & 1 else 1 for j in range(self.cols))
-        return out
 
     @property
     def is_square(self) -> bool:
@@ -154,7 +143,7 @@ def p_matrix(which: int) -> SignMatrix:
     return make_matrix([-1 if c == "-" else 1 for row in _P_ROWS[which] for c in row], 6, 6)
 
 
-def check_index_set(members, n: int) -> tuple[int, ...]:
+def _check_index_set(members, n: int) -> tuple[int, ...]:
     """Validate a nonempty, strictly increasing 1-based index set drawn from {1..n}."""
     ix = tuple(members)
     if not ix:
@@ -167,11 +156,6 @@ def check_index_set(members, n: int) -> tuple[int, ...]:
             raise IndexError(f"index set {ix} is not strictly increasing")
         prev = v
     return ix
-
-
-def neg_count(a: SignMatrix) -> int:
-    """Number of -1 entries."""
-    return sum(w.bit_count() for w in a.words)
 
 
 def _transpose_words(words, cols: int) -> tuple[int, ...]:
@@ -233,8 +217,8 @@ def invert_transforms(steps) -> tuple[tuple, ...]:
 
 def submatrix_select(a: SignMatrix, alpha, beta) -> SignMatrix:
     """Submatrix on the intersection of rows alpha and columns beta."""
-    ra = check_index_set(alpha, a.rows)
-    cb = check_index_set(beta, a.cols)
+    ra = _check_index_set(alpha, a.rows)
+    cb = _check_index_set(beta, a.cols)
     words = []
     for i in ra:
         w = a.words[i - 1]

@@ -93,7 +93,7 @@ def enumerate_normalized(n: int) -> Iterator[SignMatrix]:
     """Yield every order-n matrix with all-ones first row and first column.
 
     The (n-1)^2 free cells run in row-major bit order of the enumeration
-    index, so the stream is deterministic and restartable.
+    index, so the stream is deterministic.
     """
     if not (2 <= n <= 6):
         raise ShapeError(f"normalized enumeration supports orders 2..6, got {n}")
@@ -355,7 +355,7 @@ _SANCTIONED = {
 def _verdict(
     k: int, n: int, workers: int, bounds: Callable[[], dict[int, int]]
 ) -> VerifyReport:
-    """Sweep shape (k, n) and judge each rank stratum ``bounds()`` names.
+    """Sweep shape (k, n), 2 <= k <= n, and judge each rank stratum ``bounds()`` names.
 
     A shape is admitted when its leaves, the C(2^(n-1)+k-2, k-1) row
     multisets, times its passes per leaf, one per k-column selection, fit
@@ -365,8 +365,6 @@ def _verdict(
     A stratum must top out exactly at its bound, or at its sanctioned
     maximum, and every matrix attaining it must lie in the orbit of
     D_(n,k,s) for one expected size s, each size reached by some matrix."""
-    if not 2 <= k <= n:
-        raise RangeError(f"need 2 <= k <= n, got k={k}, n={n}")
     cost = math.comb((1 << (n - 1)) + k - 2, k - 1) * math.comb(n, k) if n <= 21 else None
     if cost is None or cost > 1 << 20:
         raise RangeError(
@@ -422,6 +420,8 @@ def verify_square(n: int, workers: int = 1) -> VerifyReport:
     """
     if workers < 1:
         raise RangeError(f"worker count must be positive, got {workers}")
+    if n < 2:
+        raise RangeError(f"need order n >= 2, got n={n}")
 
     def bounds() -> dict[int, int]:
         table = build_table(n)

@@ -198,6 +198,18 @@ def test_missing_report_directory_fails_before_the_run(tmp_path, monkeypatch, ca
     assert not missing.parent.exists()
 
 
+def test_report_path_under_a_file_fails_before_the_run(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv in (["verify", "--n", "3"], ["props", "--samples", "10"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(afile / "r.json")])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: argument --out: {afile} is not a directory\n"
+
+
 def test_directory_report_path_fails_before_the_run(tmp_path, capsys):
     for argv in (["verify", "--n", "4"], ["props", "--samples", "10"]):
         with pytest.raises(SystemExit) as info:
@@ -217,6 +229,8 @@ def test_bad_numeric_arguments_exit_one(capsys):
     assert err == "error: sample count must be positive, got -5\n"
     assert main(["verify", "--n", "3", "--workers", "0"]) == 1
     assert capsys.readouterr().err == "error: worker count must be positive, got 0\n"
+    assert main(["verify", "--n", "1"]) == 1
+    assert capsys.readouterr().err == "error: need order n >= 2, got n=1\n"
 
 
 def test_cli_import_loads_no_pool_machinery():

@@ -1,12 +1,92 @@
-"""Every exported name, and every name the tools import, resolves, so the
-public surface has no dangling entries."""
+"""The public surface: each module's ``__all__`` declares its names, the
+package re-exports them, and every exported name and every name the tools
+import resolves."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import permax
+
+SURFACE = [
+    "CounterexampleError",
+    "DTable",
+    "FORM_TAGS",
+    "FormClass",
+    "PropertyFailure",
+    "RangeError",
+    "RankError",
+    "RankVector",
+    "ShapeError",
+    "SignMatrix",
+    "StratumRow",
+    "VerifyReport",
+    "apply",
+    "bound_for_rank",
+    "build_table",
+    "canonical_form",
+    "check_min_law",
+    "classify_form",
+    "condition_A",
+    "d_matrix",
+    "enumerate_normalized",
+    "equivalent_to_d",
+    "format_matrix_text",
+    "format_transforms",
+    "gap_value",
+    "invert_transforms",
+    "laplace_expand",
+    "laplace_identity",
+    "majorize_leq",
+    "make_matrix",
+    "mper",
+    "p_matrix",
+    "parse_matrix_text",
+    "per_d_diag",
+    "permanent_naive",
+    "permanent_rect",
+    "permanent_ryser",
+    "q_matrix",
+    "rank",
+    "rank_vector",
+    "submatrix_select",
+    "verify_mper",
+    "verify_properties",
+    "verify_square",
+    "write_report",
+]
+
+
+def _library_modules():
+    return [
+        importlib.import_module(f"permax.{info.name}")
+        for info in pkgutil.iter_modules(permax.__path__)
+        if info.name != "cli"
+    ]
+
+
+def test_package_surface_is_frozen():
+    assert sorted(permax.__all__) == SURFACE
+
+
+def test_each_name_is_declared_in_one_module():
+    # a name in two modules' __all__ would be shadowed by the later star import
+    owners = {}
+    for module in _library_modules():
+        for name in module.__all__:
+            owners.setdefault(name, []).append(module.__name__)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+    assert sorted(owners) == SURFACE
+
+
+def test_exported_definitions_live_in_their_module():
+    for module in _library_modules():
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name
 
 
 def test_every_exported_name_resolves():

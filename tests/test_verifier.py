@@ -102,8 +102,9 @@ def test_sweep_rejects_bad_arguments():
         RangeError, match=r"^shape \(7,7\) needs 119877472 row multisets x selections, over the 2\^20 budget$"
     ):
         verify_square(7)
-    with pytest.raises(RangeError, match="^need 2 <= k <= n, got k=1, n=1$"):
-        verify_square(1)
+    for n in (1, 0):
+        with pytest.raises(RangeError, match=f"^need order n >= 2, got n={n}$"):
+            verify_square(n)
     with pytest.raises(RangeError, match="^worker count must be positive, got 0$"):
         verify_square(3, workers=0)
 
