@@ -11,16 +11,17 @@ order and shape by one signing test.  canonical_form (order <= 6) is a
 standalone orbit label; no other operation uses it.
 
 classify_form takes its near-identity tags from equivalent_to_d:
-DnMinus1 at every order, DnDiag at order >= 6.  The other forms come
-from one pair search: some two rows, or two columns, differ in d
-positions with lo <= d <= n-lo.  Such a pair is moved to rows 1 and 2
-and row 1 is negated to all ones.  With lo = 3 at order >= 6 that is
-condition A, tested first; at order 5, outside the D_(5,4) orbit, lo = 2
-always finds a pair, which leads to the special form.  At order 6 the
-nonsingular matrices left are the P1 orbit, and the singular ones the
-classification names are the P2 orbit; one template match reaches
-either.  All ties break toward the lowest index, which keeps the output
-deterministic.
+DnMinus1 at every order, DnDiag at order >= 6.  Condition A (order >= 6)
+and the special form (order 5) come from one pair search, _pair_seq:
+some two rows, or two columns, differ in d positions with
+lo <= d <= n-lo.  One witness carries such a pair onto one normal form:
+row 1 all ones, and row 2 with its m = min(d, n-d) negatives in columns
+1..m.  With lo = 3 at order >= 6 that is condition A, tested first; at
+order 5, outside the D_(5,4) orbit, lo = 2 always finds a pair, which is
+the special form.  At order 6 the nonsingular matrices left are the P1
+orbit, and the singular ones the classification names are the P2 orbit;
+one template match reaches either.  All ties break toward the lowest
+index, which keeps the output deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .sign_matrix import SignMatrix, _transpose_words, apply, d_matrix, p_matrix
 __all__ = [
     "FORM_TAGS",
     "FormClass",
-    "condition_A",
     "classify_form",
     "equivalent_to_d",
     "canonical_form",
@@ -53,15 +53,6 @@ class FormClass:
 
     tag: str
     seq: tuple[tuple, ...]
-
-
-def condition_A(a: SignMatrix) -> bool:
-    """All-ones first row, and a second row with at least three entries of
-    each sign."""
-    if not a.is_square or a.rows < 6:
-        raise ShapeError(f"condition needs a square matrix of order >= 6, got {a.rows}x{a.cols}")
-    neg = a.words[1].bit_count()
-    return a.words[0] == 0 and neg >= 3 and a.cols - neg >= 3
 
 
 def _swaps(kind: str, order) -> list[tuple]:
@@ -256,59 +247,38 @@ def equivalent_to_d(a: SignMatrix, r: int) -> tuple[tuple, ...] | None:
 # --- classification procedure ------------------------------------------------
 
 
-def _far_pair(a: SignMatrix, lo: int) -> tuple[int, tuple[int, ...], int, int] | None:
-    """The first pair of rows, or else of columns, at Hamming distance
-    lo..n-lo, as (t, lines, i, j): t = 1 for columns, ``lines`` the rows of
-    ``a`` or of its transpose, and i < j the pair's 0-based indices; None
-    when no pair is that far apart.
+def _pair_seq(a: SignMatrix, lo: int, tag: str) -> tuple[tuple, ...] | None:
+    """Replayed steps carrying square ``a`` onto the pair normal form named
+    ``tag``, or None when no two rows, and no two columns, are at Hamming
+    distance d with lo <= d <= n-lo.
 
-    Lines i and j at distance d become an all-ones row 1 and a row 2 with
-    d negatives once they are swapped to the top and the -1 columns of
-    line i are negated.  The test is exact: negations keep or complement
-    (d -> n-d) the distance of a row or column pair, permutations only
-    move pairs, and the transpose exchanges rows with columns, while the
-    window lo..n-lo is closed under d -> n-d.
+    The first such row pair (i, j), or else column pair, is taken.
+    Negating the -1 columns of line i makes it all ones and leaves d
+    negatives in line j; when 2d > n line j is negated too, which leaves
+    m = min(d, n-d).  Rows i and j move to rows 1 and 2, followed by the
+    rest, and row 2's negatives move to columns 1..m.  The test is exact:
+    negations keep or complement (d -> n-d) the distance of a row or
+    column pair, permutations only move pairs, and the transpose
+    exchanges rows with columns, while the window lo..n-lo is closed
+    under d -> n-d.
     """
     n = a.rows
     for t in (0, 1):
         lines = _transpose_words(a.words, a.cols) if t else a.words
         for i, j in itertools.combinations(range(n), 2):
-            if lo <= (lines[i] ^ lines[j]).bit_count() <= n - lo:
-                return t, lines, i, j
+            w = lines[i] ^ lines[j]
+            d = w.bit_count()
+            if lo <= d <= n - lo:
+                flip = 2 * d > n
+                negs = [c for c in range(n) if (w >> c & 1) != flip]
+                form = (0, (1 << len(negs)) - 1)
+                row_order = [i, j] + [k for k in range(n) if k not in (i, j)]
+                col_order = negs + [c for c in range(n) if c not in negs]
+                what = f"the {tag} template"
+                return _witness(
+                    a, what, lambda b: b.words[:2] == form, t, lines[i], flip << j, row_order, col_order
+                )
     return None
-
-
-def _to_top(n: int, i: int, j: int) -> list[int]:
-    """Row order after swapping row i to the top, then row j to second."""
-    order = list(range(n))
-    order[0], order[i] = order[i], order[0]
-    order[1], order[j] = order[j], order[1]
-    return order
-
-
-def _d5_special_seq(a: SignMatrix) -> tuple[tuple, ...]:
-    """Steps carrying a nonsingular order-5 matrix onto the special form:
-    row 1 all ones and row 2 equal to (-1, -1, 1, 1, 1).
-
-    Two rows always sit at distance 2 or 3: otherwise, with row 1 made all
-    ones and the other rows signed to at most one -1, two rows would be
-    equal.  Row 2 is signed to two -1s, which move to columns 1 and 2.
-    """
-    pair = _far_pair(a, 2)
-    if pair is None:
-        raise RuntimeError("a nonsingular order-5 matrix has no row pair at distance 2 or 3")
-    t, lines, i, j = pair
-    w = lines[i] ^ lines[j]
-    flip = w.bit_count() == 3
-    negs = [c for c in range(5) if (w >> c & 1) != flip]
-    order = negs + [c for c in range(5) if c not in negs]
-    return _witness(
-        a, "the D5Special template", _is_d5_template, t, lines[i], flip << j, _to_top(5, i, j), order
-    )
-
-
-def _is_d5_template(b: SignMatrix) -> bool:
-    return b.words[0] == 0 and b.row_signs(2) == (-1, -1, 1, 1, 1)
 
 
 def _degrees(words: tuple[int, ...]) -> list[int]:
@@ -359,12 +329,14 @@ def classify_form(a: SignMatrix) -> FormClass:
     """Reduce a nonsingular matrix of order >= 5 to one of the named forms.
 
     Membership in the near-identity orbits is decided by equivalent_to_d,
-    whose sequence is the witness.  At order >= 6 condition A is tested
-    first (the D orbits have no pair at distance 3..n-3); at order 6 what
-    remains is the P1 orbit.  At order 5 every matrix outside the D_(5,4)
-    orbit reaches the special form.  A singular input raises RankError
-    unless it lies in the orbit of the rank-5 template P2.  Constructed
-    sequences are replayed before returning.
+    condition A (order >= 6) and the special form (order 5) by _pair_seq,
+    and each returns its replayed witness.  At order >= 6 condition A is
+    tested first (the D orbits have no pair at distance 3..n-3); at order
+    6 what remains is the P1 orbit.  At order 5 every matrix outside the
+    D_(5,4) orbit has a pair at distance 2 or 3: otherwise, with row 1 made
+    all ones and the other rows signed to at most one -1, two rows would
+    be equal.  A singular input raises RankError unless it lies in the
+    orbit of the rank-5 template P2.
     """
     if not a.is_square or a.rows < 5:
         raise ShapeError(f"classification needs a square matrix of order >= 5, got {a.rows}x{a.cols}")
@@ -380,18 +352,17 @@ def classify_form(a: SignMatrix) -> FormClass:
         raise RankError("classification is defined for nonsingular matrices only")
 
     if n >= 6:
-        pair = _far_pair(a, 3)
-        if pair is not None:
-            t, lines, i, j = pair
-            seq = _witness(
-                a, "the ConditionA template", condition_A, t, lines[i], 0, _to_top(n, i, j), range(n)
-            )
+        seq = _pair_seq(a, 3, "ConditionA")
+        if seq is not None:
             return FormClass("ConditionA", seq)
     seq = equivalent_to_d(a, n - 1)
     if seq is not None:
         return FormClass("DnMinus1", seq)
     if n == 5:
-        return FormClass("D5Special", _d5_special_seq(a))
+        seq = _pair_seq(a, 2, "D5Special")
+        if seq is None:
+            raise RuntimeError("a nonsingular order-5 matrix has no row pair at distance 2 or 3")
+        return FormClass("D5Special", seq)
     seq = equivalent_to_d(a, n)
     if seq is not None:
         return FormClass("DnDiag", seq)

@@ -29,7 +29,6 @@ SURFACE = [
     "canonical_form",
     "check_min_law",
     "classify_form",
-    "condition_A",
     "d_matrix",
     "enumerate_normalized",
     "equivalent_to_d",

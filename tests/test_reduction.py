@@ -1,5 +1,5 @@
-"""Constructive reductions: condition A, classification, orbit
-equivalence, and canonical forms."""
+"""Constructive reductions: classification, orbit equivalence, and
+canonical forms."""
 
 import itertools
 import random
@@ -15,7 +15,6 @@ from permax import (
     apply,
     canonical_form,
     classify_form,
-    condition_A,
     d_matrix,
     equivalent_to_d,
     make_matrix,
@@ -33,16 +32,12 @@ def random_square(rng, n):
     return make_matrix([rng.choice((1, -1)) for _ in range(n * n)], n, n)
 
 
-# --- the three-positive/three-negative row test ----------------------------
-
-
-def test_condition_predicate():
-    assert not condition_A(p_matrix(2))
-    assert not condition_A(d_matrix(6, 6, 5))
-    good = make_matrix([1] * 6 + [1, 1, 1, -1, -1, -1] + [1] * 24, 6, 6)
-    assert condition_A(good)
-    with pytest.raises(ShapeError):
-        condition_A(d_matrix(5, 5, 4))
+def assert_pair_form(b):
+    """Row 1 all ones and row 2 with its m negatives in columns 1..m,
+    2m <= n: the normal form ConditionA and D5Special share.  Returns m."""
+    m = b.words[1].bit_count()
+    assert b.words[0] == 0 and b.words[1] == (1 << m) - 1 and 2 * m <= b.rows
+    return m
 
 
 # --- form classification ----------------------------------------------------
@@ -81,9 +76,20 @@ def test_classify_condition_sample():
         f = classify_form(a)
         assert f.tag in FORM_TAGS
         if f.tag == "ConditionA":
-            assert condition_A(apply(a, f.seq))
+            assert assert_pair_form(apply(a, f.seq)) == 3
             return
     raise AssertionError("no ConditionA sample in 200 seeded draws")
+
+
+def test_classify_condition_far_pair_at_order_seven():
+    # rows 1 and 3 are the first pair at distance 3..4, and at distance 4
+    # row 3 is negated too, which leaves its three -1s for columns 1..3
+    a = SignMatrix(7, 7, (0b1000001, 0b1000011, 0b0011101, 0b1100001, 0b0001000, 0b0100000, 0b0001111))
+    f = classify_form(a)
+    steps = [("negC", 1), ("negC", 7), ("negR", 3), ("swapR", 2, 3)]
+    steps += [("swapC", 3, 6), ("swapC", 4, 6), ("swapC", 5, 6)]
+    assert f == FormClass("ConditionA", tuple(steps))
+    assert assert_pair_form(apply(a, f.seq)) == 3
 
 
 def test_classify_order_five_totality():
@@ -102,7 +108,7 @@ def test_classify_order_five_totality():
         if f.tag == "DnMinus1":
             assert replay == d_matrix(5, 5, 4)
         else:
-            assert replay.entry(2, 1) == -1 and replay.entry(2, 2) == -1
+            assert assert_pair_form(replay) == 2
     assert seen == {"DnMinus1", "D5Special"}
 
 
@@ -138,12 +144,19 @@ def test_classification_needs_no_canonical_forms(monkeypatch):
         a = random_square(rng, 6)
         if rank(a) == 6:
             f = classify_form(a)
-            assert f.tag == "ConditionA" and condition_A(apply(a, f.seq))
+            assert f.tag == "ConditionA" and assert_pair_form(apply(a, f.seq)) == 3
             seen += 1
     with pytest.raises(RankError):
         classify_form(d_matrix(6, 6, 4))  # rank 5, like P2
     assert classify_form(p_matrix(1)) == FormClass("P1", ())
     assert classify_form(p_matrix(2)) == FormClass("P2", ())
+
+
+def has_pair_at_distance(a, d):
+    """Whether two rows, or two columns, of ``a`` differ in d positions."""
+    cols = [sum((w >> c & 1) << r for r, w in enumerate(a.words)) for c in range(a.cols)]
+    pairs = itertools.chain(itertools.combinations(a.words, 2), itertools.combinations(cols, 2))
+    return any((x ^ y).bit_count() == d for x, y in pairs)
 
 
 def test_p2_orbit_exhaustively():
@@ -164,7 +177,7 @@ def test_p2_orbit_exhaustively():
             continue
         in_orbit = (
             abs(permanent_ryser(a)) == 16
-            and reduction._far_pair(a, 3) is None
+            and not has_pair_at_distance(a, 3)
             and canonical_form(a) == p2_canon
         )
         try:

@@ -1,5 +1,5 @@
-"""Microseconds per order-6 ``classify_form`` call, by outcome, per
-order-6 ``canonical_form`` call, and per order-6 ``equivalent_to_d`` call.
+"""Microseconds per ``classify_form`` call, by outcome, per order-6
+``canonical_form`` call, and per order-6 ``equivalent_to_d`` call.
 
 Usage, from the repository root:
 
@@ -11,7 +11,9 @@ checkouts.  Each outcome gets 20 seeded order-6 inputs: uniform
 nonsingular matrices tagged ConditionA, scrambled copies of the
 templates D_(6,5), D_(6,6), P1 and P2 (random row and column signs and
 orders, transposed half the time), and uniform singular matrices that
-raise RankError.  ``canonical_form`` is timed on 20 uniform matrices
+raise RankError.  Two more lines time the same pair normal form at
+other orders: 20 scrambled copies of D_(5,5) (D5Special) and 20 uniform
+order-7 matrices tagged ConditionA.  ``canonical_form`` is timed on 20 uniform matrices
 and on the same scrambled template copies: symmetric inputs, which
 cost its search the most.  ``equivalent_to_d(a, r)`` is timed on 20
 scrambled copies of each D_(6,r), r = 0..6: the calls the sweeps make on
@@ -51,14 +53,15 @@ def main() -> None:
 
     rng = random.Random(13)
 
-    def uniform() -> SignMatrix:
-        return SignMatrix(6, 6, tuple(rng.getrandbits(6) for _ in range(6)))
+    def uniform(n: int = 6) -> SignMatrix:
+        return SignMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
 
     def scrambled(template: SignMatrix) -> SignMatrix:
-        steps = [("negR", i) for i in range(1, 7) if rng.random() < 0.5]
-        steps += [("negC", j) for j in range(1, 7) if rng.random() < 0.5]
-        steps += [("swapR", i, rng.randint(i, 6)) for i in range(1, 7)]
-        steps += [("swapC", j, rng.randint(j, 6)) for j in range(1, 7)]
+        n = template.rows
+        steps = [("negR", i) for i in range(1, n + 1) if rng.random() < 0.5]
+        steps += [("negC", j) for j in range(1, n + 1) if rng.random() < 0.5]
+        steps += [("swapR", i, rng.randint(i, n)) for i in range(1, n + 1)]
+        steps += [("swapC", j, rng.randint(j, n)) for j in range(1, n + 1)]
         if rng.random() < 0.5:
             steps.append(("T",))
         return apply(template, steps)
@@ -69,10 +72,10 @@ def main() -> None:
         except RankError:
             return "RankError"
 
-    def drawn(want: str) -> list[SignMatrix]:
+    def drawn(want: str, n: int = 6) -> list[SignMatrix]:
         mats: list[SignMatrix] = []
         while len(mats) < MATRICES:
-            a = uniform()
+            a = uniform(n)
             if tag(a) == want:
                 mats.append(a)
         return mats
@@ -98,6 +101,10 @@ def main() -> None:
     for r in range(7):
         mats = [scrambled(d_matrix(6, 6, r)) for _ in range(MATRICES)]
         cases.append((f"equivalent_to_d D_(6,{r})", lambda a, r=r: equivalent_to_d(a, r), mats))
+    # drawn after every order-6 input, so those inputs do not depend on these
+    d55 = [scrambled(d_matrix(5, 5, 5)) for _ in range(MATRICES)]
+    cases.append(("classify D5Special", classify, d55))
+    cases.append(("classify ConditionA order 7", classify, drawn("ConditionA", 7)))
     for label, call, mats in cases:
         best = float("inf")
         for _ in range(REPEATS):
