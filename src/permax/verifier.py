@@ -4,21 +4,25 @@ Both exhaustive sweeps walk every k x n matrix with all-ones first row
 and column: the square sweep (k = n) bounds |per| per rank, the wide
 sweep (k < n) the sum of |per| over the k-column selections of the
 full-rank matrices.  That slice meets every equivalence orbit, and both
-values and the rank are orbit invariants.  Row order below the first
-line is also quotiented out: matrices are grouped by the multiset of
-their remaining rows, each weighted by a multinomial count, which cuts
-the order-6 stream from 2^25 matrices to C(36,5) representatives.
+values and the rank are orbit invariants.  So are permutations of the
+free rows and free columns, which keep the first row and column all
+ones: the first k - 2 free rows are taken only up to those permutations
+(orderly generation, after Read, "Every one a winner", 1978), one
+prefix class weighted by its orbit size, and the last free row runs
+over all 2^(n-1) patterns.  That cuts the order-6 stream from 2^25
+matrices to 1,053 classes and 33,696 leaves.
 
-One kernel scans the representatives of both sweeps depth-first, adding
-the free rows in non-decreasing order.  Every inner node carries the
-running product of per-row subset sums over all 2^n column subsets, so
-shared prefixes are computed once.  Each selection's permanent is
-linear in the last row, so one pass per parent and selection gives
-every leaf's value.  The rank comes from a table of row spans and the
-weight from the runs of equal rows, so a leaf evaluates no permanent
-and runs no elimination.  One routine, ``_verdict``, admits a shape by
-the kernel's cost and judges every rank stratum against its bound and
-one table of sanctioned deviations.
+One kernel scans the classes of both sweeps.  Each class carries the
+running product of per-row subset sums over all 2^n column subsets,
+grown from the class before it, so shared prefixes are computed once.
+Each selection's permanent is linear in the last row, so one pass per
+class and selection gives every leaf's value, and the rank comes from a
+table of row spans: a leaf evaluates no permanent and runs no
+elimination.  Every sweep is checked exactly: the class count against
+the Polya count, the matrix and orbit counts, the second moment
+sum per^2, and the per-rank matrix counts.  One routine, ``_verdict``,
+admits a shape by its cost and judges every rank stratum against its
+bound and one table of sanctioned deviations.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from operator import add, itemgetter
+from itertools import combinations, permutations, product
+from operator import add, itemgetter, mul, or_
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -120,9 +124,11 @@ class _SpanTable:
 
     ``step[i << m | x]`` is the id of span i extended by x.  Entries
     start at -1 and are filled on first use; every sweep process builds
-    its own table.  Step ids are 32-bit: the order-7 table (m = 6) has
-    77,261 spans, past the 16-bit limit of 32,767.  The full order-6
-    table (1,788 spans) takes about 0.9 MB, 0.23 MB of it step ids.
+    its own table.  Step ids are 32-bit: the full order-7 table (m = 6)
+    has 77,261 spans, past the 16-bit limit of 32,767.  The full order-6
+    table (1,788 spans) takes about 0.9 MB, 0.23 MB of it step ids.  Both
+    figures are what the multiset reference kernel in the tests reaches;
+    the sweep's prefix classes fill far fewer spans.
     Forms are kept in flat lists, not tuples: a freed table's tuples
     would park in the interpreter's tuple free lists, and peak memory
     crept across repeated sweeps.
@@ -182,7 +188,7 @@ class _SpanTable:
 
 
 class _SweepTables:
-    """Read-only tables for every chunk of one k x n sweep, plus the
+    """Read-only tables for every block of one k x n sweep, plus the
     span table of the free rows."""
 
     def __init__(self, k: int, n: int) -> None:
@@ -195,105 +201,192 @@ class _SweepTables:
             [s.bit_count() - 2 * ((x << 1) & s).bit_count() for s in full]
             for x in range(1 << (n - 1) if k > 2 else 0)
         ]
-        # per k-column selection g, column j of g picks the subsets of g
-        # that contain it; a column outside g picks nothing
-        self.sels = [
-            [
-                itemgetter(*[s for s in full if s & g == s and (s >> j) & 1])
-                if (g >> j) & 1
-                else None
+        # per k-column selection, column j of it picks the subsets of the
+        # selection that contain j; a column outside it picks nothing
+        self.sels = []
+        for cols in combinations(range(n), k):
+            subsets = [sum(1 << cols[i] for i in range(k) if (b >> i) & 1) for b in range(1 << k)]
+            self.sels.append([
+                itemgetter(*[s for s in subsets if (s >> j) & 1]) if j in cols else None
                 for j in range(n)
-            ]
-            for g in (sum(1 << j for j in c) for c in combinations(range(n), k))
-        ]
+            ])
         self.spans = _SpanTable(n - 1)
 
 
-def _sweep_chunk(
-    tables: _SweepTables, x1: int
-) -> tuple[int, dict[int, tuple[int, list[tuple[int, ...]]]]]:
-    """Scan all row multisets whose smallest free row has bit pattern x1.
+def _partitions(n: int, most: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts of at most ``most``, largest part first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
-    A leaf's value is the sum of |per| over its k-column selections, so
-    a square leaf's value is its |per|.  Returns the weighted matrix
-    count and, per rank, the largest value seen together with the
-    representatives attaining it, in scan order.
 
-    Rows are added in non-decreasing order.  Each inner node carries
-    the Ryser vector of its rows (the running product of per-subset row
-    sums), the id of its free rows' span, and the multinomial
-    denominator with the length of its last run of equal rows.  A leaf
-    costs O(selections).  The permanent of selection g is linear in the
-    last row: with B_j the sum of the parent's vector over the subsets
-    of g that hold column j, the leaf whose last row has free bits x is
-    worth sum_j B_j - 2 * sum_{bit j of x} B_{j+1}, and one doubling
-    pass per parent and selection fills that for every x (a lone leaf, as
-    in a two-row sweep, takes the sum directly).  Its rank is 1 + dim(parent
-    span), plus 1 when x lies outside that span: two table reads.
+def _polya_count(r: int, m: int) -> int:
+    """Number of r x m 0/1 matrices up to row and column permutations.
+
+    Burnside over S_r x S_m: a pair of permutations with cycle lengths
+    a_i and b_j fixes 2^(sum gcd(a_i, b_j)) matrices, and each pair of
+    cycle types is summed once, times its number of pairs.
     """
-    k, free = tables.k, tables.k - 1
-    nwords = 1 << (tables.n - 1)
-    total = math.factorial(free)
+
+    def cycle_types(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        for lens in _partitions(n):
+            z = 1  # the centralizer order: n! / z permutations have these cycles
+            for length in set(lens):
+                c = lens.count(length)
+                z *= length**c * math.factorial(c)
+            yield lens, math.factorial(n) // z
+
+    total = sum(
+        ca * cb * 2 ** sum(math.gcd(a, b) for a in la for b in lb)
+        for la, ca in cycle_types(r)
+        for lb, cb in cycle_types(m)
+    )
+    count, rest = divmod(total, math.factorial(r) * math.factorial(m))
+    if rest:
+        raise RuntimeError(f"Burnside sum {total} is not a multiple of {r}! {m}!")
+    return count
+
+
+def _prefix_classes(r: int, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """One tuple of r rows of m bits per class under row and column
+    permutations, with the class size, in generation order.
+
+    Level j extends every class of level j - 1 by each of the 2^m rows and
+    keeps the first child of each new class, so every representative
+    extends its parent's.  A tuple's key is the least sorted list of its
+    column codes (bit i of a code is the column's bit in row i) over the
+    row orders that list the rows by weight; a row's weight survives
+    column permutations, so the key is a class invariant.  The orders
+    that attain the key, times the column orders that fix the sorted
+    codes, count the stabilizer, and the class has r! m! / |Stab| tuples.
+    """
+    level: list[tuple[tuple[int, ...], list[int]]] = [((), [0] * m)]
+    # row weights -> the codes maps of the row orders by weight; with no
+    # rows there is one order, the identity on the one empty column code
+    orders: dict[tuple[int, ...], list[list[int]]] = {(): [[0]]}
+    for j in range(1, r + 1):
+        # every row order of the j rows as a map of column codes
+        recode = {
+            order: [sum(((c >> p) & 1) << i for i, p in enumerate(order)) for c in range(1 << j)]
+            for order in permutations(range(j))
+        }
+        spread = [[((x >> col) & 1) << (j - 1) for col in range(m)] for x in range(1 << m)]
+        seen: set[tuple[int, ...]] = set()
+        found = []
+        for rows, codes in level:
+            head = tuple(w.bit_count() for w in rows)
+            tried = set()  # children equal up to column order share a class
+            for x in range(1 << m):
+                child = list(map(or_, codes, spread[x]))
+                plain = tuple(sorted(child))
+                if plain in tried:
+                    continue
+                tried.add(plain)
+                weights = head + (x.bit_count(),)
+                maps = orders.get(weights)
+                if maps is None:
+                    groups: dict[int, list[int]] = {}
+                    for i in sorted(range(j), key=weights.__getitem__):
+                        groups.setdefault(weights[i], []).append(i)
+                    maps = orders[weights] = [
+                        recode[sum(order, ())]
+                        for order in product(*map(permutations, groups.values()))
+                    ]
+                key = tuple(min(sorted(map(t.__getitem__, child)) for t in maps))
+                if key not in seen:
+                    seen.add(key)
+                    found.append((rows + (x,), child))
+        level = found
+    size = math.factorial(r) * math.factorial(m)
+    classes = []
+    for rows, codes in level:
+        maps = orders[tuple(w.bit_count() for w in rows)]
+        keys = [sorted(map(t.__getitem__, codes)) for t in maps]
+        fixed = keys.count(min(keys))
+        for c in set(codes):
+            fixed *= math.factorial(codes.count(c))
+        classes.append((rows, size // fixed))
+    return classes
+
+
+def _last_row_values(b: list[int]) -> list[int]:
+    """One selection's permanent for every last row, from the selection's
+    column sums ``b`` of the prefix's Ryser vector: the last row with
+    free bits x gives sum(b) - 2 * (the sum of b[j + 1] over the bits j
+    of x), and one doubling pass fills that for every x."""
+    per = [sum(b)]
+    for bj in b[1:]:
+        bj *= 2
+        per += [p - bj for p in per]
+    return per
+
+
+def _rank_split(vals: list[int], dim: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """A class's last rows by rank, as bit sets over x: a row in the prefix
+    span (bit x of ``mask``) leaves the rank at 1 + ``dim``, any other
+    row adds one."""
+    return (1 + dim, mask), (2 + dim, ((1 << len(vals)) - 1) ^ mask)
+
+
+def _sweep_block(tables: _SweepTables, block: list[tuple[tuple[int, ...], int]]) -> tuple:
+    """Scan every matrix of a block of prefix classes.
+
+    Each class is a representative prefix P of k - 2 free rows and its
+    orbit size w.  Its leaves put every row of 2^(n-1) last rows below P,
+    and each leaf stands for the w matrices its orbit gives, all with the
+    same value and rank.  A leaf's value is the sum of |per| over its
+    k-column selections, so a square leaf's value is its |per|.
+
+    The classes arrive in generation order, so consecutive classes share
+    prefixes: the Ryser vector of P (the running product of per-subset
+    row sums) and the id of its span grow along the rows that differ from
+    the previous class's.  One pass per selection gives every leaf's
+    value, and the leaf's rank is 1 + dim(span of P), plus 1 when the
+    last row lies outside that span: two table reads.
+
+    Returns the weighted matrix count, the sum of the weights, the
+    weighted sum of per^2 over every selection, the weighted matrix count
+    per rank, and, per rank, the largest value seen with the leaves
+    attaining it as free-row tuples, in scan order.
+    """
+    k = tables.k
     row_sums, sels, spans = tables.row_sums, tables.sels, tables.spans
-    dims, masks = spans.dim, spans.mask
     best = [-1] * (k + 1)
     reps: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
-    scanned = 0
-
-    def leaves(vec, sid, rows, lo, hi, den, run) -> None:
-        nonlocal scanned
-        vals = None
+    census = [0] * (k + 1)
+    scanned = orbits = squares = 0
+    path: tuple[int, ...] = ()
+    vecs, sids = [tables.lead], [0]  # along ``path``, one more than its rows
+    for rows, w in block:
+        i = next((i for i, (x, y) in enumerate(zip(rows, path)) if x != y), len(path))
+        del vecs[i + 1 :], sids[i + 1 :]
+        for x in rows[i:]:
+            vecs.append([v * t for v, t in zip(vecs[-1], row_sums[x])])
+            sids.append(spans.child(sids[-1], x))
+        path, vec, sid = rows, vecs[-1], sids[-1]
+        vals: list[int] = []
+        sq = 0
         for sel in sels:
-            b = [sum(g(vec)) if g else 0 for g in sel]
-            if hi - lo == 1:
-                per = [abs(sum(b) - 2 * sum(bj for j, bj in enumerate(b[1:]) if lo >> j & 1))]
-            else:
-                per = [sum(b)]
-                for bj in b[1:]:
-                    bj *= 2
-                    per += [p - bj for p in per]
-                per = list(map(abs, per[lo:hi]))
-            vals = per if vals is None else list(map(add, vals, per))
-        weight = total // den
-        scanned += (hi - lo) * weight
-        if rows and rows[-1] == lo:
-            scanned += total // (den * (run + 1)) - weight
-        mask = masks[sid]
-        inside = 1 + dims[sid]
-        for x, v in enumerate(vals, lo):
-            r = inside if (mask >> x) & 1 else inside + 1
-            if v >= best[r]:
-                if v > best[r]:
-                    best[r] = v
-                    reps[r] = [rows + (x,)]
-                else:
-                    reps[r].append(rows + (x,))
-
-    def descend(vec, sid, rows, den, run) -> None:
-        last = rows[-1]
-        if len(rows) == free - 1:
-            leaves(vec, sid, rows, last, nwords, den, run)
-            return
-        for x in range(last, nwords):
-            same = x == last
-            descend(
-                [v * t for v, t in zip(vec, row_sums[x])],
-                spans.child(sid, x),
-                rows + (x,),
-                den * (run + 1) if same else den,
-                run + 1 if same else 1,
-            )
-
-    if free == 1:
-        leaves(tables.lead, 0, (), x1, x1 + 1, 1, 0)
-    else:
-        head = [w * t for w, t in zip(tables.lead, row_sums[x1])]
-        descend(head, spans.child(0, x1), (x1,), 1, 1)
-    # descend reaches itself through its closure; unbinding it breaks that
-    # cycle, so the tables the closures hold are freed on return instead of
-    # at the next full garbage collection
-    descend = None
-    return scanned, {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
+            per = _last_row_values([sum(g(vec)) if g else 0 for g in sel])
+            sq += sum(map(mul, per, per))
+            vals = list(map(add, vals, map(abs, per))) if vals else list(map(abs, per))
+        scanned += w * len(vals)
+        orbits += w
+        squares += w * sq
+        top = max(vals)
+        for r, bits in _rank_split(vals, spans.dim[sid], spans.mask[sid]):
+            census[r] += w * bits.bit_count()
+            if top < best[r]:
+                continue
+            mx = max((v for x, v in enumerate(vals) if (bits >> x) & 1), default=-1)
+            if mx > best[r]:
+                best[r], reps[r] = mx, []
+            if mx == best[r]:
+                reps[r] += [rows + (x,) for x, v in enumerate(vals) if v == mx and (bits >> x) & 1]
+    stats = {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
+    return scanned, orbits, squares, census, stats
 
 
 _worker_tables: _SweepTables | None = None  # a pool worker's own, from _start_worker
@@ -304,31 +397,66 @@ def _start_worker(k: int, n: int) -> None:
     _worker_tables = _SweepTables(k, n)
 
 
-def _worker_chunk(x1: int) -> tuple[int, dict[int, tuple[int, list]]]:
-    return _sweep_chunk(_worker_tables, x1)
+def _worker_block(block: list[tuple[tuple[int, ...], int]]) -> tuple:
+    return _sweep_block(_worker_tables, block)
+
+
+_BLOCKS = 32  # blocks per sweep, whatever the worker count
+
+# Nonsingular normalized matrices of order n: A055165(n - 1), the number of
+# nonsingular (n-1) x (n-1) 0/1 matrices, https://oeis.org/A055165
+_FULL_RANK = {2: 1, 3: 6, 4: 174, 5: 22_560, 6: 12_514_320}
+
+
+def _check_census(k: int, n: int, census: list[int]) -> None:
+    """Raise unless the per-rank matrix counts of a k x n sweep meet the
+    laws that hold whatever the permanents are."""
+    laws = [
+        ("rank 1", census[1], 1),
+        ("rank 2", census[2], ((1 << (k - 1)) - 1) * ((1 << (n - 1)) - 1)),
+        ("all ranks", sum(census), 1 << ((k - 1) * (n - 1))),
+    ]
+    if k == n and n in _FULL_RANK:
+        laws.append((f"rank {n}", census[n], _FULL_RANK[n]))
+    for what, got, want in laws:
+        if got != want:
+            raise RuntimeError(f"rank census: {what} holds {got} matrices, not {want}")
 
 
 def _sweep(k: int, n: int, workers: int = 1) -> tuple[int, dict[int, tuple[int, list]]]:
     """Sweep every k x n matrix with all-ones first row and column.
 
-    Work is split into one chunk per smallest-row pattern, run here for
-    one worker, else fed one at a time to a pool of at most one process
-    per chunk, each with its own tables.  Summaries merge in chunk order,
-    so the result is identical for any worker count.  Returns the matrix
-    count and, per rank, the largest value with the matrices attaining it.
+    The prefix classes are generated here and split, in generation order,
+    into at most ``_BLOCKS`` blocks.  The blocks run here for one worker,
+    else one at a time in a pool of at most one process per block, each
+    with its own tables.  Summaries merge in block order, so the result is
+    identical for any worker count.  Every count, the orbit weights, the
+    second moment and the rank census are checked exactly.  Returns the
+    matrix count and, per rank, the largest value with the matrices
+    attaining it.
     """
-    work = range(1 << (n - 1))
+    depth, m = k - 2, n - 1
+    classes = _prefix_classes(depth, m)
+    polya = _polya_count(depth, m)
+    if len(classes) != polya:
+        raise RuntimeError(f"generated {len(classes)} prefix classes, the Polya count is {polya}")
+    size = -(-len(classes) // _BLOCKS)
+    blocks = [classes[i : i + size] for i in range(0, len(classes), size)]
     if workers == 1:
         tables = _SweepTables(k, n)
-        parts = [_sweep_chunk(tables, x1) for x1 in work]
+        parts = [_sweep_block(tables, block) for block in blocks]
     else:
         import multiprocessing  # here: at module level it adds 20 ms to every command
-        with multiprocessing.Pool(min(workers, len(work)), _start_worker, (k, n)) as pool:
-            parts = pool.map(_worker_chunk, work, chunksize=1)
-    scanned = 0
+        with multiprocessing.Pool(min(workers, len(blocks)), _start_worker, (k, n)) as pool:
+            parts = pool.map(_worker_block, blocks, chunksize=1)
+    scanned = orbits = squares = 0
+    census = [0] * (k + 1)
     merged: dict[int, tuple[int, list]] = {}
-    for part_scanned, part_stats in parts:
+    for part_scanned, part_orbits, part_squares, part_census, part_stats in parts:
         scanned += part_scanned
+        orbits += part_orbits
+        squares += part_squares
+        census = list(map(add, census, part_census))
         for r, (mx, reps) in part_stats.items():
             top, kept = merged.get(r, (-1, []))
             if mx > top:
@@ -337,6 +465,13 @@ def _sweep(k: int, n: int, workers: int = 1) -> tuple[int, dict[int, tuple[int, 
                 kept.extend(reps)
     if scanned != 1 << ((k - 1) * (n - 1)):
         raise RuntimeError("weighted enumeration lost matrices")
+    if orbits != 1 << (depth * m):
+        raise RuntimeError(f"prefix orbits hold {orbits} prefixes, not 2^{depth * m}")
+    # E[per^2] = k! over uniform k x k sign matrices, and negating lines keeps per^2
+    moment = math.comb(n, k) * math.factorial(k) * scanned
+    if squares != moment:
+        raise RuntimeError(f"selection permanents square-sum to {squares}, not {moment}")
+    _check_census(k, n, census)
     return scanned, {
         r: (mx, [SignMatrix(k, n, (0,) + tuple(x << 1 for x in rows)) for rows in reps])
         for r, (mx, reps) in merged.items()
@@ -357,10 +492,11 @@ def _verdict(
 ) -> VerifyReport:
     """Sweep shape (k, n), 2 <= k <= n, and judge each rank stratum ``bounds()`` names.
 
-    A shape is admitted when its leaves, the C(2^(n-1)+k-2, k-1) row
-    multisets, times its passes per leaf, one per k-column selection, fit
-    the 2^20 budget; ``bounds`` runs only then.  There are at least
-    2^(n-1) leaves, so a shape with n > 21 is refused without counting.
+    A shape is admitted when its C(2^(n-1)+k-2, k-1) row multisets (the
+    leaves of the multiset kernel the prefix classes replaced) times its
+    k-column selections fit the 2^20 budget; ``bounds`` runs only then.
+    There are at least 2^(n-1) multisets, so a shape with n > 21 is
+    refused without counting.
 
     A stratum must top out exactly at its bound, or at its sanctioned
     maximum, and every matrix attaining it must lie in the orbit of
@@ -433,11 +569,12 @@ def verify_square(n: int, workers: int = 1) -> VerifyReport:
 def verify_mper(k: int, n: int) -> VerifyReport:
     """Exhaustively confirm the wide-matrix selection bound for shape (k, n).
 
-    Sweeps every k x n matrix with all-ones first row and column up to
-    row order, and checks the full-row-rank ones against the one-short
-    near-identity bound mper D_(n,k,k-1), attained on that orbit alone
-    except at shape (3, 4), where D_(4,3,3) attains it too.  Shapes are
-    admitted by the sweep budget, not by a fixed list.
+    Sweeps every k x n matrix with all-ones first row and column, its
+    first k - 2 free rows up to row and column permutations, and checks
+    the full-row-rank ones against the one-short near-identity bound
+    mper D_(n,k,k-1), attained on that orbit alone except at shape
+    (3, 4), where D_(4,3,3) attains it too.  Shapes are admitted by the
+    sweep budget, not by a fixed list.
     """
     if not 2 <= k < n:
         raise RangeError(f"need 2 <= k < n, got k={k}, n={n}")

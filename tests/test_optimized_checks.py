@@ -97,15 +97,96 @@ p.permanent_ryser(p.SignMatrix(3, 3, (0, 0, 0)))
     assert out == "Glynn sum 61 is not a multiple of 2^2"
 
 
-@pytest.mark.parametrize("call", ["v.verify_square(3)", "v.verify_mper(2, 3)"])
-def test_wrong_scan_count_raises_under_optimize(call):
-    # drops one matrix from the count of the first chunk
+# each patch changes one count in the summary of the first block
+_MISCOUNTS = {
+    "scanned": ("(s - 1, o, *rest)", "weighted enumeration lost matrices"),
+    "orbits": ("(s, o - 1, *rest)", "prefix orbits hold {} prefixes, not 2^{}"),
+}
+
+
+@pytest.mark.parametrize("count", _MISCOUNTS)
+# the exponent is (k - 2)(n - 1), the free cells of a prefix
+@pytest.mark.parametrize("call, exponent", [("v.verify_square(3)", 2), ("v.verify_mper(2, 3)", 0)])
+def test_wrong_scan_count_raises_under_optimize(call, exponent, count):
+    summary, message = _MISCOUNTS[count]
     patch = (
-        "real = v._sweep_chunk\n"
-        "v._sweep_chunk = lambda t, x1: (lambda s, st: (s - (x1 == 0), st))(*real(t, x1))"
+        "real, first = v._sweep_block, []\n"
+        "def miscounted(t, block):\n"
+        "    s, o, *rest = real(t, block)\n"
+        "    first.append(block)\n"
+        f"    return {summary} if len(first) == 1 else (s, o, *rest)\n"
+        "v._sweep_block = miscounted"
     )
     out = run_optimized(f"import permax.verifier as v\n{patch}\n{call}")
-    assert out == "weighted enumeration lost matrices"
+    assert out == message.format((1 << exponent) - 1, exponent)
+
+
+def test_polya_mismatch_raises_under_optimize():
+    out = run_optimized(
+        """
+import permax.verifier as v
+real = v._polya_count
+v._polya_count = lambda r, m: real(r, m) + 1
+v.verify_square(4)
+"""
+    )
+    # order 4 has 13 classes of two free rows of three bits
+    assert out == "generated 13 prefix classes, the Polya count is 14"
+
+
+def test_moved_orbit_weight_raises_under_optimize():
+    # one prefix moves from the first class to the last: the matrix and
+    # orbit counts hold, and the second moment, checked next, catches it
+    out = run_optimized(
+        """
+import permax.verifier as v
+real = v._prefix_classes
+def moved(r, m):
+    classes = real(r, m)
+    (a, wa), (b, wb) = classes[0], classes[-1]
+    return [(a, wa - 1)] + classes[1:-1] + [(b, wb + 1)]
+v._prefix_classes = moved
+v.verify_square(5)
+"""
+    )
+    assert out.startswith("selection permanents square-sum to ")
+    assert out.endswith(", not 7864320")  # 5! 2^16
+
+
+def test_halved_leaf_values_raise_under_optimize():
+    # halving every leaf value below 128 keeps every order-6 maximum, its
+    # orbit and every count; the second moment catches it
+    out = run_optimized(
+        """
+import permax.verifier as v
+real = v._last_row_values
+v._last_row_values = lambda b: [p // 2 if abs(p) < 128 else p for p in real(b)]
+v.verify_square(6)
+"""
+    )
+    assert out.startswith("selection permanents square-sum to ")
+    assert out.endswith(", not 24159191040")  # 6! 2^25
+
+
+def test_low_rank_for_zero_permanent_raises_under_optimize():
+    # from k = 5 on (16 last rows at a square order), a leaf of |per| 0
+    # outside its prefix span is ranked one too low; no maximum moves
+    out = run_optimized(
+        """
+import permax.verifier as v
+real = v._rank_split
+def low(vals, dim, mask):
+    (r_in, inside), (r_out, outside) = real(vals, dim, mask)
+    if len(vals) < 16:
+        return (r_in, inside), (r_out, outside)
+    zero = sum(1 << x for x, val in enumerate(vals) if val == 0) & outside
+    return (r_in, inside | zero), (r_out, outside & ~zero)
+v._rank_split = low
+v.verify_square(5)
+"""
+    )
+    # the zero leaves over rank-2 prefixes land on rank 2
+    assert out == "rank census: rank 2 holds 625 matrices, not 225"
 
 
 def test_oracle_disagreement_raises_under_optimize():

@@ -1,9 +1,11 @@
 """The sweep kernel against independent oracles.
 
-The span table is checked against Bareiss elimination, and each sweep
-chunk, square or wide, against a plain per-leaf scan: the selection sum
-``mper`` on the rebuilt matrix, Bareiss rank and the multinomial weight
-from a Counter.
+The span table is checked against Bareiss elimination.  The prefix-class
+kernel, square or wide, is checked against the multiset kernel it
+replaced, kept here as the reference, and that kernel against a plain
+per-leaf scan: ``permanent_ryser`` on every selection of the rebuilt
+matrix, Bareiss rank and the multinomial weight from a Counter.  The
+prefix classes are checked against brute force and the Polya count.
 """
 
 import gc
@@ -12,15 +14,16 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import add
 
 import pytest
 
 from permax import permanent, verifier
 from permax.errors import CounterexampleError
 from permax.exact_rank import _rank_rows, rank
-from permax.permanent import mper, permanent_naive
-from permax.sign_matrix import SignMatrix, d_matrix, parse_matrix_text
+from permax.permanent import mper, permanent_naive, permanent_ryser
+from permax.sign_matrix import SignMatrix, d_matrix, parse_matrix_text, submatrix_select
 
 
 def bit_rank(rows, m):
@@ -85,24 +88,118 @@ def test_order_seven_span_walks_match_bareiss():
 
 
 def reference_chunk(k, n, x1):
-    """The sweep chunk computed leaf by leaf with the general routines."""
+    """The multiset chunk of smallest free row x1, computed leaf by leaf
+    with the general routines: the weighted matrix count, the weighted
+    count per rank, the weighted sum of per^2 over the selections, and
+    per rank the largest value with its leaves."""
     free = k - 1
     stats = {}
-    scanned = 0
+    census = [0] * (k + 1)
+    scanned = squares = 0
     for rest in combinations_with_replacement(range(x1, 1 << (n - 1)), free - 1):
         rows = (x1,) + rest
         weight = math.factorial(free)
         for c in Counter(rows).values():
             weight //= math.factorial(c)
         scanned += weight
-        value = mper(SignMatrix(k, n, (0,) + tuple(x << 1 for x in rows)))
+        a = SignMatrix(k, n, (0,) + tuple(x << 1 for x in rows))
+        pers = [permanent_ryser(submatrix_select(a, range(1, k + 1), cols))
+                for cols in combinations(range(1, n + 1), k)]
+        squares += weight * sum(p * p for p in pers)
+        value = mper(a)
+        assert value == sum(map(abs, pers))
         r = 1 + bit_rank(rows, n - 1)
+        census[r] += weight
         best, reps = stats.get(r, (-1, []))
         if value > best:
             stats[r] = (value, [rows])
         elif value == best:
             reps.append(rows)
-    return scanned, stats
+    return scanned, census, squares, stats
+
+
+def multiset_chunk(tables, x1):
+    """The multiset kernel: every row multiset whose smallest free row
+    is x1, depth-first, rows in non-decreasing order, each leaf weighted
+    by its multinomial count.  Returns what ``reference_chunk`` does.
+
+    Every inner node carries the Ryser vector of its rows and its span
+    id; one doubling pass per parent and selection values every last
+    row at once.  The sweep ran this kernel before the prefix classes:
+    at order 6 it has 376,992 leaves, and at order 7 its inner nodes
+    reach all 77,261 spans of the span table.
+    """
+    k, free = tables.k, tables.k - 1
+    nwords = 1 << (tables.n - 1)
+    total = math.factorial(free)
+    row_sums, sels, spans = tables.row_sums, tables.sels, tables.spans
+    best = [-1] * (k + 1)
+    reps = [[] for _ in range(k + 1)]
+    census = [0] * (k + 1)
+    sums = [0, 0]  # scanned, squares
+
+    def leaves(vec, sid, rows, lo, hi, den, run):
+        vals = [0] * (hi - lo)
+        sq = [0] * (hi - lo)
+        for sel in sels:
+            b = [sum(g(vec)) if g else 0 for g in sel]
+            per = [sum(b)]
+            for bj in b[1:]:
+                bj *= 2
+                per += [p - bj for p in per]
+            per = per[lo:hi]
+            vals = list(map(add, vals, map(abs, per)))
+            sq = list(map(add, sq, (p * p for p in per)))
+        mask, inside = spans.mask[sid], 1 + spans.dim[sid]
+        for x, v in enumerate(vals, lo):
+            # the leaf equal to the last row extends that row's run
+            weight = total // (den * (run + 1)) if rows and x == rows[-1] else total // den
+            sums[0] += weight
+            sums[1] += weight * sq[x - lo]
+            r = inside if (mask >> x) & 1 else inside + 1
+            census[r] += weight
+            if v > best[r]:
+                best[r], reps[r] = v, [rows + (x,)]
+            elif v == best[r]:
+                reps[r].append(rows + (x,))
+
+    def descend(vec, sid, rows, den, run):
+        last = rows[-1]
+        if len(rows) == free - 1:
+            leaves(vec, sid, rows, last, nwords, den, run)
+            return
+        for x in range(last, nwords):
+            same = x == last
+            descend(
+                [v * t for v, t in zip(vec, row_sums[x])],
+                spans.child(sid, x),
+                rows + (x,),
+                den * (run + 1) if same else den,
+                run + 1 if same else 1,
+            )
+
+    if free == 1:
+        leaves(tables.lead, 0, (), x1, x1 + 1, 1, 0)
+    else:
+        head = [w * t for w, t in zip(tables.lead, row_sums[x1])]
+        descend(head, spans.child(0, x1), (x1,), 1, 1)
+    stats = {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
+    return sums[0], census, sums[1], stats
+
+
+def brute_key(rows, m):
+    """The class of a tuple of m-bit rows under row and column
+    permutations: permute the shorter side every way, sort the lines of
+    the other, and keep the least."""
+    r = len(rows)
+    if r <= m:
+        lines = [[(x >> c) & 1 for x in rows] for c in range(m)]
+    else:
+        lines = [[(x >> c) & 1 for c in range(m)] for x in rows]
+    return min(
+        tuple(sorted(sum(line[p] << i for i, p in enumerate(order)) for line in lines))
+        for order in permutations(range(min(r, m)))
+    )
 
 
 def shapes(*pairs):
@@ -111,15 +208,101 @@ def shapes(*pairs):
     return pytest.mark.parametrize("k, n", pairs, ids=ids)
 
 
-@shapes((2, 2), (3, 3), (4, 4), (5, 5), (2, 3), (2, 4), (2, 7), (3, 4), (3, 5), (4, 5))
-def test_chunks_match_per_leaf_reference(k, n):
+TEN_SHAPES = ((2, 2), (3, 3), (4, 4), (5, 5), (2, 3), (2, 4), (2, 7), (3, 4), (3, 5), (4, 5))
+
+
+@shapes(*TEN_SHAPES)
+def test_multiset_reference_matches_per_leaf_scan(k, n):
     tables = verifier._SweepTables(k, n)
-    total = 0
     for x1 in range(1 << (n - 1)):
-        got = verifier._sweep_chunk(tables, x1)
-        assert got == reference_chunk(k, n, x1), x1
-        total += got[0]
-    assert total == 1 << ((k - 1) * (n - 1))
+        assert multiset_chunk(tables, x1) == reference_chunk(k, n, x1), x1
+
+
+@shapes(*TEN_SHAPES)
+def test_blocks_match_multiset_reference(k, n):
+    # the same maxima, census and second moment, and the extremal leaves
+    # of both kernels make up the same orbits
+    tables = verifier._SweepTables(k, n)
+    classes = verifier._prefix_classes(k - 2, n - 1)
+    scanned, orbits, squares, census, stats = verifier._sweep_block(tables, classes)
+    want_census = [0] * (k + 1)
+    want_scanned = want_squares = 0
+    want_stats = {}
+    for x1 in range(1 << (n - 1)):
+        part = multiset_chunk(tables, x1)
+        want_scanned += part[0]
+        want_census = list(map(add, want_census, part[1]))
+        want_squares += part[2]
+        for r, (mx, reps) in part[3].items():
+            top, kept = want_stats.get(r, (-1, []))
+            if mx > top:
+                want_stats[r] = (mx, list(reps))
+            elif mx == top:
+                kept.extend(reps)
+    assert scanned == want_scanned == 1 << ((k - 1) * (n - 1))
+    assert orbits == 1 << ((k - 2) * (n - 1))
+    assert census == want_census
+    assert squares == want_squares == math.comb(n, k) * math.factorial(k) * scanned
+    assert stats.keys() == want_stats.keys()
+    for r, (mx, reps) in stats.items():
+        top, kept = want_stats[r]
+        assert mx == top, r
+        assert {brute_key(rows, n - 1) for rows in reps} == {
+            brute_key(rows, n - 1) for rows in kept
+        }, r
+
+
+@pytest.mark.parametrize(
+    "r, m", [(r, m) for r in range(7) for m in range(1, 13) if r * m <= 12], ids=str
+)
+def test_prefix_classes_match_brute_force(r, m):
+    # one representative per class, each with its class size
+    sizes = Counter(brute_key(rows, m) for rows in product(range(1 << m), repeat=r))
+    classes = verifier._prefix_classes(r, m)
+    assert all(len(rows) == r for rows, _ in classes)
+    assert {brute_key(rows, m): w for rows, w in classes} == sizes
+    assert len(classes) == len(sizes) == verifier._polya_count(r, m)
+
+
+@pytest.mark.parametrize("r, m, count", [(3, 4, 87), (3, 5, 190), (4, 5, 1053), (4, 6, 3250)])
+def test_prefix_class_counts(r, m, count):
+    assert verifier._polya_count(r, m) == count
+    classes = verifier._prefix_classes(r, m)
+    assert len(classes) == count
+    assert sum(w for _, w in classes) == 1 << (r * m)
+
+
+def test_order_six_sweeps_33696_leaves(monkeypatch):
+    seen = []
+    real = verifier._sweep_block
+    monkeypatch.setattr(
+        verifier, "_sweep_block", lambda t, block: seen.append(len(block)) or real(t, block)
+    )
+    verifier._sweep(6, 6)
+    # 1,053 classes of four free rows, each with 32 last rows
+    assert sum(seen) == 1053 and 32 * sum(seen) == 33_696
+    assert len(seen) == verifier._BLOCKS
+
+
+@pytest.mark.parametrize("n", [3, 9, 14])
+def test_two_row_sweep_is_one_block(monkeypatch, n):
+    blocks = []
+    real = verifier._sweep_block
+    monkeypatch.setattr(
+        verifier, "_sweep_block", lambda t, block: blocks.append(block) or real(t, block)
+    )
+    scanned, _ = verifier._sweep(2, n)
+    assert scanned == 1 << (n - 1)
+    assert blocks == [[((), 1)]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rank_census_matches_bareiss(n):
+    tables = verifier._SweepTables(n, n)
+    census = verifier._sweep_block(tables, verifier._prefix_classes(n - 2, n - 1))[3]
+    want = Counter(rank(a) for a in verifier.enumerate_normalized(n))
+    assert census == [want[r] for r in range(n + 1)]
+    assert census[n] == verifier._FULL_RANK[n]
 
 
 def test_two_row_tables_stay_small():
@@ -136,14 +319,14 @@ def test_two_row_tables_stay_small():
 
 
 @shapes((2, 2), (4, 4), (3, 5))
-def test_chunk_frees_the_tables_on_return(k, n):
-    # a reference cycle through the chunk's closures would hold the
-    # tables until the next full garbage collection
+def test_block_frees_the_tables_on_return(k, n):
+    # a reference cycle through the block's frames would hold the tables
+    # until the next full garbage collection
     tables = verifier._SweepTables(k, n)
     spans = weakref.ref(tables.spans)
     gc.disable()
     try:
-        verifier._sweep_chunk(tables, 1)
+        verifier._sweep_block(tables, verifier._prefix_classes(k - 2, n - 1)[:3])
         del tables
         assert spans() is None
     finally:

@@ -333,7 +333,7 @@ def test_order_five_reports_match_across_thread_counts(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
-def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
+def test_pool_starts_at_most_one_worker_per_block(monkeypatch):
     import multiprocessing
 
     asked = []
@@ -343,10 +343,10 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
         raise OSError("pool refused")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    # order 3 has four chunks
+    # order 3 has three prefix classes, the rows 00, 01 and 11, one per block
     with pytest.raises(OSError, match="pool refused"):
         verify_square(3, 1000)
-    assert asked == [(4, (3, 3))]
+    assert asked == [(3, (3, 3))]
 
 
 def test_worker_processes_start_by_spawn():
