@@ -212,7 +212,9 @@ TEN_SHAPES = ((2, 2), (3, 3), (4, 4), (5, 5), (2, 3), (2, 4), (2, 7), (3, 4), (3
 
 
 @shapes(*TEN_SHAPES)
-def test_multiset_reference_matches_per_leaf_scan(k, n):
+def test_chunks_match_per_leaf_reference(k, n):
+    # the multiset reference kernel, chunk by chunk, against a scan of
+    # every leaf
     tables = verifier._SweepTables(k, n)
     for x1 in range(1 << (n - 1)):
         assert multiset_chunk(tables, x1) == reference_chunk(k, n, x1), x1
@@ -319,7 +321,7 @@ def test_two_row_tables_stay_small():
 
 
 @shapes((2, 2), (4, 4), (3, 5))
-def test_block_frees_the_tables_on_return(k, n):
+def test_chunk_frees_the_tables_on_return(k, n):
     # a reference cycle through the block's frames would hold the tables
     # until the next full garbage collection
     tables = verifier._SweepTables(k, n)

@@ -333,7 +333,7 @@ def test_order_five_reports_match_across_thread_counts(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
-def test_pool_starts_at_most_one_worker_per_block(monkeypatch):
+def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
     import multiprocessing
 
     asked = []
