@@ -139,9 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive square sweep at one order")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     _add_report_args(p)
-    p.set_defaults(func=lambda a: _emit_report(verify_square(a.n, a.workers), a))
+    p.set_defaults(func=lambda a: _emit_report(verify_square(a.n), a))
 
     p = sub.add_parser("verify-mper", help="exhaustive wide-matrix selection sweep")
     p.add_argument("--k", type=int, required=True)

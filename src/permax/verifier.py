@@ -123,8 +123,8 @@ class _SpanTable:
     ``exact_rank``.
 
     ``step[i << m | x]`` is the id of span i extended by x.  Entries
-    start at -1 and are filled on first use; every sweep process builds
-    its own table.  Step ids are 32-bit: the full order-7 table (m = 6)
+    start at -1 and are filled on first use; every sweep builds its own
+    table.  Step ids are 32-bit: the full order-7 table (m = 6)
     has 77,261 spans, past the 16-bit limit of 32,767.  The full order-6
     table (1,788 spans) takes about 0.9 MB, 0.23 MB of it step ids.  Both
     figures are what the multiset reference kernel in the tests reaches;
@@ -188,8 +188,8 @@ class _SpanTable:
 
 
 class _SweepTables:
-    """Read-only tables for every block of one k x n sweep, plus the
-    span table of the free rows."""
+    """Read-only tables of one k x n sweep, plus the span table of the
+    free rows."""
 
     def __init__(self, k: int, n: int) -> None:
         self.k, self.n = k, n
@@ -389,20 +389,6 @@ def _sweep_block(tables: _SweepTables, block: list[tuple[tuple[int, ...], int]])
     return scanned, orbits, squares, census, stats
 
 
-_worker_tables: _SweepTables | None = None  # a pool worker's own, from _start_worker
-
-
-def _start_worker(k: int, n: int) -> None:
-    global _worker_tables
-    _worker_tables = _SweepTables(k, n)
-
-
-def _worker_block(block: list[tuple[tuple[int, ...], int]]) -> tuple:
-    return _sweep_block(_worker_tables, block)
-
-
-_BLOCKS = 32  # blocks per sweep, whatever the worker count
-
 # Nonsingular normalized matrices of order n: A055165(n - 1), the number of
 # nonsingular (n-1) x (n-1) 0/1 matrices, https://oeis.org/A055165
 _FULL_RANK = {2: 1, 3: 6, 4: 174, 5: 22_560, 6: 12_514_320}
@@ -423,16 +409,13 @@ def _check_census(k: int, n: int, census: list[int]) -> None:
             raise RuntimeError(f"rank census: {what} holds {got} matrices, not {want}")
 
 
-def _sweep(k: int, n: int, workers: int = 1) -> tuple[int, dict[int, tuple[int, list]]]:
+def _sweep(k: int, n: int) -> tuple[int, dict[int, tuple[int, list]]]:
     """Sweep every k x n matrix with all-ones first row and column.
 
-    The prefix classes are generated here and split, in generation order,
-    into at most ``_BLOCKS`` blocks.  The blocks run here for one worker,
-    else one at a time in a pool of at most one process per block, each
-    with its own tables.  Summaries merge in block order, so the result is
-    identical for any worker count.  Every count, the orbit weights, the
-    second moment and the rank census are checked exactly.  Returns the
-    matrix count and, per rank, the largest value with the matrices
+    The prefix classes are generated and scanned in generation order as
+    one block, in the calling process.  Every count, the orbit weights,
+    the second moment and the rank census are checked exactly.  Returns
+    the matrix count and, per rank, the largest value with the matrices
     attaining it.
     """
     depth, m = k - 2, n - 1
@@ -440,29 +423,7 @@ def _sweep(k: int, n: int, workers: int = 1) -> tuple[int, dict[int, tuple[int, 
     polya = _polya_count(depth, m)
     if len(classes) != polya:
         raise RuntimeError(f"generated {len(classes)} prefix classes, the Polya count is {polya}")
-    size = -(-len(classes) // _BLOCKS)
-    blocks = [classes[i : i + size] for i in range(0, len(classes), size)]
-    if workers == 1:
-        tables = _SweepTables(k, n)
-        parts = [_sweep_block(tables, block) for block in blocks]
-    else:
-        import multiprocessing  # here: at module level it adds 20 ms to every command
-        with multiprocessing.Pool(min(workers, len(blocks)), _start_worker, (k, n)) as pool:
-            parts = pool.map(_worker_block, blocks, chunksize=1)
-    scanned = orbits = squares = 0
-    census = [0] * (k + 1)
-    merged: dict[int, tuple[int, list]] = {}
-    for part_scanned, part_orbits, part_squares, part_census, part_stats in parts:
-        scanned += part_scanned
-        orbits += part_orbits
-        squares += part_squares
-        census = list(map(add, census, part_census))
-        for r, (mx, reps) in part_stats.items():
-            top, kept = merged.get(r, (-1, []))
-            if mx > top:
-                merged[r] = (mx, reps)
-            elif mx == top:
-                kept.extend(reps)
+    scanned, orbits, squares, census, stats = _sweep_block(_SweepTables(k, n), classes)
     if scanned != 1 << ((k - 1) * (n - 1)):
         raise RuntimeError("weighted enumeration lost matrices")
     if orbits != 1 << (depth * m):
@@ -474,7 +435,7 @@ def _sweep(k: int, n: int, workers: int = 1) -> tuple[int, dict[int, tuple[int, 
     _check_census(k, n, census)
     return scanned, {
         r: (mx, [SignMatrix(k, n, (0,) + tuple(x << 1 for x in rows)) for rows in reps])
-        for r, (mx, reps) in merged.items()
+        for r, (mx, reps) in stats.items()
     }
 
 
@@ -487,9 +448,7 @@ _SANCTIONED = {
 }
 
 
-def _verdict(
-    k: int, n: int, workers: int, bounds: Callable[[], dict[int, int]]
-) -> VerifyReport:
+def _verdict(k: int, n: int, bounds: Callable[[], dict[int, int]]) -> VerifyReport:
     """Sweep shape (k, n), 2 <= k <= n, and judge each rank stratum ``bounds()`` names.
 
     A shape is admitted when its C(2^(n-1)+k-2, k-1) row multisets (the
@@ -509,12 +468,12 @@ def _verdict(
         )
     t0 = time.monotonic()
     judged = bounds()
-    scanned, merged = _sweep(k, n, workers)
+    scanned, maxima = _sweep(k, n)
     rows = []
     for r, bound in judged.items():
         top, sizes = _SANCTIONED.get((k, n, r), (None, (r - 1,)))
         top = bound if top is None else top
-        mx, reps = merged.get(r, (-1, []))  # an empty stratum tops out at -1
+        mx, reps = maxima.get(r, (-1, []))  # an empty stratum tops out at -1
         where = f"shape ({k},{n}) rank {r}"
         if mx > top:
             raise CounterexampleError(
@@ -552,7 +511,9 @@ def verify_square(n: int, workers: int = 1) -> VerifyReport:
     diagonal orbit and every other value stays at or below the table's 4.
     Orders 2..6 fit the sweep budget.
 
-    The report is identical for any number of sweep ``workers``.
+    Every sweep runs in the calling process.  ``workers`` is checked
+    (it must be positive) and otherwise ignored, so the report is the
+    same for any count.
     """
     if workers < 1:
         raise RangeError(f"worker count must be positive, got {workers}")
@@ -563,7 +524,7 @@ def verify_square(n: int, workers: int = 1) -> VerifyReport:
         table = build_table(n)
         return {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
 
-    return _verdict(n, n, workers, bounds)
+    return _verdict(n, n, bounds)
 
 
 def verify_mper(k: int, n: int) -> VerifyReport:
@@ -578,7 +539,7 @@ def verify_mper(k: int, n: int) -> VerifyReport:
     """
     if not 2 <= k < n:
         raise RangeError(f"need 2 <= k < n, got k={k}, n={n}")
-    return _verdict(k, n, 1, lambda: {k: mper(d_matrix(n, k, k - 1))})
+    return _verdict(k, n, lambda: {k: mper(d_matrix(n, k, k - 1))})
 
 
 def _random_square(rng: random.Random, n: int) -> SignMatrix:
@@ -763,6 +724,6 @@ def write_report(report: VerifyReport, fmt: str, path) -> None:
 
     JSON is a top-level array with a fixed key order per row; CSV carries
     the same columns.  Everything except the timing field is reproducible
-    across runs and worker counts.
+    across runs.
     """
     Path(path).write_text(_encode(*_report_table(report), fmt), encoding="utf-8")

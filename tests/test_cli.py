@@ -152,7 +152,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
 
 
 def test_counterexample_exit_two(monkeypatch, capsys):
-    def boom(n, workers=1):
+    def boom(n):
         raise CounterexampleError("fabricated for the exit-code path")
 
     monkeypatch.setattr("permax.cli.verify_square", boom)
@@ -170,12 +170,19 @@ def test_props_oracle_disagreement_exit_two(monkeypatch, capsys):
 
 
 def test_unknown_arguments_exit_two(capsys):
-    # usage errors are bad input: exit 1 and one line, as for a bad file
-    for argv in (["per", "--file", "x", "--method", "magic"], ["verify", "--n", "abc"], []):
+    # usage errors are bad input: exit 1 and one line, as for a bad file;
+    # every sweep runs in one process, so ``verify`` takes no worker count
+    for argv in (
+        ["per", "--file", "x", "--method", "magic"],
+        ["verify", "--n", "abc"],
+        ["verify", "--n", "3", "--workers", "2"],
+        [],
+    ):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(SystemExit) as info:
         main(["--help"])
@@ -227,24 +234,23 @@ def test_bad_numeric_arguments_exit_one(capsys):
     assert main(["props", "--samples", "-5"]) == 1
     err = capsys.readouterr().err
     assert err == "error: sample count must be positive, got -5\n"
-    assert main(["verify", "--n", "3", "--workers", "0"]) == 1
-    assert capsys.readouterr().err == "error: worker count must be positive, got 0\n"
     assert main(["verify", "--n", "1"]) == 1
     assert capsys.readouterr().err == "error: need order n >= 2, got n=1\n"
 
 
 def test_cli_import_loads_no_pool_machinery():
-    # the worker pool is imported only when a sweep asks for it
+    # neither the import nor a sweep asked for two workers loads a pool
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import permax.cli; "
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        "pools = lambda: [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]; "
+        "print(pools()); permax.cli.verify_square(4, 2); print(pools())"
     )
     src = str(Path(permax.__file__).parent.parent)
     out = subprocess.run(
         [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n[]\n"
 
 
 @pytest.mark.parametrize("argv", [["dtable", "--n-max", "3"], ["verify", "--n", "3"]], ids=["dtable", "verify"])
