@@ -87,6 +87,13 @@ def test_sweep_order_five():
     assert all(s.equality_class == "D-only" for s in report.rows)
 
 
+def test_sweep_thread_count_does_not_change_results():
+    single = verify_square(4, workers=1)
+    pooled = verify_square(4, workers=4)
+    assert single.rows == pooled.rows
+    assert single.scanned == pooled.scanned
+
+
 def test_sweep_rejects_bad_arguments():
     with pytest.raises(
         RangeError, match=r"^shape \(7,7\) needs 119877472 row multisets x selections, over the 2\^20 budget$"
@@ -302,6 +309,15 @@ def test_write_report_empty_and_errors(tmp_path):
         write_report(empty, "yaml", tmp_path / "x")
     with pytest.raises(OSError):
         write_report(empty, "json", tmp_path / "missing" / "x.json")
+
+
+def test_reports_are_reproducible_modulo_timing(tmp_path):
+    a = dataclasses.replace(verify_square(4, workers=1), seconds=0.0)
+    b = dataclasses.replace(verify_square(4, workers=3), seconds=0.0)
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    write_report(a, "json", pa)
+    write_report(b, "json", pb)
+    assert pa.read_bytes() == pb.read_bytes()
 
 
 def test_order_five_reports_match_across_thread_counts(tmp_path):
