@@ -451,19 +451,24 @@ _SANCTIONED = {
 def _verdict(k: int, n: int, bounds: Callable[[], dict[int, int]]) -> VerifyReport:
     """Sweep shape (k, n), 2 <= k <= n, and judge each rank stratum ``bounds()`` names.
 
-    A shape is admitted when its C(2^(n-1)+k-2, k-1) row multisets (the
-    leaves of the multiset kernel the prefix classes replaced) times its
-    k-column selections fit the 2^20 budget; ``bounds`` runs only then.
-    There are at least 2^(n-1) multisets, so a shape with n > 21 is
-    refused without counting.
+    A shape is admitted when its leaves, the Polya count of prefix classes
+    times 2^(n-1) last rows, times its k-column selections fit the 2^20
+    budget; ``bounds`` runs only then.  A class holds at most (k-2)!(n-1)!
+    prefixes, a lower bound that refuses large shapes before any count.
 
     A stratum must top out exactly at its bound, or at its sanctioned
     maximum, and every matrix attaining it must lie in the orbit of
     D_(n,k,s) for one expected size s, each size reached by some matrix."""
-    cost = math.comb((1 << (n - 1)) + k - 2, k - 1) * math.comb(n, k) if n <= 21 else None
+    depth, m = k - 2, n - 1
+    cost, least = None, m  # 2^least is at most the cost
+    if m <= 20:  # else one class's 2^m leaves are over the budget
+        unit = math.comb(n, k) << m
+        floor = -(-(1 << depth * m) // (math.factorial(depth) * math.factorial(m))) * unit
+        least = floor.bit_length() - 1
+        cost = _polya_count(depth, m) * unit if floor <= 1 << 20 else None
     if cost is None or cost > 1 << 20:
         raise RangeError(
-            f"shape ({k},{n}) needs {cost or f'at least 2^{n - 1}'} row multisets x selections,"
+            f"shape ({k},{n}) needs {cost or f'at least 2^{least}'} leaves x selections,"
             " over the 2^20 budget"
         )
     t0 = time.monotonic()

@@ -141,9 +141,9 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["verify", "--n", "9"]) == 1
     capsys.readouterr()
 
-    assert main(["verify-mper", "--k", "4", "--n", "7"]) == 1
+    assert main(["verify-mper", "--k", "6", "--n", "7"]) == 1
     assert capsys.readouterr() == (
-        "", "error: shape (4,7) needs 1601600 row multisets x selections, over the 2^20 budget\n"
+        "", "error: shape (6,7) needs 1456000 leaves x selections, over the 2^20 budget\n"
     )
 
     singular = write(tmp_path, "j6.txt", d_matrix(6, 6, 0))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from itertools import combinations
 
 import pytest
 
@@ -14,11 +16,14 @@ from permax import (
     ShapeError,
     StratumRow,
     VerifyReport,
+    d_matrix,
     enumerate_normalized,
     mper,
     parse_matrix_text,
+    permanent_naive,
     permanent_ryser,
     rank,
+    submatrix_select,
     verify_mper,
     verify_properties,
     verify_square,
@@ -96,7 +101,7 @@ def test_sweep_thread_count_does_not_change_results():
 
 def test_sweep_rejects_bad_arguments():
     with pytest.raises(
-        RangeError, match=r"^shape \(7,7\) needs 119877472 row multisets x selections, over the 2\^20 budget$"
+        RangeError, match=r"^shape \(7,7\) needs 1828864 leaves x selections, over the 2\^20 budget$"
     ):
         verify_square(7)
     for n in (1, 0):
@@ -120,19 +125,52 @@ def test_mper_sweep_small_shapes():
 
     with pytest.raises(RangeError):
         verify_mper(1, 3)
-    with pytest.raises(RangeError, match=r"^shape \(4,7\) needs 1601600 row multisets x selections, over the 2\^20 budget$"):
-        verify_mper(4, 7)
-    with pytest.raises(RangeError, match=r"^shape \(3,40\) needs at least 2\^39 row multisets x selections, over"):
+    with pytest.raises(RangeError, match=r"^shape \(6,7\) needs 1456000 leaves x selections, over the 2\^20 budget$"):
+        verify_mper(6, 7)
+    with pytest.raises(RangeError, match=r"^shape \(3,40\) needs at least 2\^39 leaves x selections, over"):
         verify_mper(3, 40)
 
 
 def test_mper_sweep_shape_five_six():
-    # C(35,4) = 52,360 row multisets x 6 selections fit the budget
+    # 190 prefix classes x 32 last rows x 6 selections fit the budget
     report = verify_mper(5, 6)
     assert report.scanned == 2 ** 20
     assert [(s.bound, s.observed_max, s.extremal_orbits, s.equality_class) for s in report.rows] == [
         (176, 176, 1, "D-only")
     ]
+
+
+@pytest.mark.parametrize("k, n, bound", [(4, 7, 328), (5, 7, 744), (4, 8, 740), (3, 9, 308), (3, 10, 464)])
+def test_mper_sweep_shapes_admitted_by_leaf_count(k, n, bound):
+    # the frozen bound is the sum of |per| over the selections of D_(n,k,k-1),
+    # taken from the permutation-sum oracle rather than from mper
+    d = d_matrix(n, k, k - 1)
+    rows = range(1, k + 1)
+    assert bound == sum(
+        abs(permanent_naive(submatrix_select(d, rows, cols)))
+        for cols in combinations(range(1, n + 1), k)
+    )
+    report = verify_mper(k, n)
+    assert report.scanned == 2 ** ((k - 1) * (n - 1))
+    assert report.rows == (StratumRow(k, bound, bound, 1, "D-only"),)
+
+
+def test_lower_bound_refuses_without_counting_classes(monkeypatch):
+    def counted(r, m):
+        raise AssertionError(f"Polya count taken for {r} x {m} prefixes")
+
+    monkeypatch.setattr(permax.verifier, "_polya_count", counted)
+    refusals = [(lambda n=n: verify_square(n)) for n in range(8, 22)]
+    refusals += [lambda: verify_mper(3, 40), lambda: verify_mper(2, 15)]
+    for refuse in refusals:
+        with pytest.raises(RangeError) as info:
+            refuse()
+        message = str(info.value)
+        assert "\n" not in message
+        assert re.fullmatch(
+            r"shape \(\d+,\d+\) needs at least 2\^\d+ leaves x selections, over the 2\^20 budget",
+            message,
+        ), message
 
 
 class Admitted(Exception):
@@ -155,7 +193,8 @@ def test_admission_is_one_budget_rule(monkeypatch):
                 assert "over the 2^20 budget" in str(exc), (k, n)
     assert [s for s in passed if s[0] == s[1]] == [(n, n) for n in range(2, 7)]
     assert sorted(s for s in passed if s[0] < s[1]) == sorted(
-        [(2, n) for n in range(3, 15)] + [(3, n) for n in range(4, 9)] + [(4, 5), (4, 6), (5, 6)]
+        [(2, n) for n in range(3, 15)] + [(3, n) for n in range(4, 11)]
+        + [(4, n) for n in range(5, 9)] + [(5, 6), (5, 7)]
     )
 
 
