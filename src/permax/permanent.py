@@ -1,6 +1,7 @@
 """Exact permanent evaluation: permutation-sum oracle grouped by column
-set, Glynn's formula over row words as the fast path, rectangular
-extension, mper, and generalized Laplace expansion.
+set, Glynn's formula as one C-level product chain over cached per-word
+row-sum vectors as the fast path, rectangular extension, mper, and
+generalized Laplace expansion.
 
 All arithmetic is exact integer arithmetic; the shape budget keeps every
 value inside signed 64-bit range (|per| <= 12! for square inputs).
@@ -10,9 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import mul, xor
 
 from .errors import ShapeError
-from .sign_matrix import SignMatrix, _check_index_set, submatrix_select
+from .sign_matrix import MAX_ROWS, SignMatrix, _check_index_set, submatrix_select
 
 __all__ = [
     "permanent_naive",
@@ -62,26 +64,49 @@ def permanent_ryser(a: SignMatrix) -> int:
     per(A) = 2^-(n-1) * sum over masks d of (-1)^|d| * prod_i (n - 2|w_i ^ d|),
     where d runs over the 2^(n-1) column signings that keep column n at +1
     and n - 2|w_i ^ d| is row i's signed sum, read from ``_row_sums(n)``.
-    A product stops at its first 0 factor.
+    Each row word's sums over all d form one cached vector, and one chain
+    of ``map(mul, ...)`` over the sign vector and the row vectors forms
+    the signed products, so no Python-level loop runs per signing.
+
+    The vector cache holds at most 2^17 entries, 8 bytes each (1 MB):
+    every word of every order up to 8 fits at once (43,690 entries), and
+    at order 12, 2,048 entries a vector, it holds 64 words.  A fill that
+    would pass the bound empties the cache first.
     """
     if not a.is_square:
         raise ShapeError(f"permanent of a {a.rows}x{a.cols} matrix is undefined")
     n = a.rows
-    words = a.words
-    sums = _row_sums(n)
-    total = 0
-    for d in range(1 << (n - 1)):
-        p = 1
-        for w in words:
-            f = sums[w ^ d]
-            if not f:
-                break
-            p *= f
-        else:
-            total += -p if d.bit_count() & 1 else p
+    vectors = _vectors[n]
+    chain = _signs(n)
+    for w in a.words:
+        chain = map(mul, chain, vectors.get(w) or _row_vector(n, w))
+    total = sum(chain)
     if total & ((1 << (n - 1)) - 1):
         raise RuntimeError(f"Glynn sum {total} is not a multiple of 2^{n - 1}")
     return total >> (n - 1)
+
+
+_VECTOR_ENTRIES = 1 << 17
+
+# order n -> row word w -> (n - 2|w ^ d| for d < 2^(n-1))
+_vectors: dict[int, dict[int, tuple[int, ...]]] = {n: {} for n in range(1, MAX_ROWS + 1)}
+
+
+def _row_vector(n: int, w: int) -> tuple[int, ...]:
+    """Build, cache and return row word w's signed sums at order n."""
+    size = 1 << (n - 1)
+    if size + sum(len(c) << (m - 1) for m, c in _vectors.items()) > _VECTOR_ENTRIES:
+        for c in _vectors.values():
+            c.clear()
+    xors = map(xor, itertools.repeat(w, size), range(size))
+    v = _vectors[n][w] = tuple(map(_row_sums(n).__getitem__, xors))
+    return v
+
+
+@functools.cache
+def _signs(n: int) -> tuple[int, ...]:
+    """``(-1)^|d|`` for every column signing d < 2^(n-1)."""
+    return tuple(-1 if d.bit_count() & 1 else 1 for d in range(1 << (n - 1)))
 
 
 @functools.cache

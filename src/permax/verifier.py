@@ -460,15 +460,18 @@ def _verdict(k: int, n: int, bounds: Callable[[], dict[int, int]]) -> VerifyRepo
     maximum, and every matrix attaining it must lie in the orbit of
     D_(n,k,s) for one expected size s, each size reached by some matrix."""
     depth, m = k - 2, n - 1
-    cost, least = None, m  # 2^least is at most the cost
-    if m <= 20:  # else one class's 2^m leaves are over the budget
+    # 2^least is below the cost.  Past m = 20 one class's 2^m leaves are
+    # over the budget, and the cost exceeds them: C(n,k) > 1 selections when
+    # k < n, more than one class when k = n.
+    cost, least = None, m
+    if m <= 20:
         unit = math.comb(n, k) << m
         floor = -(-(1 << depth * m) // (math.factorial(depth) * math.factorial(m))) * unit
-        least = floor.bit_length() - 1
+        least = (floor - 1).bit_length() - 1
         cost = _polya_count(depth, m) * unit if floor <= 1 << 20 else None
     if cost is None or cost > 1 << 20:
         raise RangeError(
-            f"shape ({k},{n}) needs {cost or f'at least 2^{least}'} leaves x selections,"
+            f"shape ({k},{n}) needs {cost or f'more than 2^{least}'} leaves x selections,"
             " over the 2^20 budget"
         )
     t0 = time.monotonic()

@@ -97,6 +97,22 @@ p.permanent_ryser(p.SignMatrix(3, 3, (0, 0, 0)))
     assert out == "Glynn sum 61 is not a multiple of 2^2"
 
 
+def test_corrupted_row_vector_raises_under_optimize():
+    # the first call caches the vector of the all-ones row word at order 3,
+    # and the second reads it back with its d = 0 entry corrupted
+    out = run_optimized(
+        """
+import permax.permanent as p
+a = p.SignMatrix(3, 3, (0, 0, 0))
+p.permanent_ryser(a)
+v = p._vectors[3][0]
+p._vectors[3][0] = (v[0] + 1,) + v[1:]
+p.permanent_ryser(a)
+"""
+    )
+    assert out == "Glynn sum 61 is not a multiple of 2^2"
+
+
 def run_miscounted(call: str, summary: str) -> str:
     """Run ``call`` under ``python -O`` with the summary of the first
     block replaced by ``summary``, an expression in its counts."""

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import permax.permanent as permanent_module
 from permax import (
     ShapeError,
     SignMatrix,
@@ -89,12 +90,42 @@ def test_ryser_matches_naive_exhaustively_small():
 
 
 def test_ryser_matches_naive_sampled():
-    # odd orders never meet a zero row sum; even orders stop products early
+    # odd orders never meet a zero row sum; even orders carry zero factors
     rng = random.Random(3)
     for n in (1, 2, 3, 4, 5, 6, 7, 8):
         for _ in range(30):
             a = random_square(rng, n)
             assert permanent_ryser(a) == permanent_naive(a)
+
+
+@pytest.mark.parametrize("warm", [4, 8])
+def test_ryser_row_vectors_are_keyed_by_order(warm):
+    # every word of one order gets its cached vector first; a cache keyed
+    # by the word alone would hand those vectors to the other orders' rows
+    vectors = permanent_module._vectors
+    for cached in vectors.values():
+        cached.clear()
+    for w in range(1 << warm):
+        permanent_ryser(SignMatrix(warm, warm, (w,) * warm))
+    assert len(vectors[warm]) == 1 << warm
+    rng = random.Random(31)
+    for n in range(1, 9):
+        if n == warm:
+            continue
+        for _ in range(3):
+            a = SignMatrix(n, n, tuple(rng.getrandbits(min(n, warm)) for _ in range(n)))
+            assert permanent_ryser(a) == permanent_naive(a) == literal_permanent(a)
+
+
+def test_ryser_row_vector_cache_stays_bounded():
+    # 96 distinct order-12 words of 2,048 entries each pass the 2^17 bound
+    words = random.Random(37).sample(range(1 << 12), 96)
+    vectors = permanent_module._vectors
+    for i in range(0, 96, 12):
+        a = SignMatrix(12, 12, tuple(words[i:i + 12]))
+        assert permanent_ryser(a) == permanent_naive(a)
+        assert sum(len(v) for cached in vectors.values() for v in cached.values()) <= 1 << 17
+    assert len(vectors[12]) < 96
 
 
 def test_ryser_matches_naive_up_to_the_shape_budget():

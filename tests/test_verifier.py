@@ -127,7 +127,7 @@ def test_mper_sweep_small_shapes():
         verify_mper(1, 3)
     with pytest.raises(RangeError, match=r"^shape \(6,7\) needs 1456000 leaves x selections, over the 2\^20 budget$"):
         verify_mper(6, 7)
-    with pytest.raises(RangeError, match=r"^shape \(3,40\) needs at least 2\^39 leaves x selections, over"):
+    with pytest.raises(RangeError, match=r"^shape \(3,40\) needs more than 2\^39 leaves x selections, over"):
         verify_mper(3, 40)
 
 
@@ -168,9 +168,13 @@ def test_lower_bound_refuses_without_counting_classes(monkeypatch):
         message = str(info.value)
         assert "\n" not in message
         assert re.fullmatch(
-            r"shape \(\d+,\d+\) needs at least 2\^\d+ leaves x selections, over the 2\^20 budget",
+            r"shape \(\d+,\d+\) needs more than 2\^\d+ leaves x selections, over the 2\^20 budget",
             message,
         ), message
+    # (2,15) needs 105 selections x 2^14 leaves = 1,720,320, more than 2^20
+    with pytest.raises(RangeError) as info:
+        verify_mper(2, 15)
+    assert str(info.value) == "shape (2,15) needs more than 2^20 leaves x selections, over the 2^20 budget"
 
 
 class Admitted(Exception):
