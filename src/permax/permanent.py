@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import mul, xor
+from operator import mul
 
 from .errors import ShapeError
 from .sign_matrix import MAX_ROWS, SignMatrix, _check_index_set, submatrix_select
@@ -63,10 +63,10 @@ def permanent_ryser(a: SignMatrix) -> int:
 
     per(A) = 2^-(n-1) * sum over masks d of (-1)^|d| * prod_i (n - 2|w_i ^ d|),
     where d runs over the 2^(n-1) column signings that keep column n at +1
-    and n - 2|w_i ^ d| is row i's signed sum, read from ``_row_sums(n)``.
-    Each row word's sums over all d form one cached vector, and one chain
-    of ``map(mul, ...)`` over the sign vector and the row vectors forms
-    the signed products, so no Python-level loop runs per signing.
+    and n - 2|w_i ^ d| is row i's signed sum.  Each row word's sums over
+    all d form one cached vector, and one chain of ``map(mul, ...)`` over
+    the sign vector and the row vectors forms the signed products, so no
+    Python-level loop runs per signing.
 
     The vector cache holds at most 2^17 entries, 8 bytes each (1 MB):
     every word of every order up to 8 fits at once (43,690 entries), and
@@ -93,13 +93,20 @@ _vectors: dict[int, dict[int, tuple[int, ...]]] = {n: {} for n in range(1, MAX_R
 
 
 def _row_vector(n: int, w: int) -> tuple[int, ...]:
-    """Build, cache and return row word w's signed sums at order n."""
+    """Build, cache and return row word w's signed sums at order n.
+
+    One doubling pass fills them: d = 0 gives n - 2|w|, and setting bit j
+    of d adds 2 when w has bit j and takes 2 away when it has not.
+    """
     size = 1 << (n - 1)
     if size + sum(len(c) << (m - 1) for m, c in _vectors.items()) > _VECTOR_ENTRIES:
         for c in _vectors.values():
             c.clear()
-    xors = map(xor, itertools.repeat(w, size), range(size))
-    v = _vectors[n][w] = tuple(map(_row_sums(n).__getitem__, xors))
+    sums = [n - 2 * w.bit_count()]
+    for j in range(n - 1):
+        step = 2 if (w >> j) & 1 else -2
+        sums += [s + step for s in sums]
+    v = _vectors[n][w] = tuple(sums)
     return v
 
 
@@ -107,12 +114,6 @@ def _row_vector(n: int, w: int) -> tuple[int, ...]:
 def _signs(n: int) -> tuple[int, ...]:
     """``(-1)^|d|`` for every column signing d < 2^(n-1)."""
     return tuple(-1 if d.bit_count() & 1 else 1 for d in range(1 << (n - 1)))
-
-
-@functools.cache
-def _row_sums(n: int) -> tuple[int, ...]:
-    """``n - 2 * popcount(x)`` for every n-bit word x: the sum of a +-1 row."""
-    return tuple(n - 2 * x.bit_count() for x in range(1 << n))
 
 
 def permanent_rect(a: SignMatrix) -> int:

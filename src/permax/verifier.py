@@ -7,10 +7,11 @@ full-rank matrices.  That slice meets every equivalence orbit, and both
 values and the rank are orbit invariants.  So are permutations of the
 free rows and free columns, which keep the first row and column all
 ones: the first k - 2 free rows are taken only up to those permutations
-(orderly generation, after Read, "Every one a winner", 1978), one
-prefix class weighted by its orbit size, and the last free row runs
-over all 2^(n-1) patterns.  That cuts the order-6 stream from 2^25
-matrices to 1,053 classes and 33,696 leaves.
+(canonical augmentation, after McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998), one prefix class weighted by its
+orbit size and streamed depth first, and the last free row runs over
+all 2^(n-1) patterns.  That cuts the order-6 stream from 2^25 matrices
+to 1,053 classes and 33,696 leaves.
 
 One kernel scans the classes of both sweeps.  Each class carries the
 running product of per-row subset sums over all 2^n column subsets,
@@ -22,7 +23,8 @@ elimination.  Every sweep is checked exactly: the class count against
 the Polya count, the matrix and orbit counts, the second moment
 sum per^2, and the per-rank matrix counts.  One routine, ``_verdict``,
 admits a shape by its cost and judges every rank stratum against its
-bound and one table of sanctioned deviations.
+bound and one table of sanctioned deviations; a matrix it names as a
+counterexample is first revalued by the independent oracles.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from operator import add, itemgetter, mul, or_
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .d_family import bound_for_rank, build_table
 from .errors import CounterexampleError, PropertyFailure, RangeError, RankError, ShapeError
@@ -50,6 +52,7 @@ from .sign_matrix import (
     d_matrix,
     format_matrix_text,
     invert_transforms,
+    submatrix_select,
 )
 
 __all__ = [
@@ -249,66 +252,66 @@ def _polya_count(r: int, m: int) -> int:
     return count
 
 
-def _prefix_classes(r: int, m: int) -> list[tuple[tuple[int, ...], int]]:
+def _prefix_classes(r: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """One tuple of r rows of m bits per class under row and column
-    permutations, with the class size, in generation order.
+    permutations, with the class size, depth first.
 
-    Level j extends every class of level j - 1 by each of the 2^m rows and
-    keeps the first child of each new class, so every representative
-    extends its parent's.  A tuple's key is the least sorted list of its
-    column codes (bit i of a code is the column's bit in row i) over the
-    row orders that list the rows by weight; a row's weight survives
-    column permutations, so the key is a class invariant.  The orders
-    that attain the key, times the column orders that fix the sorted
-    codes, count the stabilizer, and the class has r! m! / |Stab| tuples.
+    A tuple's key is the least sorted list of its column codes (bit i of
+    a code is the column's bit in row i) over the row orders that list
+    the rows by weight; weights survive column permutations, so the key
+    is a class invariant.  By canonical augmentation (McKay, 1998), a
+    class's parent is the class of its rows less the one an order
+    attaining the key puts last.  A representative's child by a row x is
+    kept when x weighs at least as much as every row, some order
+    attaining the key puts x last, and no kept sibling has its key.  So
+    each class comes once, and only the kept children along the path to
+    it wait on the stack.  The orders attaining the key, times the
+    column orders that fix the sorted codes, count the stabilizer: the
+    class has r! m! / |Stab| tuples.
     """
-    level: list[tuple[tuple[int, ...], list[int]]] = [((), [0] * m)]
-    # row weights -> the codes maps of the row orders by weight; with no
-    # rows there is one order, the identity on the one empty column code
-    orders: dict[tuple[int, ...], list[list[int]]] = {(): [[0]]}
-    for j in range(1, r + 1):
-        # every row order of the j rows as a map of column codes
-        recode = {
-            order: [sum(((c >> p) & 1) << i for i, p in enumerate(order)) for c in range(1 << j)]
-            for order in permutations(range(j))
-        }
-        spread = [[((x >> col) & 1) << (j - 1) for col in range(m)] for x in range(1 << m)]
-        seen: set[tuple[int, ...]] = set()
-        found = []
-        for rows, codes in level:
-            head = tuple(w.bit_count() for w in rows)
-            tried = set()  # children equal up to column order share a class
-            for x in range(1 << m):
-                child = list(map(or_, codes, spread[x]))
-                plain = tuple(sorted(child))
-                if plain in tried:
-                    continue
-                tried.add(plain)
-                weights = head + (x.bit_count(),)
-                maps = orders.get(weights)
-                if maps is None:
-                    groups: dict[int, list[int]] = {}
-                    for i in sorted(range(j), key=weights.__getitem__):
-                        groups.setdefault(weights[i], []).append(i)
-                    maps = orders[weights] = [
-                        recode[sum(order, ())]
-                        for order in product(*map(permutations, groups.values()))
-                    ]
-                key = tuple(min(sorted(map(t.__getitem__, child)) for t in maps))
-                if key not in seen:
-                    seen.add(key)
-                    found.append((rows + (x,), child))
-        level = found
     size = math.factorial(r) * math.factorial(m)
-    classes = []
-    for rows, codes in level:
-        maps = orders[tuple(w.bit_count() for w in rows)]
-        keys = [sorted(map(t.__getitem__, codes)) for t in maps]
-        fixed = keys.count(min(keys))
-        for c in set(codes):
-            fixed *= math.factorial(codes.count(c))
-        classes.append((rows, size // fixed))
-    return classes
+    # every row order of up to r rows as a map of column codes
+    recode = {
+        order: [sum(((c >> p) & 1) << i for i, p in enumerate(order)) for c in range(1 << j)]
+        for j in range(r + 1)
+        for order in permutations(range(j))
+    }
+    spread = [[[((x >> c) & 1) << j for c in range(m)] for x in range(1 << m)] for j in range(r)]
+    heavier = [[x for x in range(1 << m) if x.bit_count() >= w] for w in range(m + 1)]
+    # row weights, which never fall along a tuple -> the codes maps of the
+    # orders by weight, those putting the last row last first
+    orders: dict[tuple[int, ...], list[list[int]]] = {}
+
+    stack = [((), [0] * m, (), [[0] * m])]  # rows, codes, weights, keys
+    while stack:
+        rows, codes, weights, keys = stack.pop()
+        if len(rows) == r:
+            key = min(keys)
+            fixed = keys.count(key)
+            for c in set(codes):
+                fixed *= math.factorial(codes.count(c))
+            yield rows, size // fixed
+            continue
+        j = len(rows)
+        tried, kept = set(), set()  # children equal up to column order share a class
+        for x in heavier[max(weights, default=0)]:
+            child = list(map(or_, codes, spread[j][x]))
+            plain = tuple(sorted(child))
+            if plain in tried:
+                continue
+            tried.add(plain)
+            wx = weights + (x.bit_count(),)
+            maps = orders.get(wx)
+            if maps is None:
+                blocks = [list(g) for _, g in groupby(range(j + 1), wx.__getitem__)]
+                perms = sorted(product(*map(permutations, blocks)), key=lambda o: o[-1][-1] != j)
+                maps = orders[wx] = [recode[sum(o, ())] for o in perms]
+            child_keys = [sorted(map(t.__getitem__, child)) for t in maps]
+            key = min(child_keys)
+            # one order in |last weight block| puts x last
+            if key in child_keys[: len(maps) // wx.count(wx[-1])] and tuple(key) not in kept:
+                kept.add(tuple(key))
+                stack.append((rows + (x,), child, wx, child_keys))
 
 
 def _last_row_values(b: list[int]) -> list[int]:
@@ -330,8 +333,8 @@ def _rank_split(vals: list[int], dim: int, mask: int) -> tuple[tuple[int, int], 
     return (1 + dim, mask), (2 + dim, ((1 << len(vals)) - 1) ^ mask)
 
 
-def _sweep_block(tables: _SweepTables, block: list[tuple[tuple[int, ...], int]]) -> tuple:
-    """Scan every matrix of a block of prefix classes.
+def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], int]]) -> tuple:
+    """Scan every matrix of a stream of prefix classes.
 
     Each class is a representative prefix P of k - 2 free rows and its
     orbit size w.  Its leaves put every row of 2^(n-1) last rows below P,
@@ -339,7 +342,7 @@ def _sweep_block(tables: _SweepTables, block: list[tuple[tuple[int, ...], int]])
     same value and rank.  A leaf's value is the sum of |per| over its
     k-column selections, so a square leaf's value is its |per|.
 
-    The classes arrive in generation order, so consecutive classes share
+    The classes arrive depth first, so consecutive classes share
     prefixes: the Ryser vector of P (the running product of per-subset
     row sums) and the id of its span grow along the rows that differ from
     the previous class's.  One pass per selection gives every leaf's
@@ -348,15 +351,15 @@ def _sweep_block(tables: _SweepTables, block: list[tuple[tuple[int, ...], int]])
 
     Returns the weighted matrix count, the sum of the weights, the
     weighted sum of per^2 over every selection, the weighted matrix count
-    per rank, and, per rank, the largest value seen with the leaves
-    attaining it as free-row tuples, in scan order.
+    per rank, per rank the largest value seen with the leaves attaining
+    it as free-row tuples, in scan order, and the number of classes.
     """
     k = tables.k
     row_sums, sels, spans = tables.row_sums, tables.sels, tables.spans
     best = [-1] * (k + 1)
     reps: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
     census = [0] * (k + 1)
-    scanned = orbits = squares = 0
+    scanned = orbits = squares = classes = 0
     path: tuple[int, ...] = ()
     vecs, sids = [tables.lead], [0]  # along ``path``, one more than its rows
     for rows, w in block:
@@ -374,6 +377,7 @@ def _sweep_block(tables: _SweepTables, block: list[tuple[tuple[int, ...], int]])
             vals = list(map(add, vals, map(abs, per))) if vals else list(map(abs, per))
         scanned += w * len(vals)
         orbits += w
+        classes += 1
         squares += w * sq
         top = max(vals)
         for r, bits in _rank_split(vals, spans.dim[sid], spans.mask[sid]):
@@ -386,7 +390,7 @@ def _sweep_block(tables: _SweepTables, block: list[tuple[tuple[int, ...], int]])
             if mx == best[r]:
                 reps[r] += [rows + (x,) for x, v in enumerate(vals) if v == mx and (bits >> x) & 1]
     stats = {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
-    return scanned, orbits, squares, census, stats
+    return scanned, orbits, squares, census, stats, classes
 
 
 # Nonsingular normalized matrices of order n: A055165(n - 1), the number of
@@ -412,18 +416,18 @@ def _check_census(k: int, n: int, census: list[int]) -> None:
 def _sweep(k: int, n: int) -> tuple[int, dict[int, tuple[int, list]]]:
     """Sweep every k x n matrix with all-ones first row and column.
 
-    The prefix classes are generated and scanned in generation order as
-    one block, in the calling process.  Every count, the orbit weights,
-    the second moment and the rank census are checked exactly.  Returns
-    the matrix count and, per rank, the largest value with the matrices
-    attaining it.
+    The prefix classes stream from their generator into one block scan,
+    and none is kept.  After it the class count against the Polya count,
+    the other counts, the second moment and the rank census are checked
+    exactly.  Returns the matrix count and, per rank, the largest value
+    with the matrices attaining it.
     """
     depth, m = k - 2, n - 1
-    classes = _prefix_classes(depth, m)
+    tables, gen = _SweepTables(k, n), _prefix_classes(depth, m)
+    scanned, orbits, squares, census, stats, classes = _sweep_block(tables, gen)
     polya = _polya_count(depth, m)
-    if len(classes) != polya:
-        raise RuntimeError(f"generated {len(classes)} prefix classes, the Polya count is {polya}")
-    scanned, orbits, squares, census, stats = _sweep_block(_SweepTables(k, n), classes)
+    if classes != polya:
+        raise RuntimeError(f"generated {classes} prefix classes, the Polya count is {polya}")
     if scanned != 1 << ((k - 1) * (n - 1)):
         raise RuntimeError("weighted enumeration lost matrices")
     if orbits != 1 << (depth * m):
@@ -446,6 +450,23 @@ _SANCTIONED = {
     (4, 4, 4): (8, (4,)),  # nonsingular order 4 tops out above the table's 4
     (3, 4, 3): (None, (2, 3)),  # D_(4,3,3) attains the selection bound too
 }
+
+
+def _recheck(a: SignMatrix, value: int, r: int) -> None:
+    """Raise RuntimeError, blaming the sweep kernel, unless evaluators
+    independent of it agree with the value and rank it found for ``a``:
+    the sum of |per| over the k-column selections by ``permanent_naive``,
+    and the Bareiss rank."""
+    k, n = a.rows, a.cols
+    got = sum(
+        abs(permanent_naive(submatrix_select(a, range(1, k + 1), cols)))
+        for cols in combinations(range(1, n + 1), k)
+    )
+    if (got, rank(a)) != (value, r):
+        raise RuntimeError(
+            f"sweep kernel fault: it gives value {value} and rank {r}, the oracles"
+            f" give {got} and rank {rank(a)}:\n" + format_matrix_text(a)
+        )
 
 
 def _verdict(k: int, n: int, bounds: Callable[[], dict[int, int]]) -> VerifyReport:
@@ -484,6 +505,7 @@ def _verdict(k: int, n: int, bounds: Callable[[], dict[int, int]]) -> VerifyRepo
         mx, reps = maxima.get(r, (-1, []))  # an empty stratum tops out at -1
         where = f"shape ({k},{n}) rank {r}"
         if mx > top:
+            _recheck(reps[0], mx, r)
             raise CounterexampleError(
                 f"{where}: maximum {mx} beats the bound {top}:\n" + format_matrix_text(reps[0])
             )
@@ -493,6 +515,7 @@ def _verdict(k: int, n: int, bounds: Callable[[], dict[int, int]]) -> VerifyRepo
         for a in reps:
             size = next((s for s in sizes if equivalent_to_d(a, s) is not None), None)
             if size is None:
+                _recheck(a, mx, r)
                 raise CounterexampleError(
                     f"{where}: extremal matrix outside the expected orbits:\n"
                     + format_matrix_text(a)

@@ -86,11 +86,17 @@ def test_corrupted_d_orbit_witness_raises_under_optimize():
 
 
 def test_corrupted_row_sum_lookup_raises_under_optimize():
+    # the first row's miss fills and caches the order-3 vector of word 0
+    # with its d = 0 entry corrupted, and the other two rows read it back
     out = run_optimized(
         """
 import permax.permanent as p
-real = p._row_sums(3)
-p._row_sums = lambda n: (real[0] + 1,) + real[1:]
+real = p._row_vector
+def corrupted(n, w):
+    v = real(n, w)
+    v = p._vectors[n][w] = (v[0] + 1,) + v[1:]
+    return v
+p._row_vector = corrupted
 p.permanent_ryser(p.SignMatrix(3, 3, (0, 0, 0)))
 """
     )
@@ -163,7 +169,7 @@ def test_moved_orbit_weight_raises_under_optimize():
 import permax.verifier as v
 real = v._prefix_classes
 def moved(r, m):
-    classes = real(r, m)
+    classes = list(real(r, m))
     (a, wa), (b, wb) = classes[0], classes[-1]
     return [(a, wa - 1)] + classes[1:-1] + [(b, wb + 1)]
 v._prefix_classes = moved
@@ -187,6 +193,25 @@ v.verify_square(6)
     )
     assert out.startswith("selection permanents square-sum to ")
     assert out.endswith(", not 24159191040")  # 6! 2^25
+
+
+def test_bit_reversed_last_row_blames_the_kernel_under_optimize():
+    # reading the column sums backwards moves values between leaves, so
+    # every count and the second moment hold and order 4 rank 3 tops out
+    # at 12 over the bound 8; the oracles value the matrix named at 4
+    out = run_optimized(
+        """
+import permax.verifier as v
+real = v._last_row_values
+v._last_row_values = lambda b: real(b[:1] + b[:0:-1])
+v.verify_square(4)
+"""
+    )
+    head, _, matrix = out.partition("\n")
+    assert head == (
+        "sweep kernel fault: it gives value 12 and rank 3, the oracles give 4 and rank 3:"
+    )
+    assert matrix.startswith("4 4\n")
 
 
 def test_low_rank_for_zero_permanent_raises_under_optimize():

@@ -14,7 +14,7 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 from operator import add
 
 import pytest
@@ -226,7 +226,7 @@ def test_blocks_match_multiset_reference(k, n):
     # of both kernels make up the same orbits
     tables = verifier._SweepTables(k, n)
     classes = verifier._prefix_classes(k - 2, n - 1)
-    scanned, orbits, squares, census, stats = verifier._sweep_block(tables, classes)
+    scanned, orbits, squares, census, stats, count = verifier._sweep_block(tables, classes)
     want_census = [0] * (k + 1)
     want_scanned = want_squares = 0
     want_stats = {}
@@ -242,6 +242,7 @@ def test_blocks_match_multiset_reference(k, n):
             elif mx == top:
                 kept.extend(reps)
     assert scanned == want_scanned == 1 << ((k - 1) * (n - 1))
+    assert count == verifier._polya_count(k - 2, n - 1)
     assert orbits == 1 << ((k - 2) * (n - 1))
     assert census == want_census
     assert squares == want_squares == math.comb(n, k) * math.factorial(k) * scanned
@@ -260,26 +261,45 @@ def test_blocks_match_multiset_reference(k, n):
 def test_prefix_classes_match_brute_force(r, m):
     # one representative per class, each with its class size
     sizes = Counter(brute_key(rows, m) for rows in product(range(1 << m), repeat=r))
-    classes = verifier._prefix_classes(r, m)
+    classes = list(verifier._prefix_classes(r, m))
     assert all(len(rows) == r for rows, _ in classes)
     assert {brute_key(rows, m): w for rows, w in classes} == sizes
     assert len(classes) == len(sizes) == verifier._polya_count(r, m)
 
 
-@pytest.mark.parametrize("r, m, count", [(3, 4, 87), (3, 5, 190), (4, 5, 1053), (4, 6, 3250)])
+@pytest.mark.parametrize(
+    "r, m, count", [(3, 4, 87), (3, 5, 190), (4, 5, 1053), (4, 6, 3250), (3, 7, 734), (4, 7, 9343)]
+)
 def test_prefix_class_counts(r, m, count):
     assert verifier._polya_count(r, m) == count
-    classes = verifier._prefix_classes(r, m)
+    classes = list(verifier._prefix_classes(r, m))
     assert len(classes) == count
     assert sum(w for _, w in classes) == 1 << (r * m)
+
+
+def test_prefix_classes_stream_in_little_memory():
+    # 9,343 classes of four rows of seven bits, walked and dropped: the
+    # generator holds the kept children along one path, not the classes
+    tracemalloc.start()
+    try:
+        walked = sum(1 for _ in verifier._prefix_classes(4, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == 9343
+    assert peak < 2_000_000
 
 
 def test_order_six_sweeps_33696_leaves(monkeypatch):
     seen = []
     real = verifier._sweep_block
-    monkeypatch.setattr(
-        verifier, "_sweep_block", lambda t, block: seen.append(len(block)) or real(t, block)
-    )
+
+    def counted(t, block):
+        out = real(t, block)
+        seen.append(out[-1])  # the classes the block scanned
+        return out
+
+    monkeypatch.setattr(verifier, "_sweep_block", counted)
     verifier._sweep(6, 6)
     # one block of 1,053 classes of four free rows, each with 32 last rows
     assert seen == [1053] and 32 * seen[0] == 33_696
@@ -289,9 +309,12 @@ def test_order_six_sweeps_33696_leaves(monkeypatch):
 def test_two_row_sweep_is_one_block(monkeypatch, n):
     blocks = []
     real = verifier._sweep_block
-    monkeypatch.setattr(
-        verifier, "_sweep_block", lambda t, block: blocks.append(block) or real(t, block)
-    )
+
+    def kept(t, block):
+        blocks.append(list(block))
+        return real(t, blocks[-1])
+
+    monkeypatch.setattr(verifier, "_sweep_block", kept)
     scanned, _ = verifier._sweep(2, n)
     assert scanned == 1 << (n - 1)
     assert blocks == [[((), 1)]]
@@ -327,7 +350,7 @@ def test_chunk_frees_the_tables_on_return(k, n):
     spans = weakref.ref(tables.spans)
     gc.disable()
     try:
-        verifier._sweep_block(tables, verifier._prefix_classes(k - 2, n - 1)[:3])
+        verifier._sweep_block(tables, islice(verifier._prefix_classes(k - 2, n - 1), 3))
         del tables
         assert spans() is None
     finally:
@@ -363,6 +386,30 @@ def test_wide_counterexample_names_the_matrix(monkeypatch):
     assert (a.rows, a.cols) == (3, 4)
     assert rank(a) == 3
     assert mper(a) == 8
+
+
+def test_orbit_counterexample_names_the_matrix(monkeypatch):
+    # no extremal matrix passes the orbit test; the kernel's value and
+    # rank for the one named agree with the oracles, so it is reported
+    monkeypatch.setattr(verifier, "equivalent_to_d", lambda a, size: None)
+    with pytest.raises(CounterexampleError) as info:
+        verifier.verify_square(4)
+    head, text = str(info.value).split("\n", 1)
+    assert head == "shape (4,4) rank 1: extremal matrix outside the expected orbits:"
+    a = parse_matrix_text(text)
+    assert rank(a) == 1
+    assert abs(permanent_naive(a)) == 24
+
+
+def test_recheck_blames_the_kernel_for_a_wrong_value_or_rank():
+    a = d_matrix(5, 3, 2)
+    value, r = mper(a), rank(a)
+    verifier._recheck(a, value, r)
+    for wrong in ((value + 1, r), (value, r - 1)):
+        with pytest.raises(RuntimeError, match="^sweep kernel fault: ") as info:
+            verifier._recheck(a, *wrong)
+        assert not isinstance(info.value, CounterexampleError)
+        assert parse_matrix_text(str(info.value).split("\n", 1)[1]) == a
 
 
 def test_wide_sweep_evaluates_permanents_only_for_the_bound(monkeypatch):

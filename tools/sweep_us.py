@@ -11,8 +11,9 @@ the twelve wide shapes of acceptance criterion 7, (2,3) to (4,6), and
 the largest wide shapes the sweep budget admits, (4,7), (5,7), (4,8),
 (3,9) and (3,10).  For each, one line gives:
 
-- ``gen_s``: ``_prefix_classes``, the classes of the first k - 2 free rows
-  under row and column permutations;
+- ``gen_s``: ``list(_prefix_classes(...))``, the classes of the first
+  k - 2 free rows under row and column permutations, drawn from the
+  generator and kept so the leaf pass can be timed apart;
 - ``leaf_s``: a fresh ``_SweepTables`` plus ``_sweep_block`` over every
   class as one block, as one sweep process pays them;
 - ``cost``: the units the sweep budget admits the shape by, its leaves
@@ -55,7 +56,7 @@ def main() -> None:
         gen = leaf = float("inf")
         for _ in range(REPEATS):
             t0 = time.perf_counter()
-            classes = verifier._prefix_classes(k - 2, n - 1)
+            classes = list(verifier._prefix_classes(k - 2, n - 1))
             t1 = time.perf_counter()
             tables = verifier._SweepTables(k, n)
             verifier._sweep_block(tables, classes)
