@@ -2,8 +2,12 @@
 
 Exit codes: 0 on success, 2 when a verification run finds a violated
 bound or property, 1 for bad input (unreadable file, malformed matrix,
-unsupported shape, bad argument).  Report files are written before
-anything is printed; a stdout closed by its reader exits 0, silently.
+unsupported shape, bad argument), 3 when one of the program's own
+runtime checks fails (a sweep count or kernel recheck, a replayed
+transform sequence, an evaluator's divisibility check): the result
+cannot be trusted, and no verdict is given.  Report files are written
+before anything is printed; a stdout closed by its reader exits 0,
+silently.
 """
 
 from __future__ import annotations
@@ -169,6 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CounterexampleError, PropertyFailure) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # after the clause above: both subclass it
+        print(f"FAULT: {exc}", file=sys.stderr)
+        return 3
     except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -169,6 +169,24 @@ def test_props_oracle_disagreement_exit_two(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("FAIL: permanent oracle agreement violated\n8 8\n")
 
 
+def test_kernel_fault_exit_three(monkeypatch, capsys):
+    # reading the column sums backwards makes order 4 rank 3 beat its bound;
+    # the recheck blames the kernel, which is no verdict and no bad input
+    real = permax.verifier._last_row_values
+    monkeypatch.setattr(permax.verifier, "_last_row_values", lambda b: real(b[:1] + b[:0:-1]))
+    assert main(["verify", "--n", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("FAULT: sweep kernel fault:") and "Traceback" not in err
+
+
+def test_sweep_check_failure_exit_three(monkeypatch, capsys):
+    real = permax.verifier._polya_count
+    monkeypatch.setattr(permax.verifier, "_polya_count", lambda r, m: real(r, m) + 1)
+    assert main(["verify", "--n", "4"]) == 3
+    assert capsys.readouterr() == ("", "FAULT: generated 13 prefix classes, the Polya count is 14\n")
+
+
 def test_unknown_arguments_exit_two(capsys):
     # usage errors are bad input: exit 1 and one line, as for a bad file;
     # every sweep runs in one process, so ``verify`` takes no worker count

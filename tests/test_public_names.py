@@ -103,13 +103,47 @@ def test_star_import():
     assert set(permax.__all__) <= set(namespace)
 
 
+def _unresolved_tool_names(source):
+    """Each ``from permax... import`` name, and each attribute read on a name
+    bound to a ``permax`` module, that does not resolve."""
+    tree = ast.parse(source)
+    bound, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                top = a.name.split(".")[0]
+                if top == "permax":
+                    bound[a.asname or top] = importlib.import_module(a.name if a.asname else top)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "permax":
+            module = importlib.import_module(node.module)
+            for a in node.names:
+                if not hasattr(module, a.name):
+                    missing.append(f"from {node.module} import {a.name}")
+                elif inspect.ismodule(getattr(module, a.name)):
+                    bound[a.asname or a.name] = getattr(module, a.name)
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute) and inspect.ismodule(owner := resolve(node.value)):
+            return getattr(owner, node.attr, None)
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and inspect.ismodule(owner := resolve(node.value)):
+            if not hasattr(owner, node.attr):
+                missing.append(f"{owner.__name__}.{node.attr}")
+    return missing
+
+
 def test_tool_imports_resolve():
-    # tier-1 runs no tool, so a renamed or deleted name would break them unseen
+    # tier-1 runs no tool, so a renamed or deleted name would break them unseen;
+    # the tools also read private sweep seams, such as verifier._sweep_block
     tools = sorted((Path(__file__).resolve().parent.parent / "tools").glob("*.py"))
     assert tools
     for path in tools:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "permax":
-                module = importlib.import_module(node.module)
-                missing = [a.name for a in node.names if not hasattr(module, a.name)]
-                assert missing == [], f"{path.name}: from {node.module} import {missing}"
+        assert _unresolved_tool_names(path.read_text(encoding="utf-8")) == [], path.name
+    assert _unresolved_tool_names(
+        "import permax as px\nfrom permax import verifier, nope\n"
+        "px.rank_vector, px.verifier._gone, verifier._sweep_block, verifier._also_gone\n"
+    ) == ["from permax import nope", "permax.verifier._gone", "permax.verifier._also_gone"]

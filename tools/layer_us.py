@@ -1,0 +1,185 @@
+"""Per-layer timings: microseconds per call of the evaluators, rank
+vectors and orbit reductions, and the cost of the sweep kernel per shape.
+
+Usage, from the repository root:
+
+    python3 tools/layer_us.py [--src DIR]
+
+``--src`` names the directory holding the ``permax`` package (default
+``src`` next to this directory), so the same script can time two
+checkouts.  Four sections run in order, each opened by a
+``# <section>: <columns>`` line and each drawing its inputs from its own
+seeded generator, so every run times the same inputs:
+
+- ``permanent``: ``permanent_ryser`` and ``permanent_naive`` on 40
+  uniform n x n matrices per order n = 2..12, one line ``n ryser naive``.
+  Up to order 9 the row words fit the Glynn evaluator's row-vector cache,
+  so its figure is the warm-cache cost; at orders 10-12 they do not, and
+  the figure includes building the row vectors.
+- ``rank_vector``: ``rank_vector`` on 40 full-rank k x n matrices per
+  shape, 2 <= k <= 4 and k < n <= 8.
+- ``classify``: 20 order-6 inputs per ``classify_form`` outcome (uniform
+  nonsingular matrices tagged ConditionA, scrambled copies of D_(6,5),
+  D_(6,6), P1 and P2 -- random row and column signs and orders,
+  transposed half the time -- and uniform singular matrices that raise
+  RankError); ``canonical_form`` on 20 uniform matrices and on the same
+  template copies, the symmetric inputs that cost its search the most;
+  ``equivalent_to_d(a, r)`` on 20 scrambled copies of each D_(6,r),
+  r = 0..6, the calls the sweeps make on their extremal representatives;
+  and the same pair normal form at other orders, on 20 scrambled copies
+  of D_(5,5) (D5Special) and 20 uniform order-7 ConditionA matrices.
+- ``sweep``: the square orders 2-6, the twelve wide shapes of acceptance
+  criterion 7, (2,3) to (4,6), and the largest wide shapes the sweep
+  budget admits, (4,7), (5,7), (4,8), (3,9) and (3,10).  ``gen_s`` is
+  ``list(_prefix_classes(...))``, the classes of the first k - 2 free
+  rows under row and column permutations, kept so the leaf pass can be
+  timed apart; ``leaf_s`` is a fresh ``_SweepTables`` plus one
+  ``_sweep_block`` over every class, as one sweep process pays them;
+  ``cost`` is the units the sweep budget admits the shape by, its leaves
+  times its C(n,k) column selections; ``leaves`` is the classes times the
+  2^(n-1) last rows; ``spans`` is the span-table entries the pass filled
+  beyond the zero span; ``us_per_leaf`` is ``leaf_s`` per leaf and
+  ``us_per_unit`` is ``gen_s`` plus ``leaf_s`` per unit of ``cost``.  The
+  checks ``_sweep`` makes and the orbit test of ``_verdict`` are not
+  timed.
+
+Each time is the best of several passes (5, or 7 for ``rank_vector`` and
+``classify``), the pass least disturbed by other load on the machine; a
+per-call figure is that pass's time over its number of inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import random
+import sys
+import time
+from pathlib import Path
+
+SWEEP_SHAPES = [(n, n) for n in range(2, 7)] + [
+    (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+    (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6),
+    (4, 7), (5, 7), (4, 8), (3, 9), (3, 10),
+]
+
+
+def best(run, repeats):
+    """The least seconds ``run()`` took over ``repeats`` calls, and the last call's result."""
+    least = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = run()
+        least = min(least, time.perf_counter() - t0)
+    return least, out
+
+
+def per_call_us(call, inputs, repeats):
+    """Microseconds per ``call`` over ``inputs``, from the best of ``repeats`` passes."""
+
+    def one_pass():
+        for a in inputs:
+            call(a)
+
+    return best(one_pass, repeats)[0] / len(inputs) * 1e6
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import permax as px
+
+    def uniform(rng, k, n):
+        return px.SignMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
+
+    print("# permanent: n ryser naive", flush=True)
+    rng = random.Random(7)
+    for n in range(2, 13):
+        mats = [uniform(rng, n, n) for _ in range(40)]
+        times = [per_call_us(f, mats, 5) for f in (px.permanent_ryser, px.permanent_naive)]
+        print(n, *(f"{t:.1f}" for t in times), flush=True)
+
+    print("# rank_vector: shape us", flush=True)
+    rng = random.Random(11)
+    for k in (2, 3, 4):
+        for n in range(k + 1, 9):
+            mats = []
+            while len(mats) < 40:
+                a = uniform(rng, k, n)
+                if px.rank(a) == k:
+                    mats.append(a)
+            print(f"({k},{n}) {per_call_us(px.rank_vector, mats, 7):.1f}", flush=True)
+
+    print("# classify: label us", flush=True)
+    rng = random.Random(13)
+
+    def scrambled(template):
+        n = template.rows
+        steps = [("negR", i) for i in range(1, n + 1) if rng.random() < 0.5]
+        steps += [("negC", j) for j in range(1, n + 1) if rng.random() < 0.5]
+        steps += [("swapR", i, rng.randint(i, n)) for i in range(1, n + 1)]
+        steps += [("swapC", j, rng.randint(j, n)) for j in range(1, n + 1)]
+        if rng.random() < 0.5:
+            steps.append(("T",))
+        return px.apply(template, steps)
+
+    def classify(a):
+        try:
+            return px.classify_form(a).tag
+        except px.RankError:
+            return "RankError"
+
+    def drawn(want, n=6):
+        mats = []
+        while len(mats) < 20:
+            a = uniform(rng, n, n)
+            if classify(a) == want:
+                mats.append(a)
+        return mats
+
+    templates = {
+        "DnMinus1": px.d_matrix(6, 6, 5),
+        "DnDiag": px.d_matrix(6, 6, 6),
+        "P1": px.p_matrix(1),
+        "P2": px.p_matrix(2),
+    }
+    cases = [("classify ConditionA", classify, drawn("ConditionA"))]
+    copies = {name: [scrambled(t) for _ in range(20)] for name, t in templates.items()}
+    cases += [(f"classify {name}", classify, mats) for name, mats in copies.items()]
+    cases.append(("classify RankError", classify, drawn("RankError")))
+    cases.append(("canonical_form uniform", px.canonical_form, [uniform(rng, 6, 6) for _ in range(20)]))
+    cases += [(f"canonical_form {name}", px.canonical_form, mats) for name, mats in copies.items()]
+    for r in range(7):
+        mats = [scrambled(px.d_matrix(6, 6, r)) for _ in range(20)]
+        cases.append((f"equivalent_to_d D_(6,{r})", lambda a, r=r: px.equivalent_to_d(a, r), mats))
+    # drawn after every order-6 input, so those inputs do not depend on these
+    d55 = [scrambled(px.d_matrix(5, 5, 5)) for _ in range(20)]
+    cases.append(("classify D5Special", classify, d55))
+    cases.append(("classify ConditionA order 7", classify, drawn("ConditionA", 7)))
+    for label, call, mats in cases:
+        print(f"{label} {per_call_us(call, mats, 7):.1f}", flush=True)
+
+    print("# sweep: shape gen_s leaf_s cost classes leaves spans us_per_leaf us_per_unit", flush=True)
+    for k, n in SWEEP_SHAPES:
+        gen, classes = best(lambda: list(px.verifier._prefix_classes(k - 2, n - 1)), 5)
+
+        def leaf_pass():
+            tables = px.verifier._SweepTables(k, n)
+            px.verifier._sweep_block(tables, classes)
+            return tables
+
+        leaf, tables = best(leaf_pass, 5)
+        leaves = len(classes) << (n - 1)
+        cost = leaves * math.comb(n, k)
+        spans = len(tables.spans.dim) - 1
+        print(
+            f"({k},{n}) {gen:.4f} {leaf:.4f} {cost} {len(classes)} {leaves} {spans}"
+            f" {leaf / leaves * 1e6:.2f} {(gen + leaf) / cost * 1e6:.3f}",
+            flush=True,
+        )
+
+
+if __name__ == "__main__":
+    main()
