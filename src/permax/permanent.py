@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import mul
+from typing import Iterator
 
 from .errors import ShapeError
 from .sign_matrix import MAX_ROWS, SignMatrix, _check_index_set, submatrix_select
@@ -108,6 +109,41 @@ def _row_vector(n: int, w: int) -> tuple[int, ...]:
         sums += [s + step for s in sums]
     v = _vectors[n][w] = tuple(sums)
     return v
+
+
+def _normalized_permanents(n: int) -> Iterator[tuple[int, int]]:
+    """Yield ``(i, per)`` for every matrix of ``enumerate_normalized(n)``,
+    i being its index in that stream, prefix by prefix.
+
+    Matrix i has the all-ones first row and below it free rows of n - 1
+    bits read from i lowest first, so the last row holds the top n - 1
+    bits.  The 2^(n-1) matrices that share their first n - 1 rows form one
+    block: the Glynn chain over those rows, sign vector included, is
+    formed once per block, and each last row costs one product sum with
+    its cached row vector.  No ``SignMatrix`` is built, and the values
+    stream block by block.
+    """
+    free = n - 1
+    mask, shift = (1 << free) - 1, (n - 2) * free
+    vectors = _vectors[n]
+
+    def vector(w: int) -> tuple[int, ...]:
+        return vectors.get(w) or _row_vector(n, w)
+
+    head = list(map(mul, _signs(n), vector(0)))
+    lasts = [(x << shift, vector(x << 1)) for x in range(1 << free)]
+    for p in range(1 << shift):
+        chain = head
+        for r in range(n - 2):
+            chain = map(mul, chain, vector(((p >> (r * free)) & mask) << 1))
+        # a list: tuple() over a map resizes, and the freed tuples would
+        # pile up in the interpreter's tuple free lists
+        prefix = list(chain)
+        for top, v in lasts:
+            total = sum(map(mul, prefix, v))
+            if total & mask:
+                raise RuntimeError(f"Glynn sum {total} is not a multiple of 2^{free}")
+            yield p | top, total >> free
 
 
 @functools.cache

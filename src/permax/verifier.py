@@ -42,7 +42,13 @@ from typing import Callable, Iterable, Iterator
 from .d_family import bound_for_rank, build_table
 from .errors import CounterexampleError, PropertyFailure, RangeError, RankError, ShapeError
 from .exact_rank import rank
-from .permanent import laplace_expand, mper, permanent_naive, permanent_ryser
+from .permanent import (
+    _normalized_permanents,
+    laplace_expand,
+    mper,
+    permanent_naive,
+    permanent_ryser,
+)
 from .rank_vectors import check_min_law
 from .reduction import equivalent_to_d
 from .sign_matrix import (
@@ -104,13 +110,15 @@ def enumerate_normalized(n: int) -> Iterator[SignMatrix]:
     """
     if not (2 <= n <= 6):
         raise ShapeError(f"normalized enumeration supports orders 2..6, got {n}")
+    for i in range(1 << (n - 1) ** 2):
+        yield _normalized(n, i)
+
+
+def _normalized(n: int, i: int) -> SignMatrix:
+    """The i-th matrix of ``enumerate_normalized(n)``."""
     free = n - 1
     mask = (1 << free) - 1
-    for i in range(1 << (free * free)):
-        words = [0]
-        for r in range(free):
-            words.append(((i >> (r * free)) & mask) << 1)
-        yield SignMatrix(n, n, tuple(words))
+    return SignMatrix(n, n, tuple([0] + [((i >> (r * free)) & mask) << 1 for r in range(free)]))
 
 
 class _SpanTable:
@@ -617,18 +625,24 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
             + format_matrix_text(a)
         )
 
-    # one pass over the normalized slices of orders 2-5, one permanent
-    # each: up to order 4 the two evaluators agree and, at order 4, per is
-    # a multiple of 4; |per| is an orbit invariant, so the slices cover
-    # every orbit of the total bound n!, attained on the all-ones orbit
-    # alone, with (n-2)(n-1)! as the ceiling for everything else
+    # one pass over the normalized slices of orders 2-5, their permanents
+    # batched by a Glynn chain shared per last-row block: up to order 4
+    # each value agrees with permanent_naive and, at order 4, is a
+    # multiple of 4 (the sampled orders 5-8 below compare permanent_ryser
+    # itself with the oracle); per^2 sums exactly to n! 2^((n-1)^2) per
+    # slice; |per| is an orbit invariant, so the slices cover every orbit
+    # of the total bound n!, attained on the all-ones orbit alone, with
+    # (n-2)(n-1)! as the ceiling for everything else.  A matrix is built
+    # only for the oracle or for a value over that ceiling.
     oracle = div4 = total = 0
     for order in (2, 3, 4, 5):
         top = math.factorial(order)
         rest = (order - 2) * math.factorial(order - 1)
-        for a in enumerate_normalized(order):
-            p = permanent_ryser(a)
+        squares = 0
+        for i, p in _normalized_permanents(order):
+            squares += p * p
             if order < 5:
+                a = _normalized(order, i)
                 if p != permanent_naive(a):
                     fail("permanent oracle agreement", a)
                 oracle += 1
@@ -637,14 +651,21 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
                     fail("order-4 divisibility by 4", a)
                 div4 += 1
             p = abs(p)
-            if p > top:
-                fail("total permanent bound", a, f"|per| = {p} > {top}")
-            if p == top:
+            if p > rest:
+                a = _normalized(order, i)
+                if p > top:
+                    fail("total permanent bound", a, f"|per| = {p} > {top}")
+                if p < top:
+                    fail("non-equality permanent ceiling", a, f"|per| = {p} > {rest}")
                 if equivalent_to_d(a, 0) is None:
                     fail("total-bound equality orbit", a)
-            elif p > rest:
-                fail("non-equality permanent ceiling", a, f"|per| = {p} > {rest}")
             total += 1
+        # E[per^2] = n! over uniform sign matrices, and negating lines keeps per^2
+        moment = top << (order - 1) ** 2
+        if squares != moment:
+            raise RuntimeError(
+                f"normalized order-{order} permanents square-sum to {squares}, not {moment}"
+            )
     for order, pct in ((5, 85), (6, 10), (7, 4), (8, 1)):
         for _ in range(samples * pct // 100):
             a = _random_square(rng, order)

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 import permax
+import permax.permanent
+import permax.verifier
+from permax import format_matrix_text
 
 PACKAGE = Path(permax.__file__).parent
 
@@ -247,6 +250,41 @@ v.verify_properties(4, 400)
     head, _, matrix = out.partition("\n")
     assert head == "permanent oracle agreement violated"
     assert matrix.startswith("8 8\n")
+
+
+def run_with_order_five_value(i: int, value: str) -> str:
+    """Run the property suite under ``python -O`` with the batched order-5
+    value of matrix ``i`` replaced by ``value``, an expression in ``p``."""
+    return run_optimized(
+        f"""
+import permax.verifier as v
+real = v._normalized_permanents
+def changed(n):
+    for i, p in real(n):
+        yield i, {value} if (n, i) == (5, {i}) else p
+v._normalized_permanents = changed
+v.verify_properties(0, 100)
+"""
+    )
+
+
+def first_zero_at_order_five() -> int:
+    return next(i for i, p in permax.permanent._normalized_permanents(5) if p == 0)
+
+
+def test_skewed_batched_value_raises_under_optimize():
+    # 2 stays under the ceiling 72 and order 5 has no oracle comparison,
+    # so only the second moment sees it
+    out = run_with_order_five_value(first_zero_at_order_five(), "p + 2")
+    assert out == "normalized order-5 permanents square-sum to 7864324, not 7864320"  # 5! 2^16
+
+
+def test_batched_value_over_the_ceiling_names_its_matrix_under_optimize():
+    i = first_zero_at_order_five()
+    out = run_with_order_five_value(i, "74")
+    head, _, matrix = out.partition("\n")
+    assert head == "non-equality permanent ceiling violated: |per| = 74 > 72"
+    assert matrix == format_matrix_text(permax.verifier._normalized(5, i)).strip()
 
 
 def test_wrong_selection_rank_raises_under_optimize():

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import permax.permanent
 import permax.reduction
 import permax.verifier
 from permax import (
@@ -47,6 +48,17 @@ def test_enumeration_is_deterministic():
     assert first == second
     with pytest.raises(ShapeError):
         next(enumerate_normalized(7))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_normalized_permanents_match_the_evaluator(n):
+    # props compares the batched chain with permanent_naive only up to
+    # order 4; this ties it to permanent_ryser at order 5 as well
+    want = []
+    for i, a in enumerate(enumerate_normalized(n)):
+        assert permax.verifier._normalized(n, i) == a
+        want.append((i, permanent_ryser(a)))
+    assert sorted(permax.permanent._normalized_permanents(n)) == want
 
 
 def test_sweep_order_two_and_three():

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 import time
@@ -182,4 +183,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:  # its reader left early, as in ``| head``
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
