@@ -88,113 +88,87 @@ def _witness(
 # --- canonical orbit representative -----------------------------------------
 #
 # Minimal row-major 0/1 code (bit 1 = entry -1, column 1 read first) over the
-# full orbit: negations, row and column permutations, and the transpose when
-# the matrix is square.  The search anchors one row as all-ones, which fixes
-# the column negations (the negated anchor complements every other row, a
-# state the merge below already holds, so it is not tried).  It then extends
-# row by row over a breadth-first frontier that keeps only the states
-# reaching the least code so far.  A state holds an ordered partition of the
-# columns still interchangeable, one bitmask per cell, refined by each
-# placed row into its +1 part and then its -1 part.
+# full orbit: negations, row and column permutations, and the transpose.  The
+# search anchors one row as all-ones, which fixes the column negations (the
+# negated anchor complements every other row, a state the merge below
+# already holds, so it is not tried).  It then extends row by row over a
+# breadth-first frontier that keeps only the states reaching the least code
+# so far.  A state holds its unplaced rows as words read in its cell order,
+# and the original column at each position.  Cells are contiguous position
+# ranges, refined by each placed row into its +1 part and then its -1 part;
+# a split is stable, so within a cell positions keep ascending column order.
 #
 # Read within a cell as zeros then ones, a candidate row's code is fixed by
 # its count of -1s per cell, and a smaller count in an earlier cell is a
 # smaller code.  The cell sizes are fixed by the code prefix, hence equal in
 # every state at one depth, so count tuples compare across states: one pass
 # finds the least count tuple over every (state, row, sign), and only the
-# candidates tied on it refine their partition.  The code row is rebuilt
-# from the cell sizes and the counts.
+# candidates tied on it refine their cells, relabelling the remaining rows
+# through the new position order.  The code row is rebuilt from the cell
+# sizes and the counts.
 #
-# Two states merge when their remaining rows, read through the state's cell
-# order (the position of each column once the cells are listed in order)
-# and taken up to sign, form the same multiset.  The merge is exact: the
-# positions give a column bijection that maps each cell onto the cell of
-# the same rank and the one state's remaining rows onto the other's, up to
-# sign.  Counts per cell, and the refinements they make, are preserved
-# under it, and every row is tried with both signs, so both states reach
-# the same future codes.  Symmetric inputs thus keep a frontier of a few
-# states instead of branching factorially.
-
-
-def _cell_order(part: tuple[int, ...]) -> list[int]:
-    """The columns of the cell bitmasks ``part``, cell by cell, ascending
-    within each cell."""
-    order = []
-    for g in part:
-        while g:
-            low = g & -g
-            order.append(low.bit_length() - 1)
-            g ^= low
-    return order
+# Two states merge when their remaining rows, taken up to sign, form the
+# same multiset.  The merge is exact: the positions give a column bijection
+# that maps each cell onto the cell of the same rank and the one state's
+# remaining rows onto the other's, up to sign.  Counts per cell, and the
+# refinements they make, are preserved under it, and every row is tried
+# with both signs, so both states reach the same future codes.  Symmetric
+# inputs thus keep a frontier of a few states instead of branching
+# factorially.
 
 
 def _canonical_with_seq(a: SignMatrix) -> tuple[SignMatrix, tuple[tuple, ...]]:
-    rows, cols = a.rows, a.cols
-    mask = (1 << cols) - 1
+    n = a.rows
+    mask = (1 << n) - 1
 
-    def merge_key(base: tuple[int, ...], used: int, part: tuple[int, ...]) -> tuple[int, ...]:
-        order = _cell_order(part)
-        rest = []
-        for k in range(rows):
-            if not used >> k & 1:
-                w, v = base[k], 0
-                for p, c in enumerate(order):
-                    if w >> c & 1:
-                        v |= 1 << p
-                rest.append(min(v, v ^ mask))
-        return tuple(sorted(rest))
+    def key(rest):
+        return tuple(sorted(min(v, v ^ mask) for v, _ in rest))
 
-    # state: (base words after column negations, used-row bitmask, cell
-    #         bitmasks, (t, anchor row, column negations), placements)
-    orientations = [(0, a.words)]
-    if a.is_square:
-        orientations.append((1, _transpose_words(a.words, a.cols)))
+    # state: (unplaced rows as (word in cell order, row index), the column
+    #         at each position, (t, anchor row, anchor word), placements)
     frontier: dict = {}
-    for t, words in orientations:
-        for r0 in range(rows):
-            base = tuple(w ^ words[r0] for w in words)
-            key = merge_key(base, 1 << r0, (mask,))
-            if key not in frontier:
-                frontier[key] = (base, 1 << r0, (mask,), (t, r0, words[r0]), ())
+    for t, words in ((0, a.words), (1, _transpose_words(a.words, n))):
+        for r0 in range(n):
+            rest = tuple((w ^ words[r0], k) for k, w in enumerate(words) if k != r0)
+            frontier.setdefault(key(rest), (rest, tuple(range(n)), (t, r0, words[r0]), ()))
 
     code = [0]
-    sizes = (cols,)
-    for _depth in range(1, rows):
-        candidates = []
+    sizes = (n,)
+    for _depth in range(1, n):
+        offsets = tuple(itertools.accumulate(sizes, initial=0))
+        cells = [((1 << s) - 1) << o for s, o in zip(sizes, offsets)]
+        best, ties = (n + 1,), []  # above every count tuple
         for state in frontier.values():
-            base, used, part = state[:3]
-            for i in range(rows):
-                if not used >> i & 1:
-                    counts = tuple((base[i] & g).bit_count() for g in part)
-                    candidates.append((counts, state, i, 0))
-                    candidates.append((tuple(s - c for s, c in zip(sizes, counts)), state, i, 1))
-        best = min(c[0] for c in candidates)
+            for j, (v, _k) in enumerate(state[0]):
+                for f, u in ((0, v), (1, v ^ mask)):
+                    counts = tuple([(u & g).bit_count() for g in cells])
+                    if counts < best:
+                        best, ties = counts, []
+                    if counts == best:
+                        ties.append((state, j, f, u))
         extensions: dict = {}
-        for counts, (base, used, part, origin, placed), i, f in candidates:
-            if counts != best:
-                continue
-            w = base[i] ^ mask if f else base[i]
-            new_part = tuple(h for g in part for h in (g & ~w, g & w) if h)
-            new_used = used | 1 << i
-            key = merge_key(base, new_used, new_part)
-            if key not in extensions:
-                extensions[key] = (base, new_used, new_part, origin, placed + ((i, f),))
+        for (rest, cols, origin, placed), j, f, u in ties:
+            # the new position order: each cell's zeros of u, then its ones
+            order = [p for s, o in zip(sizes, offsets) for b in (0, 1) for p in range(o, o + s) if u >> p & 1 == b]
+            moved = []
+            for w, k in rest[:j] + rest[j + 1 :]:
+                v = 0
+                for q, p in enumerate(order):
+                    if w >> p & 1:
+                        v |= 1 << q
+                moved.append((v, k))
+            state = (tuple(moved), tuple([cols[p] for p in order]), origin, placed + ((rest[j][1], f),))
+            extensions.setdefault(key(moved), state)
         frontier = extensions
-        word, offset = 0, 0
-        for s, c in zip(sizes, best):
-            word |= ((1 << c) - 1) << (offset + s - c)
-            offset += s
-        code.append(word)
+        code.append(sum(((1 << c) - 1) << (o + s - c) for s, o, c in zip(sizes, offsets, best)))
         sizes = tuple(x for s, c in zip(sizes, best) for x in (s - c, c) if x)
 
     # all surviving states realize the same minimal code; take the first
-    _base, _used, part, (t, r0, colmask), placed = next(iter(frontier.values()))
-    canon = SignMatrix(rows, cols, tuple(code))
+    _rest, col_order, (t, r0, colmask), placed = next(iter(frontier.values()))
+    canon = SignMatrix(n, n, tuple(code))
     rowmask = sum(1 << i for i, f in placed if f)
     row_order = [r0] + [i for i, _f in placed]
-    return canon, _witness(
-        a, "the canonical form", canon.__eq__, t, colmask, rowmask, row_order, _cell_order(part)
-    )
+    return canon, _witness(a, "the canonical form", canon.__eq__, t, colmask, rowmask, row_order, col_order)
 
 
 def canonical_form(a: SignMatrix) -> SignMatrix:

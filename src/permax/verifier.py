@@ -582,12 +582,12 @@ def verify_mper(k: int, n: int) -> VerifyReport:
 
 
 def _random_square(rng: random.Random, n: int) -> SignMatrix:
-    return SignMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
+    return SignMatrix(n, n, tuple([rng.getrandbits(n) for _ in range(n)]))
 
 
 def _random_wide(rng: random.Random, k: int, n: int) -> SignMatrix:
     while True:
-        a = SignMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
+        a = SignMatrix(k, n, tuple([rng.getrandbits(n) for _ in range(k)]))
         if rank(a) == k:
             return a
 
