@@ -252,6 +252,30 @@ v.verify_properties(4, 400)
     assert matrix.startswith("8 8\n")
 
 
+def test_dropped_plan_successor_raises_under_optimize():
+    # the order-5 plan loses the empty set's last successor, so no
+    # permutation taking row 1 to column 5 is summed; props first meets
+    # order 5 in the sampled comparison with permanent_ryser
+    out = run_optimized(
+        """
+import permax.permanent as p
+import permax.verifier as v
+real = p._naive_plan
+def dropped(n):
+    plan = real(n)
+    if n != 5:
+        return plan
+    (s, size, succ), *rest = plan
+    return ((s, size, succ[:-1]), *rest)
+p._naive_plan = dropped
+v.verify_properties(0, 200)
+"""
+    )
+    head, _, matrix = out.partition("\n")
+    assert head == "permanent oracle agreement violated"
+    assert matrix.startswith("5 5\n")
+
+
 def run_with_order_five_value(i: int, value: str) -> str:
     """Run the property suite under ``python -O`` with the batched order-5
     value of matrix ``i`` replaced by ``value``, an expression in ``p``."""

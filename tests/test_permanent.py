@@ -63,6 +63,28 @@ def test_naive_order_ten_values():
     assert permanent_naive(d_matrix(10, 10, 10)) == per_d_diag(10, build_table(10))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_naive_plan_lists_every_proper_column_set_once(n):
+    plan = permanent_module._naive_plan(n)
+    assert [s for s, _, _ in plan] == list(range((1 << n) - 1))
+    for s, size, succ in plan:
+        assert size == s.bit_count()
+        assert succ == tuple((1 << j, s | 1 << j) for j in range(n) if not s >> j & 1)
+    assert sum(len(succ) for _, _, succ in plan) == n << (n - 1)
+
+
+def test_naive_plans_of_interleaved_orders_stay_apart():
+    # plans are built lazily in the order the orders first arrive, and
+    # each order's matrices must read its own plan afterwards
+    permanent_module._naive_plan.cache_clear()
+    rng = random.Random(41)
+    orders = [5, 2, 8, 3, 7, 4, 6]
+    for n in orders + orders[::-1]:
+        a = random_square(rng, n)
+        assert permanent_naive(a) == literal_permanent(a)
+    assert permanent_module._naive_plan.cache_info().currsize == len(orders)
+
+
 def test_naive_shape_guards():
     with pytest.raises(ShapeError):
         permanent_naive(d_matrix(3, 2, 1))

@@ -20,7 +20,7 @@ from operator import add
 import pytest
 
 from permax import permanent, verifier
-from permax.errors import CounterexampleError
+from permax.errors import CounterexampleError, RangeError
 from permax.exact_rank import _rank_rows, rank
 from permax.permanent import mper, permanent_naive, permanent_ryser
 from permax.sign_matrix import SignMatrix, d_matrix, parse_matrix_text, submatrix_select
@@ -327,6 +327,26 @@ def test_rank_census_matches_bareiss(n):
     want = Counter(rank(a) for a in verifier.enumerate_normalized(n))
     assert census == [want[r] for r in range(n + 1)]
     assert census[n] == verifier._FULL_RANK[n]
+
+
+# the order-7 census by rank, 0 to 7, of a sweep run twice outside the
+# sweep budget; it sums to 2^36, the normalized order-7 matrices
+ORDER_SEVEN_CENSUS = [
+    0, 1, 3_969, 1_807_806, 190_071_000, 5_295_204_600, 34_395_777_360, 28_836_612_000,
+]
+
+
+def test_order_seven_census_meets_the_pinned_full_rank_count():
+    assert sum(ORDER_SEVEN_CENSUS) == 1 << 36
+    verifier._check_census(7, 7, ORDER_SEVEN_CENSUS)
+    # one nonsingular matrix counted at rank 6 keeps every other law
+    off = ORDER_SEVEN_CENSUS[:6] + [ORDER_SEVEN_CENSUS[6] + 1, ORDER_SEVEN_CENSUS[7] - 1]
+    with pytest.raises(
+        RuntimeError, match=r"^rank census: rank 7 holds 28836611999 matrices, not 28836612000$"
+    ):
+        verifier._check_census(7, 7, off)
+    with pytest.raises(RangeError, match=r"^shape \(7,7\) needs .* over the 2\^20 budget$"):
+        verifier.verify_square(7)
 
 
 def test_two_row_tables_stay_small():

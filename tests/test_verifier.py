@@ -3,7 +3,7 @@
 import dataclasses
 import json
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from permax import (
     PropertyFailure,
     RangeError,
     ShapeError,
+    SignMatrix,
     StratumRow,
     VerifyReport,
     d_matrix,
@@ -24,6 +25,7 @@ from permax import (
     permanent_naive,
     permanent_ryser,
     rank,
+    rank_vector,
     submatrix_select,
     verify_mper,
     verify_properties,
@@ -282,6 +284,32 @@ def test_sweeps_need_no_canonical_forms(monkeypatch):
     (row,) = verify_mper(3, 4).rows
     assert (row.bound, row.observed_max, row.extremal_orbits) == (8, 8, 2)
     assert row.equality_class == "D-plus-exception"
+
+
+@pytest.mark.parametrize(
+    "k, n, reps, walked, full",
+    [(2, 3, 3, 4, 48), (2, 4, 7, 8, 224), (3, 4, 42, 64, 2688)],
+)
+def test_min_law_walk_weights_its_representatives(k, n, reps, walked, full):
+    # props checks the law on the full-row-rank matrices with all-ones first
+    # row and column, each counted 2^(k+n-1) times; their negation images
+    # must be exactly the full-row-rank k x n matrices, each rank vector
+    # unchanged, so the weighted count is a brute-force count
+    assert (k, n) in permax.verifier._LAW_SHAPES
+    normalized = [permax.verifier._normalized(n, i, k) for i in range(1 << ((k - 1) * (n - 1)))]
+    kept = [a for a in normalized if rank(a) == k]
+    assert (len(kept), len(normalized)) == (reps, walked)
+    brute = {w for w in product(range(1 << n), repeat=k) if rank(SignMatrix(k, n, w)) == k}
+    assert len(brute) == full == reps << (k + n - 1)
+    ones = (1 << n) - 1
+    images = set()
+    for a in kept:
+        want = rank_vector(a)
+        for rows, cols in product(range(1 << k), range(1 << n)):
+            words = tuple(w ^ cols ^ (ones if rows >> r & 1 else 0) for r, w in enumerate(a.words))
+            assert rank_vector(SignMatrix(k, n, words)) == want
+            images.add(words)
+    assert images == brute
 
 
 def test_property_suite_small_run():
