@@ -16,14 +16,22 @@ to 1,053 classes and 33,696 leaves.
 One kernel scans the classes of both sweeps.  Each class carries the
 running product of per-row subset sums over all 2^n column subsets,
 grown from the class before it, so shared prefixes are computed once.
-Each selection's permanent is linear in the last row, so one pass per
-class and selection gives every leaf's value, and the rank comes from a
-table of row spans: a leaf evaluates no permanent and runs no
-elimination.  Every sweep is checked exactly: the class count against
-the Polya count, the matrix and orbit counts, the second moment
-sum per^2, and the per-rank matrix counts.  One routine, ``_verdict``,
-admits a shape by its cost and judges every rank stratum against its
-bound and one table of sanctioned deviations; a matrix it names as a
+Each selection's permanent is linear in the last row, its coefficients
+b_j the permanents of the minors, so one pass per class and selection
+gives every leaf's value, and the rank comes from a table of row spans:
+a leaf evaluates no permanent and runs no elimination.  No leaf of a
+class exceeds the sum of every |b_j|, and a class whose sum is below
+the bound of both ranks its leaves take skips that pass: only classes
+that can reach a bound are valued leaf by leaf (23 of 1,053 at order
+6), the others counted from the span table and their sum of per^2
+taken in closed form.  Every sweep is checked exactly: the class count
+against the Polya count, the matrix and orbit counts, the second moment
+sum per^2, the per-rank matrix counts, and the divisibility of every
+b_j by the power of two the Krauter-Seifter theorem gives permanents of
+its order.  One routine, ``_verdict``, admits a shape by its cost and
+judges every rank stratum against its bound and one table of
+sanctioned deviations; a stratum that misses its bound is swept again
+in full before it is reported, and a matrix it names as a
 counterexample is first revalued by the independent oracles.
 """
 
@@ -34,10 +42,11 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, groupby, permutations, product
 from operator import add, itemgetter, mul, or_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .d_family import bound_for_rank, build_table
 from .errors import CounterexampleError, PropertyFailure, RangeError, RankError, ShapeError
@@ -137,12 +146,14 @@ class _SpanTable:
     ``exact_rank``.
 
     ``step[i << m | x]`` is the id of span i extended by x.  Entries
-    start at -1 and are filled on first use; every sweep builds its own
-    table.  Step ids are 32-bit: the full order-7 table (m = 6)
-    has 77,261 spans, past the 16-bit limit of 32,767.  The full order-6
-    table (1,788 spans) takes about 0.9 MB, 0.23 MB of it step ids.  Both
-    figures are what the multiset reference kernel in the tests reaches;
-    the sweep's prefix classes fill far fewer spans.
+    start at -1 and are filled on first use, for x and at once for every
+    x' that the grown span holds and span i does not, since span i and x'
+    span it too; every sweep builds its own table.  Step ids are 32-bit:
+    the full order-7 table (m = 6) has 77,261 spans, past the 16-bit
+    limit of 32,767.  The full order-6 table (1,788 spans) takes about
+    0.9 MB, 0.23 MB of it step ids.  Both figures are what the multiset
+    reference kernel in the tests reaches; the sweep's prefix classes
+    fill far fewer spans.
     Forms are kept in flat lists, not tuples: a freed table's tuples
     would park in the interpreter's tuple free lists, and peak memory
     crept across repeated sweeps.
@@ -166,7 +177,12 @@ class _SpanTable:
         at = sid << self.m | x
         nid = self.step[at]
         if nid < 0:
-            nid = self.step[at] = self._extend(sid, x)
+            nid = self._extend(sid, x)
+            base, new = at ^ x, self.mask[nid] & ~self.mask[sid]
+            while new:
+                low = new & -new
+                self.step[base | low.bit_length() - 1] = nid
+                new ^= low
         return nid
 
     def _extend(self, sid: int, x: int) -> int:
@@ -203,10 +219,22 @@ class _SpanTable:
 
 class _SweepTables:
     """Read-only tables of one k x n sweep, plus the span table of the
-    free rows."""
+    free rows.
 
-    def __init__(self, k: int, n: int) -> None:
+    ``targets`` maps each judged rank to the least value its stratum must
+    reach; ``None`` judges nothing and has every class value its leaves.
+    """
+
+    def __init__(self, k: int, n: int, targets: dict[int, int] | None = None) -> None:
         self.k, self.n = k, n
+        # per prefix span dimension d, the value a class's leaves, of rank
+        # 1 + d or 2 + d, must be able to reach for the class to value them;
+        # a rank with no target never needs them
+        if targets is None:
+            self.need = [0] * (k - 1)
+        else:
+            reach = [targets.get(r, math.inf) for r in range(k + 1)]
+            self.need = [min(reach[d + 1], reach[d + 2]) for d in range(k - 1)]
         full = range(1 << n)
         # Ryser weights of the all-ones first row, inclusion-exclusion sign included
         self.lead = [(-1 if (k - s.bit_count()) & 1 else 1) * s.bit_count() for s in full]
@@ -356,21 +384,37 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     The classes arrive depth first, so consecutive classes share
     prefixes: the Ryser vector of P (the running product of per-subset
     row sums) and the id of its span grow along the rows that differ from
-    the previous class's.  One pass per selection gives every leaf's
-    value, and the leaf's rank is 1 + dim(span of P), plus 1 when the
-    last row lies outside that span: two table reads.
+    the previous class's.  Each selection's column sums b_j, gathered from
+    it, are the coefficients of the last row's entries, so b_j is the
+    permanent of the (k-1) x (k-1) minor that omits column j.  One
+    doubling pass per selection gives every leaf's value, and the leaf's
+    rank is 1 + dim(span of P), plus 1 when the last row lies outside that
+    span: two table reads.
+
+    No leaf of a class is worth more than the sum of every |b_j| over the
+    selections.  When that is below the target of both ranks its leaves
+    take (``tables.need``), no leaf can reach a bound, and the class skips
+    its doubling passes: its census comes from the span mask, and its
+    sum of per^2 is exactly 2^(n-1) times the sum of every b_j^2, since
+    the cross terms cancel over the last rows.  A leaf equal to a target
+    is always valued, so judged maxima and their leaves are exact.
+
+    Every b_j of the block is ORed together and checked against the
+    Krauter-Seifter theorem (1983): the permanent of an order-q sign
+    matrix is a multiple of 2^(q - floor(log2 q) - 1).
 
     Returns the weighted matrix count, the sum of the weights, the
     weighted sum of per^2 over every selection, the weighted matrix count
     per rank, per rank the largest value seen with the leaves attaining
-    it as free-row tuples, in scan order, and the number of classes.
+    it as free-row tuples, in scan order, and the number of classes.  A
+    rank without a target sees only the classes valued for other ranks.
     """
-    k = tables.k
-    row_sums, sels, spans = tables.row_sums, tables.sels, tables.spans
+    k, m = tables.k, tables.n - 1
+    row_sums, sels, spans, need = tables.row_sums, tables.sels, tables.spans, tables.need
     best = [-1] * (k + 1)
     reps: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
     census = [0] * (k + 1)
-    scanned = orbits = squares = classes = 0
+    scanned = orbits = squares = classes = minors = 0
     path: tuple[int, ...] = ()
     vecs, sids = [tables.lead], [0]  # along ``path``, one more than its rows
     for rows, w in block:
@@ -380,18 +424,30 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
             vecs.append([v * t for v, t in zip(vecs[-1], row_sums[x])])
             sids.append(spans.child(sids[-1], x))
         path, vec, sid = rows, vecs[-1], sids[-1]
-        vals: list[int] = []
-        sq = 0
-        for sel in sels:
-            per = _last_row_values([sum(g(vec)) if g else 0 for g in sel])
-            sq += sum(map(mul, per, per))
-            vals = list(map(add, vals, map(abs, per))) if vals else list(map(abs, per))
-        scanned += w * len(vals)
+        scanned += w << m
         orbits += w
         classes += 1
+        bs = [[sum(g(vec)) if g else 0 for g in sel] for sel in sels]
+        most = 0  # no leaf of the class is worth more
+        for b in bs:
+            minors = reduce(or_, b, minors)
+            most += sum(map(abs, b))
+        dim = spans.dim[sid]
+        if most < need[dim]:
+            squares += w * sum(sum(map(mul, b, b)) for b in bs) << m
+            inside = spans.mask[sid].bit_count()
+            census[1 + dim] += w * inside
+            census[2 + dim] += w * ((1 << m) - inside)
+            continue
+        vals: list[int] = []
+        sq = 0
+        for b in bs:
+            per = _last_row_values(b)
+            sq += sum(map(mul, per, per))
+            vals = list(map(add, vals, map(abs, per))) if vals else list(map(abs, per))
         squares += w * sq
         top = max(vals)
-        for r, bits in _rank_split(vals, spans.dim[sid], spans.mask[sid]):
+        for r, bits in _rank_split(vals, dim, spans.mask[sid]):
             census[r] += w * bits.bit_count()
             if top < best[r]:
                 continue
@@ -400,6 +456,13 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
                 best[r], reps[r] = mx, []
             if mx == best[r]:
                 reps[r] += [rows + (x,) for x, v in enumerate(vals) if v == mx and (bits >> x) & 1]
+    q = k - 1
+    floor = q - q.bit_length()
+    if minors & ((1 << floor) - 1):
+        raise RuntimeError(
+            f"column sums are permanents of order {q}, but not all are multiples of 2^{floor}"
+            f" (their OR is {minors})"
+        )
     stats = {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
     return scanned, orbits, squares, census, stats, classes
 
@@ -428,17 +491,21 @@ def _check_census(k: int, n: int, census: list[int]) -> None:
             raise RuntimeError(f"rank census: {what} holds {got} matrices, not {want}")
 
 
-def _sweep(k: int, n: int) -> tuple[int, dict[int, tuple[int, list]]]:
+def _sweep(
+    k: int, n: int, targets: dict[int, int] | None = None
+) -> tuple[int, dict[int, tuple[int, list]]]:
     """Sweep every k x n matrix with all-ones first row and column.
 
     The prefix classes stream from their generator into one block scan,
     and none is kept.  After it the class count against the Polya count,
     the other counts, the second moment and the rank census are checked
     exactly.  Returns the matrix count and, per rank, the largest value
-    with the matrices attaining it.
+    with the matrices attaining it: exact for a rank that ``targets``
+    names whenever it reaches its target, and for every rank without
+    ``targets``.
     """
     depth, m = k - 2, n - 1
-    tables, gen = _SweepTables(k, n), _prefix_classes(depth, m)
+    tables, gen = _SweepTables(k, n, targets), _prefix_classes(depth, m)
     scanned, orbits, squares, census, stats, classes = _sweep_block(tables, gen)
     polya = _polya_count(depth, m)
     if classes != polya:
@@ -484,17 +551,38 @@ def _recheck(a: SignMatrix, value: int, r: int) -> None:
         )
 
 
-def _verdict(k: int, n: int, bounds: Callable[[], dict[int, int]]) -> VerifyReport:
-    """Sweep shape (k, n), 2 <= k <= n, and judge each rank stratum ``bounds()`` names.
+def _strata(k: int, n: int) -> dict[int, tuple[int, int, tuple[int, ...]]]:
+    """The judged rank strata of shape (k, n): every rank of a square
+    shape, full row rank of a wide one.  Each maps to its bound, the
+    maximum the sweep must find, and the sizes s of the D_(n,k,s) orbits
+    that must attain it."""
+    if k == n:
+        table = build_table(n)
+        bounds = {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
+    else:
+        bounds = {k: mper(d_matrix(n, k, k - 1))}
+    strata = {}
+    for r, bound in bounds.items():
+        top, sizes = _SANCTIONED.get((k, n, r), (None, (r - 1,)))
+        strata[r] = (bound, bound if top is None else top, sizes)
+    return strata
+
+
+def _verdict(k: int, n: int) -> VerifyReport:
+    """Sweep shape (k, n), 2 <= k <= n, and judge each rank stratum of ``_strata``.
 
     A shape is admitted when its leaves, the Polya count of prefix classes
     times 2^(n-1) last rows, times its k-column selections fit the 2^20
-    budget; ``bounds`` runs only then.  A class holds at most (k-2)!(n-1)!
-    prefixes, a lower bound that refuses large shapes before any count.
+    budget; the bounds are computed only then.  A class holds at most
+    (k-2)!(n-1)! prefixes, a lower bound that refuses large shapes before
+    any count.
 
     A stratum must top out exactly at its bound, or at its sanctioned
     maximum, and every matrix attaining it must lie in the orbit of
-    D_(n,k,s) for one expected size s, each size reached by some matrix."""
+    D_(n,k,s) for one expected size s, each size reached by some matrix.
+    The sweep values only the classes whose leaves could reach one of
+    these maxima; a stratum that misses its maximum is swept again in
+    full, so the message names the true one."""
     depth, m = k - 2, n - 1
     # 2^least is below the cost.  Past m = 20 one class's 2^m leaves are
     # over the budget, and the cost exceeds them: C(n,k) > 1 selections when
@@ -511,12 +599,10 @@ def _verdict(k: int, n: int, bounds: Callable[[], dict[int, int]]) -> VerifyRepo
             " over the 2^20 budget"
         )
     t0 = time.monotonic()
-    judged = bounds()
-    scanned, maxima = _sweep(k, n)
+    strata = _strata(k, n)
+    scanned, maxima = _sweep(k, n, {r: top for r, (_, top, _) in strata.items()})
     rows = []
-    for r, bound in judged.items():
-        top, sizes = _SANCTIONED.get((k, n, r), (None, (r - 1,)))
-        top = bound if top is None else top
+    for r, (bound, top, sizes) in strata.items():
         mx, reps = maxima.get(r, (-1, []))  # an empty stratum tops out at -1
         where = f"shape ({k},{n}) rank {r}"
         if mx > top:
@@ -525,6 +611,7 @@ def _verdict(k: int, n: int, bounds: Callable[[], dict[int, int]]) -> VerifyRepo
                 f"{where}: maximum {mx} beats the bound {top}:\n" + format_matrix_text(reps[0])
             )
         if mx < top:
+            mx = _sweep(k, n)[1].get(r, (-1, []))[0]
             raise CounterexampleError(f"{where}: maximum {mx} misses the bound {top}")
         reached = set()
         for a in reps:
@@ -565,12 +652,7 @@ def verify_square(n: int, workers: int = 1) -> VerifyReport:
         raise RangeError(f"worker count must be positive, got {workers}")
     if n < 2:
         raise RangeError(f"need order n >= 2, got n={n}")
-
-    def bounds() -> dict[int, int]:
-        table = build_table(n)
-        return {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
-
-    return _verdict(n, n, bounds)
+    return _verdict(n, n)
 
 
 def verify_mper(k: int, n: int) -> VerifyReport:
@@ -585,7 +667,7 @@ def verify_mper(k: int, n: int) -> VerifyReport:
     """
     if not 2 <= k < n:
         raise RangeError(f"need 2 <= k < n, got k={k}, n={n}")
-    return _verdict(k, n, lambda: {k: mper(d_matrix(n, k, k - 1))})
+    return _verdict(k, n)
 
 
 def _random_square(rng: random.Random, n: int) -> SignMatrix:

@@ -217,6 +217,42 @@ v.verify_square(4)
     assert matrix.startswith("4 4\n")
 
 
+def test_odd_column_sum_breaks_minor_divisibility_under_optimize():
+    # b_1 + 1 in every order-6 class: each column sum is the permanent of
+    # an order-5 sign matrix, a multiple of 2^(5 - 2 - 1) = 4.  The second
+    # moment moves too, but the divisibility check runs first, as the
+    # block ends
+    out = run_optimized(
+        """
+import permax.verifier as v
+real = v._SweepTables.__init__
+def corrupted(self, k, n, targets=None):
+    real(self, k, n, targets)
+    g = self.sels[0][1]
+    self.sels[0][1] = lambda vec: g(vec) + (1,)
+v._SweepTables.__init__ = corrupted
+v.verify_square(6)
+"""
+    )
+    assert out.startswith(
+        "column sums are permanents of order 5, but not all are multiples of 2^2 (their OR is "
+    )
+
+
+@pytest.mark.parametrize("call", ["v.verify_square(5)", "v.verify_square(6)", "v.verify_mper(4, 7)"])
+def test_bit_reversed_last_row_blames_the_kernel_past_order_four_under_optimize(call):
+    # the classes valued for their bounds still carry the moved maxima
+    out = run_optimized(
+        f"""
+import permax.verifier as v
+real = v._last_row_values
+v._last_row_values = lambda b: real(b[:1] + b[:0:-1])
+{call}
+"""
+    )
+    assert out.startswith("sweep kernel fault: it gives value "), out
+
+
 def test_low_rank_for_zero_permanent_raises_under_optimize():
     # from k = 5 on (16 last rows at a square order), a leaf of |per| 0
     # outside its prefix span is ranked one too low; no maximum moves
@@ -234,8 +270,10 @@ v._rank_split = low
 v.verify_square(5)
 """
     )
-    # the zero leaves over rank-2 prefixes land on rank 2
-    assert out == "rank census: rank 2 holds 625 matrices, not 225"
+    # the zero leaves over rank-2 prefixes land on rank 2; a class that
+    # cannot reach a bound forms no leaf values, so only the classes
+    # valued for their bounds move any
+    assert out == "rank census: rank 2 holds 305 matrices, not 225"
 
 
 def test_oracle_disagreement_raises_under_optimize():

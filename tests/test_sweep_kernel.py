@@ -9,6 +9,7 @@ prefix classes are checked against brute force and the Polya count.
 """
 
 import gc
+import json
 import math
 import random
 import tracemalloc
@@ -85,6 +86,25 @@ def test_order_seven_span_walks_match_bareiss():
     # the full order-7 table has 77,261 spans; every id must fit a step
     table.step[0] = 77_260
     assert table.step[0] == 77_260
+
+
+def test_span_misses_fill_their_sibling_steps(monkeypatch):
+    # one _extend per grown span and parent: every vector the child holds
+    # and the parent does not steps to the same child
+    calls = []
+    real = verifier._SpanTable._extend
+    monkeypatch.setattr(
+        verifier._SpanTable, "_extend", lambda self, sid, x: calls.append(x) or real(self, sid, x)
+    )
+    verifier._sweep(6, 6)
+    assert len(calls) == 221  # 393 with one step filled per miss
+    del calls[:]
+    spans = verifier._SpanTable(6)
+    for rows, _ in verifier._prefix_classes(5, 6):  # the order-7 prefix walks
+        sid = 0
+        for x in rows:
+            sid = spans.child(sid, x)
+    assert len(calls) == 3185  # 7,531 with one step filled per miss
 
 
 def reference_chunk(k, n, x1):
@@ -255,6 +275,48 @@ def test_blocks_match_multiset_reference(k, n):
         }, r
 
 
+# every shape the sweep budget admits
+ADMITTED = (
+    [(n, n) for n in range(2, 7)]
+    + [(2, n) for n in range(3, 15)] + [(3, n) for n in range(4, 11)]
+    + [(4, n) for n in range(5, 9)] + [(5, 6), (5, 7)]
+)
+
+
+@shapes(*ADMITTED)
+def test_bound_pruned_pass_matches_the_full_pass(k, n, monkeypatch, tmp_path):
+    # the same counts, census and second moment, and for every judged
+    # rank the same maximum and extremal leaves in the same order
+    classes = list(verifier._prefix_classes(k - 2, n - 1))
+    judged = {r: top for r, (_, top, _) in verifier._strata(k, n).items()}
+    full = verifier._sweep_block(verifier._SweepTables(k, n), classes)
+    pruned = verifier._sweep_block(verifier._SweepTables(k, n, judged), classes)
+    assert pruned[:4] == full[:4] and pruned[5] == full[5]
+    assert {r: pruned[4][r] for r in judged} == {r: full[4][r] for r in judged}
+
+    def report(name):
+        path = tmp_path / name
+        verifier.write_report(
+            verifier.verify_square(n) if k == n else verifier.verify_mper(k, n), "json", path
+        )
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        assert rows and all(row.pop("seconds") >= 0 for row in rows)
+        return rows
+
+    real = verifier._sweep
+    with_targets = report("pruned.json")
+    monkeypatch.setattr(verifier, "_sweep", lambda k, n, targets=None: real(k, n))
+    assert with_targets == report("full.json")
+
+
+def test_order_six_values_23_of_1053_classes(monkeypatch):
+    passes = []
+    real = verifier._last_row_values
+    monkeypatch.setattr(verifier, "_last_row_values", lambda b: passes.append(b) or real(b))
+    verifier.verify_square(6)
+    assert len(passes) == 23  # one selection per class
+
+
 @pytest.mark.parametrize(
     "r, m", [(r, m) for r in range(7) for m in range(1, 13) if r * m <= 12], ids=str
 )
@@ -392,6 +454,35 @@ def test_leaf_counterexample_names_the_matrix(monkeypatch):
     assert (a.rows, a.cols) == (5, 5)
     assert rank(a) == 3
     assert abs(permanent_naive(a)) == 48
+
+
+@pytest.mark.parametrize(
+    "k, n, r, patch",
+    [(5, 5, 1, "bound_for_rank"), (4, 6, 4, "mper")],
+    ids=["5", "4x6"],
+)
+def test_missed_bound_names_the_true_maximum(k, n, r, patch, monkeypatch):
+    # doubled bounds leave no class to value, so the pruned sweep sees no
+    # leaf of the stratum; the full sweep run before raising names the
+    # true maximum
+    real = getattr(verifier, patch)
+    monkeypatch.setattr(verifier, patch, lambda *args: 2 * real(*args))
+    sweeps = []
+    real_sweep = verifier._sweep
+
+    def recorded(k, n, targets=None):
+        out = real_sweep(k, n, targets)
+        sweeps.append((targets, out[1]))
+        return out
+
+    monkeypatch.setattr(verifier, "_sweep", recorded)
+    with pytest.raises(CounterexampleError) as info:
+        verifier.verify_square(n) if k == n else verifier.verify_mper(k, n)
+    # both maxima are 120: per D_(5,0) = 5!, and mper D_(6,4,3)
+    assert str(info.value) == f"shape ({k},{n}) rank {r}: maximum 120 misses the bound 240"
+    (pruned, seen), (full, _) = sweeps
+    assert pruned is not None and full is None
+    assert r not in seen
 
 
 def test_wide_counterexample_names_the_matrix(monkeypatch):

@@ -196,7 +196,7 @@ class Admitted(Exception):
 
 
 def test_admission_is_one_budget_rule(monkeypatch):
-    def admitted(k, n):
+    def admitted(k, n, targets=None):
         raise Admitted
 
     monkeypatch.setattr(permax.verifier, "_sweep", admitted)
@@ -256,8 +256,8 @@ def test_mper_sweep_needs_both_equality_orbits(monkeypatch):
 def test_empty_stratum_misses_the_bound(monkeypatch):
     real = permax.verifier._sweep
 
-    def without_rank_two(k, n):
-        scanned, merged = real(k, n)
+    def without_rank_two(k, n, targets=None):
+        scanned, merged = real(k, n, targets)
         del merged[2]
         return scanned, merged
 

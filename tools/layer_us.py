@@ -34,12 +34,16 @@ seeded generator, so every run times the same inputs:
   ``list(_prefix_classes(...))``, the classes of the first k - 2 free
   rows under row and column permutations, kept so the leaf pass can be
   timed apart; ``leaf_s`` is a fresh ``_SweepTables`` plus one
-  ``_sweep_block`` over every class, as one sweep process pays them;
-  ``cost`` is the units the sweep budget admits the shape by, its leaves
-  times its C(n,k) column selections; ``leaves`` is the classes times the
-  2^(n-1) last rows; ``spans`` is the span-table entries the pass filled
-  beyond the zero span; ``us_per_leaf`` is ``leaf_s`` per leaf and
-  ``us_per_unit`` is ``gen_s`` plus ``leaf_s`` per unit of ``cost``.  The
+  ``_sweep_block`` over every class, as one sweep process pays them,
+  with the targets ``_verdict`` passes, so classes that cannot reach a
+  bound skip their doubling passes; ``cost`` is the units the sweep
+  budget admits the shape by, its leaves times its C(n,k) column
+  selections; ``classes`` is the prefix classes and ``ran`` the ones
+  that ran their doubling passes, counted in one more, untimed pass;
+  ``leaves`` is the classes times the 2^(n-1) last rows; ``spans`` is
+  the span-table entries the pass filled beyond the zero span;
+  ``us_per_leaf`` is ``leaf_s`` per leaf and ``us_per_unit`` is
+  ``gen_s`` plus ``leaf_s`` per unit of ``cost``.  The bounds, the
   checks ``_sweep`` makes and the orbit test of ``_verdict`` are not
   timed.
 
@@ -162,21 +166,34 @@ def main() -> None:
     for label, call, mats in cases:
         print(f"{label} {per_call_us(call, mats, 7):.1f}", flush=True)
 
-    print("# sweep: shape gen_s leaf_s cost classes leaves spans us_per_leaf us_per_unit", flush=True)
+    print(
+        "# sweep: shape gen_s leaf_s cost classes ran leaves spans us_per_leaf us_per_unit",
+        flush=True,
+    )
     for k, n in SWEEP_SHAPES:
         gen, classes = best(lambda: list(px.verifier._prefix_classes(k - 2, n - 1)), 5)
+        targets = {r: top for r, (_, top, _) in px.verifier._strata(k, n).items()}
 
         def leaf_pass():
-            tables = px.verifier._SweepTables(k, n)
+            tables = px.verifier._SweepTables(k, n, targets)
             px.verifier._sweep_block(tables, classes)
             return tables
 
         leaf, tables = best(leaf_pass, 5)
+        # one doubling pass per selection of each class that ran
+        passes = []
+        real = px.verifier._last_row_values
+        px.verifier._last_row_values = lambda b: passes.append(b) or real(b)
+        try:
+            leaf_pass()
+        finally:
+            px.verifier._last_row_values = real
+        ran = len(passes) // math.comb(n, k)
         leaves = len(classes) << (n - 1)
         cost = leaves * math.comb(n, k)
         spans = len(tables.spans.dim) - 1
         print(
-            f"({k},{n}) {gen:.4f} {leaf:.4f} {cost} {len(classes)} {leaves} {spans}"
+            f"({k},{n}) {gen:.4f} {leaf:.4f} {cost} {len(classes)} {ran} {leaves} {spans}"
             f" {leaf / leaves * 1e6:.2f} {(gen + leaf) / cost * 1e6:.3f}",
             flush=True,
         )
