@@ -1,7 +1,10 @@
 """Exact permanent evaluation: permutation-sum oracle grouped by column
 set, Glynn's formula as one C-level product chain over cached per-word
 row-sum vectors as the fast path, rectangular extension, mper, and
-generalized Laplace expansion.
+generalized Laplace expansion.  The normalized matrices of one order
+stream block by block: the last-row minors' permanents of each block
+come off one Glynn chain over its other rows, and one doubling pass over
+them values the block's 2^(n-1) last rows.
 
 All arithmetic is exact integer arithmetic; the shape budget keeps every
 value inside signed 64-bit range (|per| <= 12! for square inputs).
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import mul
+from operator import itemgetter, mul, or_
 from typing import Iterator
 
 from .errors import ShapeError
@@ -129,39 +132,67 @@ def _row_vector(n: int, w: int) -> tuple[int, ...]:
     return v
 
 
-def _normalized_permanents(n: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(i, per)`` for every matrix of ``enumerate_normalized(n)``,
-    i being its index in that stream, prefix by prefix.
+def _normalized_blocks(n: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield ``(p, b)`` for every block of ``enumerate_normalized(n)``.
 
-    Matrix i has the all-ones first row and below it free rows of n - 1
-    bits read from i lowest first, so the last row holds the top n - 1
-    bits.  The 2^(n-1) matrices that share their first n - 1 rows form one
-    block: the Glynn chain over those rows, sign vector included, is
-    formed once per block, and each last row costs one product sum with
-    its cached row vector.  No ``SignMatrix`` is built, and the values
-    stream block by block.
+    A block is the 2^(n-1) matrices that share their first n - 1 rows:
+    the all-ones row and the free rows of n - 1 bits read from p lowest
+    first.  Its matrix with last-row free bits x has index
+    p | x << (n-2)(n-1) in that stream.  By Laplace expansion along the
+    last row, each value is linear in that row's entries, and ``b[j]``,
+    the coefficient of column j + 1, is the permanent of the
+    (n-1) x (n-1) minor without the last row and column j + 1.
+
+    With prefix[d] the Glynn chain over the first n - 1 rows, sign
+    vector included, S its sum and a_j the last row's entries,
+    per = 2^-(n-1) * sum over d of prefix[d] * sum_j a_j s_j(d), where
+    s_j(d) is -1 when d negates column j + 1.  So b[n-1] = S / 2^(n-1),
+    as no signing negates column n, and b[j] = (S - 2 * the sum of
+    prefix[d] over the d with bit j) / 2^(n-1): one gather per column.
+    Every numerator must be a multiple of 2^(n-1), or RuntimeError.  The
+    chain grows along the prefix rows, row 0 changing fastest, so most
+    blocks cost one product, with their row 0 vector.
     """
     free = n - 1
-    mask, shift = (1 << free) - 1, (n - 2) * free
+    mask, rows = (1 << free) - 1, n - 2
     vectors = _vectors[n]
 
-    def vector(w: int) -> tuple[int, ...]:
-        return vectors.get(w) or _row_vector(n, w)
+    def vector(x: int) -> tuple[int, ...]:
+        return vectors.get(x << 1) or _row_vector(n, x << 1)
 
-    head = list(map(mul, _signs(n), vector(0)))
-    lasts = [(x << shift, vector(x << 1)) for x in range(1 << free)]
-    for p in range(1 << shift):
-        chain = head
-        for r in range(n - 2):
-            chain = map(mul, chain, vector(((p >> (r * free)) & mask) << 1))
-        # a list: tuple() over a map resizes, and the freed tuples would
-        # pile up in the interpreter's tuple free lists
-        prefix = list(chain)
-        for top, v in lasts:
-            total = sum(map(mul, prefix, v))
-            if total & mask:
-                raise RuntimeError(f"Glynn sum {total} is not a multiple of 2^{free}")
-            yield p | top, total >> free
+    # a one-index itemgetter returns its item bare, so order 2 slices
+    gathers = [
+        itemgetter(*ds) if len(ds) > 1 else itemgetter(slice(1, 2))
+        for ds in ([d for d in range(1 << free) if (d >> j) & 1] for j in range(free))
+    ]
+    # chains[t] has the top t prefix rows multiplied in.  Lists, not
+    # tuples: tuple() over a map resizes, and the freed tuples would pile
+    # up in the interpreter's tuple free lists
+    chains = [list(map(mul, _signs(n), vector(0)))] + [[]] * rows
+    for p in range(1 << rows * free):
+        # rows 0 through the one holding p's lowest set bit changed
+        low = ((p & -p).bit_length() - 1) // free if p else rows - 1
+        for r in range(low, -1, -1):
+            t = rows - r
+            chains[t] = list(map(mul, chains[t - 1], vector((p >> r * free) & mask)))
+        prefix = chains[rows]
+        total = sum(prefix)
+        nums = [total - 2 * sum(g(prefix)) for g in gathers] + [total]
+        if functools.reduce(or_, nums) & mask:
+            bad = next(v for v in nums if v & mask)
+            raise RuntimeError(f"minor numerator {bad} of block {p} is not a multiple of 2^{free}")
+        yield p, [v >> free for v in nums]
+
+
+def _last_row_permanents(b: list[int]) -> list[int]:
+    """The permanents of a block of ``_normalized_blocks``, indexed by the
+    last row's free bits x, from its minors ``b``: column 1 holds +1 and
+    bit j of x negates column j + 2, so the value is sum(b) minus twice
+    the b[j + 1] over the bits j of x, one doubling pass over b."""
+    per = [sum(b)]
+    for bj in b[1:]:
+        per += [v - 2 * bj for v in per]
+    return per
 
 
 @functools.cache

@@ -52,7 +52,8 @@ from .d_family import bound_for_rank, build_table
 from .errors import CounterexampleError, PropertyFailure, RangeError, RankError, ShapeError
 from .exact_rank import rank
 from .permanent import (
-    _normalized_permanents,
+    _last_row_permanents,
+    _normalized_blocks,
     laplace_expand,
     mper,
     permanent_naive,
@@ -217,6 +218,20 @@ class _SpanTable:
         return sid
 
 
+class _RowSums(dict):
+    """Per-subset row sums over the 2^n column subsets, keyed by a row's
+    free bits and filled on first use: a sweep reads only the rows of its
+    prefix classes (10 of the 512 at (3,10)), and a two-row sweep none."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.full = range(1 << n)
+
+    def __missing__(self, x: int) -> list[int]:
+        sums = self[x] = [s.bit_count() - 2 * ((x << 1) & s).bit_count() for s in self.full]
+        return sums
+
+
 class _SweepTables:
     """Read-only tables of one k x n sweep, plus the span table of the
     free rows.
@@ -238,11 +253,7 @@ class _SweepTables:
         full = range(1 << n)
         # Ryser weights of the all-ones first row, inclusion-exclusion sign included
         self.lead = [(-1 if (k - s.bit_count()) & 1 else 1) * s.bit_count() for s in full]
-        # per-subset row sums, indexed by a row's free bits; a two-row sweep reads none
-        self.row_sums = [
-            [s.bit_count() - 2 * ((x << 1) & s).bit_count() for s in full]
-            for x in range(1 << (n - 1) if k > 2 else 0)
-        ]
+        self.row_sums = _RowSums(n)
         # per k-column selection, column j of it picks the subsets of the
         # selection that contain j; a column outside it picks nothing
         self.sels = []
@@ -421,7 +432,7 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
         i = next((i for i, (x, y) in enumerate(zip(rows, path)) if x != y), len(path))
         del vecs[i + 1 :], sids[i + 1 :]
         for x in rows[i:]:
-            vecs.append([v * t for v, t in zip(vecs[-1], row_sums[x])])
+            vecs.append(list(map(mul, vecs[-1], row_sums[x])))
             sids.append(spans.child(sids[-1], x))
         path, vec, sid = rows, vecs[-1], sids[-1]
         scanned += w << m
@@ -718,41 +729,53 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
             + format_matrix_text(a)
         )
 
-    # one pass over the normalized slices of orders 2-5, their permanents
-    # batched by a Glynn chain shared per last-row block: up to order 4
-    # each value agrees with permanent_naive and, at order 4, is a
-    # multiple of 4 (the sampled orders 5-8 below compare permanent_ryser
-    # itself with the oracle); per^2 sums exactly to n! 2^((n-1)^2) per
-    # slice; |per| is an orbit invariant, so the slices cover every orbit
-    # of the total bound n!, attained on the all-ones orbit alone, with
-    # (n-2)(n-1)! as the ceiling for everything else.  A matrix is built
-    # only for the oracle or for a value over that ceiling.
+    # one pass over the normalized slices of orders 2-5, block by block:
+    # a block is the 2^(n-1) last rows under one prefix of rows, and its
+    # values come from one doubling pass over its minors' permanents b_j,
+    # read off the prefix's Glynn chain.  Up to order 4 every value agrees
+    # with permanent_naive and, at order 4, is a multiple of 4 (the
+    # sampled orders 5-8 below compare permanent_ryser itself with the
+    # oracle); per^2 sums exactly to n! 2^((n-1)^2) per slice; |per| is an
+    # orbit invariant, so the slices cover every orbit of the total bound
+    # n!, attained on the all-ones orbit alone, with (n-2)(n-1)! as the
+    # ceiling for everything else.  No value of a block exceeds the sum of
+    # its |b_j|, so an order-5 block whose sum is within the ceiling is
+    # counted unvalued, its per^2 summing to 2^(n-1) sum b_j^2 as the
+    # cross terms cancel over the last rows: only the all-ones prefix's
+    # block is valued there.  A matrix is built only for the oracle or for
+    # a value over the ceiling.
     oracle = div4 = total = 0
     for order in (2, 3, 4, 5):
         top = math.factorial(order)
         rest = (order - 2) * math.factorial(order - 1)
+        free = order - 1
+        shift = (order - 2) * free
         squares = 0
-        for i, p in _normalized_permanents(order):
-            squares += p * p
-            if order < 5:
-                a = _normalized(order, i)
-                if p != permanent_naive(a):
-                    fail("permanent oracle agreement", a)
-                oracle += 1
-            if order == 4:
-                if p % 4:
-                    fail("order-4 divisibility by 4", a)
-                div4 += 1
-            p = abs(p)
-            if p > rest:
-                a = _normalized(order, i)
-                if p > top:
-                    fail("total permanent bound", a, f"|per| = {p} > {top}")
-                if p < top:
-                    fail("non-equality permanent ceiling", a, f"|per| = {p} > {rest}")
-                if equivalent_to_d(a, 0) is None:
-                    fail("total-bound equality orbit", a)
-            total += 1
+        for p, b in _normalized_blocks(order):
+            total += 1 << free
+            if order == 5 and sum(map(abs, b)) <= rest:
+                squares += sum(map(mul, b, b)) << free
+                continue
+            for x, v in enumerate(_last_row_permanents(b)):
+                squares += v * v
+                if order < 5:
+                    a = _normalized(order, p | x << shift)
+                    if v != permanent_naive(a):
+                        fail("permanent oracle agreement", a)
+                    oracle += 1
+                if order == 4:
+                    if v % 4:
+                        fail("order-4 divisibility by 4", a)
+                    div4 += 1
+                v = abs(v)
+                if v > rest:
+                    a = _normalized(order, p | x << shift)
+                    if v > top:
+                        fail("total permanent bound", a, f"|per| = {v} > {top}")
+                    if v < top:
+                        fail("non-equality permanent ceiling", a, f"|per| = {v} > {rest}")
+                    if equivalent_to_d(a, 0) is None:
+                        fail("total-bound equality orbit", a)
         # E[per^2] = n! over uniform sign matrices, and negating lines keeps per^2
         moment = top << (order - 1) ** 2
         if squares != moment:

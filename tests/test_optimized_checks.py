@@ -314,39 +314,53 @@ v.verify_properties(0, 200)
     assert matrix.startswith("5 5\n")
 
 
-def run_with_order_five_value(i: int, value: str) -> str:
-    """Run the property suite under ``python -O`` with the batched order-5
-    value of matrix ``i`` replaced by ``value``, an expression in ``p``."""
+def run_with_order_five_block(p: int, b: str) -> str:
+    """Run the property suite under ``python -O`` with the coefficients of
+    order-5 block ``p`` replaced by ``b``, an expression in the real ``b``."""
     return run_optimized(
         f"""
 import permax.verifier as v
-real = v._normalized_permanents
+real = v._normalized_blocks
 def changed(n):
-    for i, p in real(n):
-        yield i, {value} if (n, i) == (5, {i}) else p
-v._normalized_permanents = changed
+    for p, b in real(n):
+        yield p, {b} if (n, p) == (5, {p}) else b
+v._normalized_blocks = changed
 v.verify_properties(0, 100)
 """
     )
 
 
-def first_zero_at_order_five() -> int:
-    return next(i for i, p in permax.permanent._normalized_permanents(5) if p == 0)
-
-
 def test_skewed_batched_value_raises_under_optimize():
-    # 2 stays under the ceiling 72 and order 5 has no oracle comparison,
-    # so only the second moment sees it
-    out = run_with_order_five_value(first_zero_at_order_five(), "p + 2")
-    assert out == "normalized order-5 permanents square-sum to 7864324, not 7864320"  # 5! 2^16
+    # block 3 has b = [0, 12, 12, 0, 0]; b_1 + 2 keeps its sum of |b_j|
+    # within the ceiling 72, so the block is counted unvalued and only the
+    # second moment sees it: 2^4 last rows times 2^2 more
+    out = run_with_order_five_block(3, "[b[0] + 2] + b[1:]")
+    assert out == "normalized order-5 permanents square-sum to 7864384, not 7864320"  # 5! 2^16
 
 
 def test_batched_value_over_the_ceiling_names_its_matrix_under_optimize():
-    i = first_zero_at_order_five()
-    out = run_with_order_five_value(i, "74")
+    # a sum of |b_j| of 74 has the block valued; the last rows with bit 3
+    # set, the first of them x = 8, take 74
+    out = run_with_order_five_block(3, "[37, 0, 0, 0, -37]")
     head, _, matrix = out.partition("\n")
     assert head == "non-equality permanent ceiling violated: |per| = 74 > 72"
-    assert matrix == format_matrix_text(permax.verifier._normalized(5, i)).strip()
+    assert matrix == format_matrix_text(permax.verifier._normalized(5, 3 | 8 << 12)).strip()
+
+
+def test_odd_minor_numerator_raises_under_optimize():
+    # the order-5 vector of the all-ones row word, cached with its d = 0
+    # entry 5 -> 6, enters every row of block 0: its prefix sum gains
+    # 6^4 - 5^4 = 671, and no signing that negates column 1 sees it
+    out = run_optimized(
+        """
+import permax.permanent as p
+import permax.verifier as v
+w = p._row_vector(5, 0)
+p._vectors[5][0] = (w[0] + 1,) + w[1:]
+v.verify_properties(0, 100)
+"""
+    )
+    assert out == "minor numerator 1055 of block 0 is not a multiple of 2^4"
 
 
 def test_wrong_selection_rank_raises_under_optimize():

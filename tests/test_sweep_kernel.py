@@ -420,7 +420,7 @@ def test_two_row_tables_stay_small():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert tables.row_sums == []
+    assert tables.row_sums == {}
     assert held < 200_000
 
 

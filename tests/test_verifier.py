@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -54,13 +55,39 @@ def test_enumeration_is_deterministic():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_batched_normalized_permanents_match_the_evaluator(n):
-    # props compares the batched chain with permanent_naive only up to
-    # order 4; this ties it to permanent_ryser at order 5 as well
-    want = []
-    for i, a in enumerate(enumerate_normalized(n)):
-        assert permax.verifier._normalized(n, i) == a
-        want.append((i, permanent_ryser(a)))
-    assert sorted(permax.permanent._normalized_permanents(n)) == want
+    # each block's coefficients are its minors' permanents by the oracle,
+    # and props compares the values with permanent_naive only up to order
+    # 4; this ties them to permanent_ryser at order 5 as well
+    shift, rows = (n - 2) * (n - 1), range(1, n)
+    seen = []
+    for p, b in permax.permanent._normalized_blocks(n):
+        prefix = permax.verifier._normalized(n, p, n - 1)
+        assert b == [
+            permanent_naive(submatrix_select(prefix, rows, [c for c in range(1, n + 1) if c != j]))
+            for j in range(1, n + 1)
+        ]
+        for x, v in enumerate(permax.permanent._last_row_permanents(b)):
+            i = p | x << shift
+            a = permax.verifier._normalized(n, i)
+            assert a.words[: n - 1] == prefix.words
+            assert v == permanent_ryser(a)
+            seen.append(i)
+    assert sorted(seen) == list(range(1 << (n - 1) ** 2))
+
+
+def test_props_values_one_order_five_block(monkeypatch):
+    # every other order-5 block has sum |b_j| within the ceiling 72 and is
+    # counted unvalued; the all-ones prefix's minors are each 4! = 24
+    real = permax.verifier._last_row_permanents
+    valued = []
+    monkeypatch.setattr(
+        permax.verifier, "_last_row_permanents", lambda b: valued.append(b) or real(b)
+    )
+    verify_properties(seed=0, samples=100)
+    # orders 2-4 value every block, for the oracle
+    assert Counter(len(b) for b in valued) == {2: 1, 3: 1 << 2, 4: 1 << 6, 5: 1}
+    assert valued[-1] == [24] * 5
+    assert sum(1 for _ in permax.permanent._normalized_blocks(5)) == 1 << 12
 
 
 def test_sweep_order_two_and_three():
