@@ -291,21 +291,18 @@ v.verify_properties(4, 400)
 
 
 def test_dropped_plan_successor_raises_under_optimize():
-    # the order-5 plan loses the empty set's last successor, so no
+    # the order-5 oracle loses its row-1 -> column-5 term, so no
     # permutation taking row 1 to column 5 is summed; props first meets
     # order 5 in the sampled comparison with permanent_ryser
     out = run_optimized(
         """
 import permax.permanent as p
 import permax.verifier as v
-real = p._naive_plan
+real = p._naive_source
 def dropped(n):
-    plan = real(n)
-    if n != 5:
-        return plan
-    (s, size, succ), *rest = plan
-    return ((s, size, succ[:-1]), *rest)
-p._naive_plan = dropped
+    source = real(n)
+    return source.replace("    p16 = a0_4\\n", "    p16 = 0\\n") if n == 5 else source
+p._naive_source = dropped
 v.verify_properties(0, 200)
 """
     )

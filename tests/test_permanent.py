@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -65,24 +66,57 @@ def test_naive_order_ten_values():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_naive_plan_lists_every_proper_column_set_once(n):
-    plan = permanent_module._naive_plan(n)
-    assert [s for s, _, _ in plan] == list(range((1 << n) - 1))
-    for s, size, succ in plan:
-        assert size == s.bit_count()
-        assert succ == tuple((1 << j, s | 1 << j) for j in range(n) if not s >> j & 1)
-    assert sum(len(succ) for _, _, succ in plan) == n << (n - 1)
+    # the compiled oracle assigns every nonempty column set once, in
+    # numeric order, and each of its n * 2^(n-1) terms reads the set
+    # with one column removed, times the entry of row |S| in that column
+    source = permanent_module._naive_source(n)
+    sets, terms = [], 0
+    for s, rhs in re.findall(r"^    p(\d+) = (.+)$", source, re.M):
+        s = int(s)
+        sets.append(s)
+        columns = []
+        for term in rhs.split(" + "):
+            row, j, rest = re.fullmatch(r"a(\d+)_(\d+)(?:\*p(\d+))?", term).groups()
+            j = int(j)
+            assert int(row) == s.bit_count() - 1
+            assert int(rest or 0) == s ^ 1 << j
+            columns.append(j)
+        assert columns == [j for j in range(n) if s >> j & 1]
+        terms += len(columns)
+    assert sets == list(range(1, 1 << n))
+    assert terms == n << (n - 1)
+    assert source.endswith(f"    return p{(1 << n) - 1}\n")
 
 
 def test_naive_plans_of_interleaved_orders_stay_apart():
-    # plans are built lazily in the order the orders first arrive, and
-    # each order's matrices must read its own plan afterwards
-    permanent_module._naive_plan.cache_clear()
+    # functions are compiled lazily in the order the orders first arrive,
+    # and each order's matrices must run its own function afterwards
+    permanent_module._naive_code.cache_clear()
     rng = random.Random(41)
     orders = [5, 2, 8, 3, 7, 4, 6]
     for n in orders + orders[::-1]:
         a = random_square(rng, n)
         assert permanent_naive(a) == literal_permanent(a)
-    assert permanent_module._naive_plan.cache_info().currsize == len(orders)
+    info = permanent_module._naive_code.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (len(orders),) * 3
+
+
+def test_naive_reads_nothing_of_the_glynn_evaluator(monkeypatch):
+    # with Glynn's row-vector cache emptied and its builder raising, the
+    # oracle, compiled afresh, still sums the permutations term by term
+    def no_row_vector(n, w):
+        raise RuntimeError(f"row vector of word {w} at order {n} built")
+
+    monkeypatch.setattr(permanent_module, "_row_vector", no_row_vector)
+    monkeypatch.setattr(permanent_module, "_vectors", {n: {} for n in range(1, 13)})
+    permanent_module._naive_code.cache_clear()
+    rng = random.Random(43)
+    for n, count in ((1, 2), (2, 4), (3, 8), (4, 8), (5, 8), (6, 5), (7, 3), (8, 2)):
+        for _ in range(count):
+            a = random_square(rng, n)
+            assert permanent_naive(a) == literal_permanent(a)
+    with pytest.raises(RuntimeError, match="row vector"):
+        permanent_ryser(a)
 
 
 def test_naive_shape_guards():

@@ -1,5 +1,6 @@
-"""The package and its tools parse under the oldest Python that
-pyproject.toml declares (requires-python >= 3.10).
+"""The package and its tools, and the source the package generates and
+compiles at run time, parse under the oldest Python that pyproject.toml
+declares (requires-python >= 3.10).
 
 This checks syntax only: a standard-library call added after 3.10 would
 still pass here."""
@@ -8,6 +9,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from permax.permanent import _naive_source
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "permax").glob("*.py"), *(ROOT / "tools").glob("*.py")])
@@ -21,3 +24,8 @@ def test_the_floor_is_the_declared_one():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generated_oracle_parses_as_python_3_10(n):
+    ast.parse(_naive_source(n), filename=f"<permanent_naive order {n}>", feature_version=(3, 10))

@@ -12,7 +12,7 @@ def test_layer_script_exits_quietly_when_its_reader_leaves():
         [sys.executable, str(SCRIPT)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
     )
     try:
-        assert proc.stdout.readline() == "# permanent: n ryser naive\n"
+        assert proc.stdout.readline() == "# permanent: n ryser naive naive_first\n"
         proc.stdout.close()  # the reader leaves after the first section header
         err = proc.stderr.read()
         proc.wait(timeout=120)

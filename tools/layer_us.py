@@ -12,10 +12,13 @@ checkouts.  Four sections run in order, each opened by a
 seeded generator, so every run times the same inputs:
 
 - ``permanent``: ``permanent_ryser`` and ``permanent_naive`` on 40
-  uniform n x n matrices per order n = 2..12, one line ``n ryser naive``.
+  uniform n x n matrices per order n = 2..12, one line
+  ``n ryser naive naive_first``.
   Up to order 9 the row words fit the Glynn evaluator's row-vector cache,
   so its figure is the warm-cache cost; at orders 10-12 they do not, and
-  the figure includes building the row vectors.
+  the figure includes building the row vectors.  ``naive_first`` is the
+  order's first ``permanent_naive`` call, timed once before the others:
+  it compiles the order's function, which the best-of-5 ``naive`` hides.
 - ``rank_vector``: ``rank_vector`` on 40 full-rank k x n matrices per
   shape, 2 <= k <= 4 and k < n <= 8.
 - ``classify``: 20 order-6 inputs per ``classify_form`` outcome (uniform
@@ -99,12 +102,13 @@ def main() -> None:
     def uniform(rng, k, n):
         return px.SignMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
 
-    print("# permanent: n ryser naive", flush=True)
+    print("# permanent: n ryser naive naive_first", flush=True)
     rng = random.Random(7)
     for n in range(2, 13):
         mats = [uniform(rng, n, n) for _ in range(40)]
+        first = best(lambda: px.permanent_naive(mats[0]), 1)[0] * 1e6
         times = [per_call_us(f, mats, 5) for f in (px.permanent_ryser, px.permanent_naive)]
-        print(n, *(f"{t:.1f}" for t in times), flush=True)
+        print(n, *(f"{t:.1f}" for t in (*times, first)), flush=True)
 
     print("# rank_vector: shape us", flush=True)
     rng = random.Random(11)
