@@ -11,7 +11,7 @@ k = n-1 column and a diagonal recurrence for k = n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import RangeError
 
@@ -27,15 +27,14 @@ __all__ = [
 _N_MAX_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class DTable:
+class DTable(namedtuple("DTable", "n_max values")):
     """Triangular table of per D_(n,k), 0 <= k <= n <= n_max.
 
-    Values are signed: rows n < 5 contain zero and negative entries.
+    ``values[n][k]`` is per D_(n,k).  Values are signed: rows n < 5
+    contain zero and negative entries.
     """
 
-    n_max: int
-    values: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def value(self, n: int, k: int) -> int:
         if not (0 <= k <= n <= self.n_max):

@@ -27,7 +27,7 @@ index, which keeps the output deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import RankError, ShapeError
 from .exact_rank import rank
@@ -47,12 +47,10 @@ FORM_TAGS = ("DnMinus1", "DnDiag", "P1", "P2", "ConditionA", "D5Special")
 _TEMPLATES = {"P1": p_matrix(1), "P2": p_matrix(2)}
 
 
-@dataclass(frozen=True)
-class FormClass:
+class FormClass(namedtuple("FormClass", "tag seq")):
     """Classification outcome: a tag and the sequence that reaches it."""
 
-    tag: str
-    seq: tuple[tuple, ...]
+    __slots__ = ()
 
 
 def _swaps(kind: str, order) -> list[tuple]:

@@ -23,8 +23,6 @@ text form used by the CLI is semicolon-separated, e.g. ``negR 3; swapC 1 4; T``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ShapeError
 
 __all__ = [
@@ -44,28 +42,61 @@ __all__ = [
 MAX_ROWS = 12
 MAX_COLS = 16
 
+_object_setattr = object.__setattr__
 
-@dataclass(frozen=True)
+
 class SignMatrix:
-    """Immutable (-1,1)-matrix with bit-packed rows (set bit = entry -1)."""
+    """Immutable (-1,1)-matrix with bit-packed rows (set bit = entry -1).
+
+    Matrices are values: equal when their shapes and row words are, and
+    hashable.  Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ("rows", "cols", "words")
 
     rows: int
     cols: int
     words: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.rows <= MAX_ROWS):
-            raise ShapeError(f"rows = {self.rows} outside 1..{MAX_ROWS}")
-        if not (self.rows <= self.cols <= MAX_COLS):
-            raise ShapeError(
-                f"cols = {self.cols} outside rows..{MAX_COLS} (rows = {self.rows})"
-            )
-        if len(self.words) != self.rows:
-            raise ShapeError(f"{len(self.words)} row words for {self.rows} rows")
-        mask = (1 << self.cols) - 1
-        for w in self.words:
+    def __init__(self, rows: int, cols: int, words: tuple[int, ...]) -> None:
+        if not (1 <= rows <= MAX_ROWS):
+            raise ShapeError(f"rows = {rows} outside 1..{MAX_ROWS}")
+        if not (rows <= cols <= MAX_COLS):
+            raise ShapeError(f"cols = {cols} outside rows..{MAX_COLS} (rows = {rows})")
+        if len(words) != rows:
+            raise ShapeError(f"{len(words)} row words for {rows} rows")
+        mask = (1 << cols) - 1
+        for w in words:
             if w & ~mask:
-                raise ValueError(f"row word {w:#x} has bits beyond column {self.cols}")
+                raise ValueError(f"row word {w:#x} has bits beyond column {cols}")
+        _object_setattr(self, "rows", rows)
+        _object_setattr(self, "cols", cols)
+        _object_setattr(self, "words", words)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.words) == (other.rows, other.cols, other.words)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.words))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}"
+            f"(rows={self.rows!r}, cols={self.cols!r}, words={self.words!r})"
+        )
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor,
+        # since the blocked __setattr__ rules out restoring slot state
+        return self.__class__, (self.rows, self.cols, self.words)
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based position (i, j), as +1 or -1."""

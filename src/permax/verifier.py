@@ -37,16 +37,15 @@ counterexample is first revalued by the independent oracles.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import combinations, groupby, permutations, product
 from operator import add, itemgetter, mul, or_
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .d_family import bound_for_rank, build_table
 from .errors import CounterexampleError, PropertyFailure, RangeError, RankError, ShapeError
@@ -85,31 +84,23 @@ _CLASS_PLAIN = "D-only"
 _CLASS_EXCEPTION = "D-plus-exception"
 
 
-@dataclass(frozen=True)
-class StratumRow:
+class StratumRow(
+    namedtuple("StratumRow", "rank bound observed_max extremal_orbits equality_class")
+):
     """One rank stratum of a sweep: the bound, the observed maximum |per|,
     and how many equivalence orbits attain it."""
 
-    rank: int
-    bound: int
-    observed_max: int
-    extremal_orbits: int
-    equality_class: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "n rows scanned seconds checks", defaults=((),))):
     """Outcome of one verification run.
 
     ``rows`` is empty for the property suite, which reports the per-check
     case counts in ``checks`` instead.
     """
 
-    n: int
-    rows: tuple[StratumRow, ...]
-    scanned: int
-    seconds: float
-    checks: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
 
 def enumerate_normalized(n: int) -> Iterator[SignMatrix]:
@@ -881,6 +872,10 @@ def _report_table(report: VerifyReport) -> tuple[tuple[str, ...], list[tuple]]:
 def _encode(fields: tuple[str, ...], values: list[tuple], fmt: str) -> str:
     """A JSON array of objects keyed in ``fields`` order, or CSV with a header."""
     if fmt == "json":
+        # loaded here, not at module import: only JSON output needs it,
+        # and it costs about 2 ms in every other command
+        import json
+
         return json.dumps([dict(zip(fields, v)) for v in values], indent=2) + "\n"
     if fmt == "csv":
         return "\n".join([",".join(fields)] + [",".join(map(str, v)) for v in values]) + "\n"

@@ -6,6 +6,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import permax
@@ -95,6 +97,22 @@ def test_every_exported_name_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_import_loads_no_dataclasses_inspect_json_or_typing():
+    # each costs milliseconds of every command's cold start; -S keeps site
+    # from loading typing on its own, so the check sees only the package
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); heavy = ('dataclasses', 'inspect', 'json', "
+        "'typing'); import permax; print([m for m in heavy if m in sys.modules]); "
+        "import permax.cli; print([m for m in heavy if m in sys.modules])"
+    )
+    src = str(Path(permax.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n[]\n"
 
 
 def test_star_import():

@@ -1,5 +1,7 @@
 """Matrix representation, builders, transforms, and text round-trips."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -58,6 +60,38 @@ def test_make_matrix_rejects_bad_input():
         make_matrix([1] * 6, 3, 2)  # wide-or-square only
     with pytest.raises(ShapeError):
         SignMatrix(13, 13, tuple([0] * 13))
+
+
+def test_sign_matrix_is_a_hashable_immutable_value():
+    a, b = d_matrix(4, 4, 2), make_matrix([-1, 1, 1, 1, 1, -1, 1, 1] + [1] * 8, 4, 4)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a, b} == {a} and {a: 1}[b] == 1
+    assert a != d_matrix(4, 4, 1) and a != d_matrix(4, 4, 3)
+    assert a != a.words and a != (4, 4, a.words)
+    assert SignMatrix(2, 4, (1, 2)) != SignMatrix(2, 3, (1, 2))
+    assert repr(SignMatrix(2, 3, (1, 4))) == "SignMatrix(rows=2, cols=3, words=(1, 4))"
+    for attr in ("rows", "cols", "words", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
+    assert a == b == d_matrix(4, 4, 2)
+    assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((0, 1, ()), ShapeError, "rows = 0 outside 1..12"),
+        ((3, 2, (0, 0, 0)), ShapeError, "cols = 2 outside rows..16 (rows = 3)"),
+        ((2, 3, (0,)), ShapeError, "1 row words for 2 rows"),
+        ((1, 3, (8,)), ValueError, "row word 0x8 has bits beyond column 3"),
+    ],
+)
+def test_sign_matrix_constructor_errors(args, error, message):
+    with pytest.raises(error) as info:
+        SignMatrix(*args)
+    assert str(info.value) == message
 
 
 def test_d_matrix_shape_and_negatives():

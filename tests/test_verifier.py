@@ -1,6 +1,5 @@
 """Sweep harness: normalized enumeration, bound verification, reports."""
 
-import dataclasses
 import json
 import re
 from collections import Counter
@@ -383,7 +382,7 @@ def test_property_suite_reports_oracle_disagreement(monkeypatch):
 
 def test_write_report_formats(tmp_path):
     report = verify_square(3)
-    fixed = dataclasses.replace(report, seconds=0.0)
+    fixed = report._replace(seconds=0.0)
 
     jpath = tmp_path / "r.json"
     write_report(fixed, "json", jpath)
@@ -422,8 +421,8 @@ def test_write_report_empty_and_errors(tmp_path):
 
 
 def test_reports_are_reproducible_modulo_timing(tmp_path):
-    a = dataclasses.replace(verify_square(4, workers=1), seconds=0.0)
-    b = dataclasses.replace(verify_square(4, workers=3), seconds=0.0)
+    a = verify_square(4, workers=1)._replace(seconds=0.0)
+    b = verify_square(4, workers=3)._replace(seconds=0.0)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     write_report(a, "json", pa)
     write_report(b, "json", pb)
@@ -434,7 +433,7 @@ def test_order_five_reports_match_across_thread_counts(tmp_path):
     # a worker count is checked and ignored: every sweep runs in this process
     paths = []
     for workers in (1, 2, 4):
-        report = dataclasses.replace(verify_square(5, workers=workers), seconds=0.0)
+        report = verify_square(5, workers=workers)._replace(seconds=0.0)
         paths.append(tmp_path / f"w{workers}.json")
         write_report(report, "json", paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
@@ -455,4 +454,4 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
 
 def test_stratum_rows_are_plain_data():
     row = StratumRow(rank=1, bound=2, observed_max=2, extremal_orbits=1, equality_class="D-only")
-    assert dataclasses.asdict(row)["bound"] == 2
+    assert row._asdict()["bound"] == 2

@@ -1,5 +1,6 @@
 """Per-layer timings: microseconds per call of the evaluators, rank
-vectors and orbit reductions, and the cost of the sweep kernel per shape.
+vectors and orbit reductions, the cost of the sweep kernel per shape,
+and the time to import the package.
 
 Usage, from the repository root:
 
@@ -7,9 +8,9 @@ Usage, from the repository root:
 
 ``--src`` names the directory holding the ``permax`` package (default
 ``src`` next to this directory), so the same script can time two
-checkouts.  Four sections run in order, each opened by a
-``# <section>: <columns>`` line and each drawing its inputs from its own
-seeded generator, so every run times the same inputs:
+checkouts.  Five sections run in order, each opened by a
+``# <section>: <columns>`` line; the first four each draw their inputs
+from their own seeded generator, so every run times the same inputs:
 
 - ``permanent``: ``permanent_ryser`` and ``permanent_naive`` on 40
   uniform n x n matrices per order n = 2..12, one line
@@ -49,9 +50,14 @@ seeded generator, so every run times the same inputs:
   ``gen_s`` plus ``leaf_s`` per unit of ``cost``.  The bounds, the
   checks ``_sweep`` makes and the orbit test of ``_verdict`` are not
   timed.
+- ``import``: the cold start of every command, one line ``module ms``
+  each for ``import permax`` and ``import permax.cli``: the median
+  milliseconds of the import statement over 11 fresh ``python -I``
+  interpreters, after one unmeasured run that leaves the bytecode
+  caches written.  Interpreter start-up is not included.
 
-Each time is the best of several passes (5, or 7 for ``rank_vector`` and
-``classify``), the pass least disturbed by other load on the machine; a
+Outside ``import``, each time is the best of several passes (5, or 7 for
+``rank_vector`` and ``classify``), the pass least disturbed by other load on the machine; a
 per-call figure is that pass's time over its number of inputs.
 """
 
@@ -61,6 +67,8 @@ import argparse
 import math
 import os
 import random
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -70,6 +78,7 @@ SWEEP_SHAPES = [(n, n) for n in range(2, 7)] + [
     (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6),
     (4, 7), (5, 7), (4, 8), (3, 9), (3, 10),
 ]
+IMPORT_RUNS = 11
 
 
 def best(run, repeats):
@@ -201,6 +210,19 @@ def main() -> None:
             f" {leaf / leaves * 1e6:.2f} {(gen + leaf) / cost * 1e6:.3f}",
             flush=True,
         )
+
+    print("# import: module ms", flush=True)
+    for module in ("permax", "permax.cli"):
+        code = (
+            "import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
+            f"import {module}; print(time.perf_counter() - t)"
+        )
+        cmd = [sys.executable, "-I", "-c", code, args.src]
+        runs = [
+            float(subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=60).stdout)
+            for _ in range(IMPORT_RUNS + 1)
+        ]
+        print(f"{module} {statistics.median(runs[1:]) * 1e3:.1f}", flush=True)
 
 
 if __name__ == "__main__":
