@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .d_family import build_table
 from .errors import CounterexampleError, PropertyFailure
@@ -39,7 +38,8 @@ _METHODS = {
 
 
 def _load(path: str) -> SignMatrix:
-    return parse_matrix_text(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as f:
+        return parse_matrix_text(f.read())
 
 
 def _cmd_per(args: argparse.Namespace) -> int:
@@ -96,13 +96,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_path(text: str) -> str:
-    path = Path(text)
-    if path.is_dir():
+    path = os.path.normpath(text)
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path} is a directory")
-    if not path.parent.is_dir():
+    if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(
-            f"{path.parent} is not a directory" if path.parent.exists()
-            else f"directory {path.parent} does not exist"
+            f"{parent} is not a directory" if os.path.exists(parent)
+            else f"directory {parent} does not exist"
         )
     return text
 

@@ -1,13 +1,14 @@
 """Exact permanent evaluation: permutation-sum oracle grouped by column
-set and compiled once per order into one straight-line function, Glynn's
+set and compiled once per shape into one straight-line function, Glynn's
 formula as one C-level product chain over cached per-word row-sum
 vectors, rectangular extension, mper, and generalized Laplace
 expansion.  The two evaluators share no code, so each checks the other;
 the compiled oracle is the faster of the two at orders 2-12, and the
-rectangular sums and the Laplace expansion call Glynn.  The normalized
-matrices of one order stream block by block: the last-row minors'
-permanents of each block come off one Glynn chain over its other rows,
-and one doubling pass over them values the block's 2^(n-1) last rows.
+rectangular sums and the Laplace expansion call Glynn.  The oracle over
+k rows of n columns values every k-column selection in one call, so the
+normalized matrices of one order stream block by block: one call over a
+block's first n - 1 rows gives its last-row minors' permanents, and one
+doubling pass over them values the block's 2^(n-1) last rows.
 
 All arithmetic is exact integer arithmetic; the shape budget keeps every
 value inside signed 64-bit range (|per| <= 12! for square inputs).
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Callable, Iterator
-from operator import itemgetter, mul, or_
+from operator import mul
 
 from .errors import ShapeError
 from .sign_matrix import MAX_ROWS, SignMatrix, _check_index_set, submatrix_select
@@ -44,54 +45,60 @@ def permanent_naive(a: SignMatrix) -> int:
     ``permanent_ryser``.  Restricted to rows <= 12.
 
     The recurrence runs as one straight-line function per order,
-    ``_naive_code(n)``, compiled from ``_naive_source(n)`` the first time
-    the order is evaluated and cached for good, so no Python loop runs per
-    column set.  Compile time and memory grow with 2^n.  Measured in fresh
-    processes (Python 3.11, shared 2-vCPU VM): orders 1-8 compile in about
-    9 ms together, with a 1.5 MB tracemalloc peak, and keep 0.14 MB; order
-    12 (4,096 assignments, 24,576 terms, 335 KB of bytecode) compiles in
-    115-140 ms, with a 28.5 MB peak, and keeps 2.1 MB.  A fresh process's
+    ``_naive_code(n, n)``, compiled from ``_naive_source(n, n)`` the first
+    time the order is evaluated and cached for good, so no Python loop
+    runs per column set.  Compile time and memory grow with 2^n.
+    Measured in fresh processes (Python 3.11, shared 2-vCPU VM): orders
+    1-8 compile in about 9 ms together, with a 1.5 MB tracemalloc peak,
+    and keep 0.14 MB; order 12 (4,096 assignments, 24,576 terms, 335 KB
+    of bytecode) compiles in 115-140 ms, with a 28.5 MB peak, and keeps
+    2.1 MB.  A fresh process's
     first order-12 call takes 110-130 ms and peaks at 47 MB RSS, and later
     calls take 0.9 ms, against 13-22 ms, 18 MB and 2.0-2.9 ms when a loop
     walked a cached per-order table of column-set successors.
     """
     if not a.is_square:
         raise ShapeError(f"permanent of a {a.rows}x{a.cols} matrix is undefined")
-    return _naive_code(a.rows)(a.words)
+    return _naive_code(a.rows, a.rows)(a.words)[0]
 
 
 @functools.cache
-def _naive_source(n: int) -> str:
-    """The source of ``permanent_naive``'s function for order n.
+def _naive_source(k: int, n: int) -> str:
+    """The source of the compiled oracle for k rows of n columns.
 
     It unpacks row r's word into the +-1 locals ``a{r}_{j}`` from
-    ``_entries(n)``, then assigns ``p{S}`` for every nonempty column set S
-    in numeric order, the sum of ``a{|S|-1}_{j}*p{S - {j}}`` over the
-    columns j of S (``a0_{j}`` alone for S = {j}), and returns the full
-    set's.  Every S - {j} precedes S numerically, so each term reads a
-    value already assigned.
+    ``_entries(n)``, then assigns ``p{S}`` for every nonempty set S of at
+    most k columns in numeric order, the sum of ``a{|S|-1}_{j}*p{S - {j}}``
+    over the columns j of S (``a0_{j}`` alone for S = {j}).  Every
+    S - {j} precedes S numerically, so each term reads a value already
+    assigned.  It returns the tuple of every k-column set's value, the
+    permanent of that column selection, in descending numeric order of
+    the sets: for k = n the permanent alone, and for k = n - 1 entry j
+    is the minor without column j + 1.
     """
-    order = range(n)
+    rows = range(k)
     lines = [
         "def naive(words, e=e):",
-        "    " + "".join(f"w{r}, " for r in order) + "= words",
-        *("    " + "".join(f"a{r}_{j}, " for j in order) + f"= e[w{r}]" for r in order),
+        "    " + "".join(f"w{r}, " for r in rows) + "= words",
+        *("    " + "".join(f"a{r}_{j}, " for j in range(n)) + f"= e[w{r}]" for r in rows),
     ]
     for s in range(1, 1 << n):
         r = s.bit_count() - 1
-        terms = [
-            f"a{r}_{j}*p{s ^ 1 << j}" if r else f"a0_{j}" for j in order if (s >> j) & 1
-        ]
-        lines.append(f"    p{s} = " + " + ".join(terms))
-    lines.append(f"    return p{(1 << n) - 1}")
+        if r < k:
+            terms = [
+                f"a{r}_{j}*p{s ^ 1 << j}" if r else f"a0_{j}" for j in range(n) if (s >> j) & 1
+            ]
+            lines.append(f"    p{s} = " + " + ".join(terms))
+    full = [f"p{s}," for s in range((1 << n) - 1, 0, -1) if s.bit_count() == k]
+    lines.append("    return " + " ".join(full))
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _naive_code(n: int) -> Callable[[tuple[int, ...]], int]:
-    """Compile ``_naive_source(n)`` and return its function of the row words."""
+def _naive_code(k: int, n: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Compile ``_naive_source(k, n)`` and return its function of the row words."""
     namespace = {"e": _entries(n)}
-    exec(compile(_naive_source(n), f"<permanent_naive order {n}>", "exec"), namespace)
+    exec(compile(_naive_source(k, n), f"<permanent_naive {k}x{n}>", "exec"), namespace)
     return namespace["naive"]
 
 
@@ -169,47 +176,15 @@ def _normalized_blocks(n: int) -> Iterator[tuple[int, list[int]]]:
     p | x << (n-2)(n-1) in that stream.  By Laplace expansion along the
     last row, each value is linear in that row's entries, and ``b[j]``,
     the coefficient of column j + 1, is the permanent of the
-    (n-1) x (n-1) minor without the last row and column j + 1.
-
-    With prefix[d] the Glynn chain over the first n - 1 rows, sign
-    vector included, S its sum and a_j the last row's entries,
-    per = 2^-(n-1) * sum over d of prefix[d] * sum_j a_j s_j(d), where
-    s_j(d) is -1 when d negates column j + 1.  So b[n-1] = S / 2^(n-1),
-    as no signing negates column n, and b[j] = (S - 2 * the sum of
-    prefix[d] over the d with bit j) / 2^(n-1): one gather per column.
-    Every numerator must be a multiple of 2^(n-1), or RuntimeError.  The
-    chain grows along the prefix rows, row 0 changing fastest, so most
-    blocks cost one product, with their row 0 vector.
+    (n-1) x (n-1) minor without the last row and column j + 1: the
+    compiled oracle's n - 1 rows by n columns return exactly these.
     """
-    free = n - 1
-    mask, rows = (1 << free) - 1, n - 2
-    vectors = _vectors[n]
-
-    def vector(x: int) -> tuple[int, ...]:
-        return vectors.get(x << 1) or _row_vector(n, x << 1)
-
-    # a one-index itemgetter returns its item bare, so order 2 slices
-    gathers = [
-        itemgetter(*ds) if len(ds) > 1 else itemgetter(slice(1, 2))
-        for ds in ([d for d in range(1 << free) if (d >> j) & 1] for j in range(free))
-    ]
-    # chains[t] has the top t prefix rows multiplied in.  Lists, not
-    # tuples: tuple() over a map resizes, and the freed tuples would pile
-    # up in the interpreter's tuple free lists
-    chains = [list(map(mul, _signs(n), vector(0)))] + [[]] * rows
-    for p in range(1 << rows * free):
-        # rows 0 through the one holding p's lowest set bit changed
-        low = ((p & -p).bit_length() - 1) // free if p else rows - 1
-        for r in range(low, -1, -1):
-            t = rows - r
-            chains[t] = list(map(mul, chains[t - 1], vector((p >> r * free) & mask)))
-        prefix = chains[rows]
-        total = sum(prefix)
-        nums = [total - 2 * sum(g(prefix)) for g in gathers] + [total]
-        if functools.reduce(or_, nums) & mask:
-            bad = next(v for v in nums if v & mask)
-            raise RuntimeError(f"minor numerator {bad} of block {p} is not a multiple of 2^{free}")
-        yield p, [v >> free for v in nums]
+    evaluate = _naive_code(n - 1, n)
+    # a free row's word: its n - 1 bits past column 1, which holds +1
+    words = range(0, 1 << n, 2)
+    # product varies its last factor fastest, and p its row 0
+    for p, high in enumerate(itertools.product(words, repeat=n - 2)):
+        yield p, list(evaluate((0, *high[::-1])))
 
 
 def _last_row_permanents(b: list[int]) -> list[int]:

@@ -45,13 +45,13 @@ from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import combinations, groupby, permutations, product
 from operator import add, itemgetter, mul, or_
-from pathlib import Path
 
 from .d_family import bound_for_rank, build_table
 from .errors import CounterexampleError, PropertyFailure, RangeError, RankError, ShapeError
 from .exact_rank import rank
 from .permanent import (
     _last_row_permanents,
+    _naive_code,
     _normalized_blocks,
     laplace_expand,
     mper,
@@ -67,7 +67,6 @@ from .sign_matrix import (
     d_matrix,
     format_matrix_text,
     invert_transforms,
-    submatrix_select,
 )
 
 __all__ = [
@@ -539,13 +538,10 @@ _SANCTIONED = {
 def _recheck(a: SignMatrix, value: int, r: int) -> None:
     """Raise RuntimeError, blaming the sweep kernel, unless evaluators
     independent of it agree with the value and rank it found for ``a``:
-    the sum of |per| over the k-column selections by ``permanent_naive``,
-    and the Bareiss rank."""
-    k, n = a.rows, a.cols
-    got = sum(
-        abs(permanent_naive(submatrix_select(a, range(1, k + 1), cols)))
-        for cols in combinations(range(1, n + 1), k)
-    )
+    the sum of |per| over the k-column selections by the compiled oracle
+    of ``permanent_naive``, which values them all in one call, and the
+    Bareiss rank."""
+    got = sum(map(abs, _naive_code(a.rows, a.cols)(a.words)))
     if (got, rank(a)) != (value, r):
         raise RuntimeError(
             f"sweep kernel fault: it gives value {value} and rank {r}, the oracles"
@@ -723,18 +719,19 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
     # one pass over the normalized slices of orders 2-5, block by block:
     # a block is the 2^(n-1) last rows under one prefix of rows, and its
     # values come from one doubling pass over its minors' permanents b_j,
-    # read off the prefix's Glynn chain.  Up to order 4 every value agrees
-    # with permanent_naive and, at order 4, is a multiple of 4 (the
-    # sampled orders 5-8 below compare permanent_ryser itself with the
-    # oracle); per^2 sums exactly to n! 2^((n-1)^2) per slice; |per| is an
-    # orbit invariant, so the slices cover every orbit of the total bound
-    # n!, attained on the all-ones orbit alone, with (n-2)(n-1)! as the
-    # ceiling for everything else.  No value of a block exceeds the sum of
-    # its |b_j|, so an order-5 block whose sum is within the ceiling is
-    # counted unvalued, its per^2 summing to 2^(n-1) sum b_j^2 as the
+    # which the compiled oracle of permanent_naive gives in one call over
+    # the prefix.  Up to order 4 every value agrees with permanent_ryser,
+    # an evaluator sharing no code with the oracle, and, at order 4, is a
+    # multiple of 4 (the sampled orders 5-8 below compare the two
+    # evaluators matrix by matrix); per^2 sums exactly to n! 2^((n-1)^2)
+    # per slice; |per| is an orbit invariant, so the slices cover every
+    # orbit of the total bound n!, attained on the all-ones orbit alone,
+    # with (n-2)(n-1)! as the ceiling for everything else.  No value of a
+    # block exceeds the sum of its |b_j|, so an order-5 block whose sum is
+    # within the ceiling is counted unvalued, its per^2 summing to 2^(n-1) sum b_j^2 as the
     # cross terms cancel over the last rows: only the all-ones prefix's
-    # block is valued there.  A matrix is built only for the oracle or for
-    # a value over the ceiling.
+    # block is valued there.  A matrix is built only for permanent_ryser
+    # or for a value over the ceiling.
     oracle = div4 = total = 0
     for order in (2, 3, 4, 5):
         top = math.factorial(order)
@@ -751,7 +748,7 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
                 squares += v * v
                 if order < 5:
                     a = _normalized(order, p | x << shift)
-                    if v != permanent_naive(a):
+                    if v != permanent_ryser(a):
                         fail("permanent oracle agreement", a)
                     oracle += 1
                 if order == 4:
@@ -890,4 +887,5 @@ def write_report(report: VerifyReport, fmt: str, path) -> None:
     the same columns.  Everything except the timing field is reproducible
     across runs.
     """
-    Path(path).write_text(_encode(*_report_table(report), fmt), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(_encode(*_report_table(report), fmt))

@@ -291,17 +291,18 @@ v.verify_properties(4, 400)
 
 
 def test_dropped_plan_successor_raises_under_optimize():
-    # the order-5 oracle loses its row-1 -> column-5 term, so no
-    # permutation taking row 1 to column 5 is summed; props first meets
-    # order 5 in the sampled comparison with permanent_ryser
+    # the square order-5 oracle loses its row-1 -> column-5 term, so no
+    # permutation taking row 1 to column 5 is summed; the 4 x 5 one that
+    # values props' order-5 blocks keeps it, and props first meets the
+    # square one in the sampled comparison with permanent_ryser
     out = run_optimized(
         """
 import permax.permanent as p
 import permax.verifier as v
 real = p._naive_source
-def dropped(n):
-    source = real(n)
-    return source.replace("    p16 = a0_4\\n", "    p16 = 0\\n") if n == 5 else source
+def dropped(k, n):
+    source = real(k, n)
+    return source.replace("    p16 = a0_4\\n", "    p16 = 0\\n") if (k, n) == (5, 5) else source
 p._naive_source = dropped
 v.verify_properties(0, 200)
 """
@@ -344,10 +345,12 @@ def test_batched_value_over_the_ceiling_names_its_matrix_under_optimize():
     assert matrix == format_matrix_text(permax.verifier._normalized(5, 3 | 8 << 12)).strip()
 
 
-def test_odd_minor_numerator_raises_under_optimize():
+def test_odd_glynn_sum_raises_under_optimize():
     # the order-5 vector of the all-ones row word, cached with its d = 0
-    # entry 5 -> 6, enters every row of block 0: its prefix sum gains
-    # 6^4 - 5^4 = 671, and no signing that negates column 1 sees it
+    # entry 5 -> 6: props' blocks come from the oracle and never read it,
+    # but the sampled comparison's first order-5 matrix with an all-ones
+    # row does, and its Glynn sum moves by the odd product of the other
+    # rows' d = 0 entries
     out = run_optimized(
         """
 import permax.permanent as p
@@ -357,7 +360,7 @@ p._vectors[5][0] = (w[0] + 1,) + w[1:]
 v.verify_properties(0, 100)
 """
     )
-    assert out == "minor numerator 1055 of block 0 is not a multiple of 2^4"
+    assert out == "Glynn sum 9 is not a multiple of 2^4"
 
 
 def test_wrong_selection_rank_raises_under_optimize():

@@ -22,6 +22,7 @@ from permax import (
     permanent_rect,
     permanent_ryser,
     q_matrix,
+    submatrix_select,
 )
 
 
@@ -66,26 +67,47 @@ def test_naive_order_ten_values():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_naive_plan_lists_every_proper_column_set_once(n):
-    # the compiled oracle assigns every nonempty column set once, in
-    # numeric order, and each of its n * 2^(n-1) terms reads the set
+    # over k rows, the compiled oracle assigns every nonempty set of at
+    # most k columns once, in numeric order, and each term reads the set
     # with one column removed, times the entry of row |S| in that column
-    source = permanent_module._naive_source(n)
-    sets, terms = [], 0
-    for s, rhs in re.findall(r"^    p(\d+) = (.+)$", source, re.M):
-        s = int(s)
-        sets.append(s)
-        columns = []
-        for term in rhs.split(" + "):
-            row, j, rest = re.fullmatch(r"a(\d+)_(\d+)(?:\*p(\d+))?", term).groups()
-            j = int(j)
-            assert int(row) == s.bit_count() - 1
-            assert int(rest or 0) == s ^ 1 << j
-            columns.append(j)
-        assert columns == [j for j in range(n) if s >> j & 1]
-        terms += len(columns)
-    assert sets == list(range(1, 1 << n))
-    assert terms == n << (n - 1)
-    assert source.endswith(f"    return p{(1 << n) - 1}\n")
+    # (n * 2^(n-1) terms for k = n); it returns the k-column sets' values
+    # in descending numeric order
+    for k in range(1, n + 1):
+        source = permanent_module._naive_source(k, n)
+        sets, terms = [], 0
+        for s, rhs in re.findall(r"^    p(\d+) = (.+)$", source, re.M):
+            s = int(s)
+            sets.append(s)
+            columns = []
+            for term in rhs.split(" + "):
+                row, j, rest = re.fullmatch(r"a(\d+)_(\d+)(?:\*p(\d+))?", term).groups()
+                j = int(j)
+                assert int(row) == s.bit_count() - 1
+                assert int(rest or 0) == s ^ 1 << j
+                columns.append(j)
+            assert columns == [j for j in range(n) if s >> j & 1]
+            terms += len(columns)
+        assert sets == [s for s in range(1, 1 << n) if s.bit_count() <= k]
+        assert terms == sum(m * math.comb(n, m) for m in range(1, k + 1))
+        full = [s for s in range((1 << n) - 1, 0, -1) if s.bit_count() == k]
+        assert source.endswith("    return " + " ".join(f"p{s}," for s in full) + "\n")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_wide_naive_values_every_selection_in_descending_set_order(n):
+    # over k rows of n columns, entry i is the permanent of the i-th
+    # k-column selection in descending numeric order of its column set:
+    # for k = n - 1, entry j is the minor without column j + 1
+    rng = random.Random(47 + n)
+    for k in range(1, n + 1):
+        rows = range(1, k + 1)
+        sets = [s for s in range((1 << n) - 1, 0, -1) if s.bit_count() == k]
+        for _ in range(3):
+            a = make_matrix([rng.choice((1, -1)) for _ in range(k * n)], k, n)
+            assert permanent_module._naive_code(k, n)(a.words) == tuple(
+                permanent_ryser(submatrix_select(a, rows, [j + 1 for j in range(n) if s >> j & 1]))
+                for s in sets
+            )
 
 
 def test_naive_plans_of_interleaved_orders_stay_apart():

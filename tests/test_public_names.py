@@ -100,11 +100,12 @@ def test_every_exported_name_resolves():
 
 
 def test_import_loads_no_dataclasses_inspect_json_or_typing():
-    # each costs milliseconds of every command's cold start; -S keeps site
-    # from loading typing on its own, so the check sees only the package
+    # each costs milliseconds of every command's cold start, pathlib too;
+    # -S keeps site from loading typing on its own, so the check sees only
+    # the package
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); heavy = ('dataclasses', 'inspect', 'json', "
-        "'typing'); import permax; print([m for m in heavy if m in sys.modules]); "
+        "'pathlib', 'typing'); import permax; print([m for m in heavy if m in sys.modules]); "
         "import permax.cli; print([m for m in heavy if m in sys.modules])"
     )
     src = str(Path(permax.__file__).parent.parent)

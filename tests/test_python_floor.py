@@ -28,4 +28,7 @@ def test_source_parses_as_python_3_10(path):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_generated_oracle_parses_as_python_3_10(n):
-    ast.parse(_naive_source(n), filename=f"<permanent_naive order {n}>", feature_version=(3, 10))
+    # the square oracle, and the wide ones over one row and over n - 1 rows
+    for k in sorted({1, n - 1, n} - {0}):
+        source = _naive_source(k, n)
+        ast.parse(source, filename=f"<permanent_naive {k}x{n}>", feature_version=(3, 10))

@@ -54,15 +54,15 @@ def test_enumeration_is_deterministic():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_batched_normalized_permanents_match_the_evaluator(n):
-    # each block's coefficients are its minors' permanents by the oracle,
-    # and props compares the values with permanent_naive only up to order
-    # 4; this ties them to permanent_ryser at order 5 as well
+    # each block's coefficients are its minors' permanents, which come
+    # from the compiled oracle, so they are checked against permanent_ryser,
+    # as props checks the values up to order 4; this reaches order 5 too
     shift, rows = (n - 2) * (n - 1), range(1, n)
     seen = []
     for p, b in permax.permanent._normalized_blocks(n):
         prefix = permax.verifier._normalized(n, p, n - 1)
         assert b == [
-            permanent_naive(submatrix_select(prefix, rows, [c for c in range(1, n + 1) if c != j]))
+            permanent_ryser(submatrix_select(prefix, rows, [c for c in range(1, n + 1) if c != j]))
             for j in range(1, n + 1)
         ]
         for x, v in enumerate(permax.permanent._last_row_permanents(b)):
