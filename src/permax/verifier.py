@@ -51,7 +51,6 @@ from .errors import CounterexampleError, PropertyFailure, RangeError, RankError,
 from .exact_rank import rank
 from .permanent import (
     _last_row_permanents,
-    _naive_code,
     _normalized_blocks,
     laplace_expand,
     mper,
@@ -538,10 +537,9 @@ _SANCTIONED = {
 def _recheck(a: SignMatrix, value: int, r: int) -> None:
     """Raise RuntimeError, blaming the sweep kernel, unless evaluators
     independent of it agree with the value and rank it found for ``a``:
-    the sum of |per| over the k-column selections by the compiled oracle
-    of ``permanent_naive``, which values them all in one call, and the
-    Bareiss rank."""
-    got = sum(map(abs, _naive_code(a.rows, a.cols)(a.words)))
+    ``mper``, which values every k-column selection in one call of the
+    compiled oracle of ``permanent_naive``, and the Bareiss rank."""
+    got = mper(a)
     if (got, rank(a)) != (value, r):
         raise RuntimeError(
             f"sweep kernel fault: it gives value {value} and rank {r}, the oracles"
@@ -780,7 +778,7 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
     done("order4_divisibility", div4)
     done("total_bound", total)
 
-    # expansion along one or two rows agrees with the direct value
+    # the oracle's expansion along one or two rows agrees with Glynn's direct value
     cases = max(1, samples // 100)
     for _ in range(cases):
         order = rng.randint(2, 6)

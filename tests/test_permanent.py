@@ -235,6 +235,23 @@ def test_mper_known_values():
     assert mper(q_matrix(3)) == abs(permanent_ryser(q_matrix(3)))
 
 
+def test_rect_and_mper_match_glynn_over_every_selection():
+    # the compiled oracle values every selection; Glynn, which shares no
+    # code with it, values each submatrix_select on its own
+    rng = random.Random(31)
+    for k in range(1, 7):
+        for n in range(k, 11):
+            rows = range(1, k + 1)
+            for _ in range(2):
+                a = make_matrix([rng.choice((1, -1)) for _ in range(k * n)], k, n)
+                pers = [
+                    permanent_ryser(submatrix_select(a, rows, cols))
+                    for cols in itertools.combinations(range(1, n + 1), k)
+                ]
+                assert permanent_rect(a) == sum(pers)
+                assert mper(a) == sum(map(abs, pers))
+
+
 def test_mper_dominates_rect():
     rng = random.Random(9)
     for _ in range(60):
@@ -252,16 +269,16 @@ def test_laplace_known_values():
 
 
 def test_laplace_equals_permanent_for_any_row_set():
+    # every proper row set, so every width of the reversed pairing of
+    # column sets with their complements is checked against Glynn
     rng = random.Random(13)
-    for _ in range(25):
-        n = rng.randint(2, 6)
-        a = random_square(rng, n)
-        want = permanent_ryser(a)
-        for size in (1, 2):
-            if size >= n:
-                continue
-            beta = sorted(rng.sample(range(1, n + 1), size))
-            assert laplace_expand(a, beta) == want
+    for n in range(2, 8):
+        for _ in range(3):
+            a = random_square(rng, n)
+            want = permanent_ryser(a)
+            for size in range(1, n):
+                for beta in itertools.combinations(range(1, n + 1), size):
+                    assert laplace_expand(a, beta) == want
 
 
 def test_laplace_rejects_bad_row_sets():

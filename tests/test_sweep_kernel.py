@@ -524,10 +524,15 @@ def test_recheck_blames_the_kernel_for_a_wrong_value_or_rank():
 
 
 def test_wide_sweep_evaluates_permanents_only_for_the_bound(monkeypatch):
-    real = permanent.permanent_ryser
-    seen = []
-    monkeypatch.setattr(permanent, "permanent_ryser", lambda a: seen.append(a) or real(a))
+    glynn, sums = [], []
+    for module in (permanent, verifier):
+        monkeypatch.setattr(
+            module, "permanent_ryser", lambda a: glynn.append(a) or permanent_ryser(a)
+        )
+    monkeypatch.setattr(verifier, "mper", lambda a: sums.append(a) or mper(a))
     (row,) = verifier.verify_mper(4, 6).rows
-    # one call per 4-column selection of D_(6,4,3), and none from the sweep
-    assert len(seen) == math.comb(6, 4) == 15
-    assert sum(abs(real(a)) for a in seen) == row.bound == 120
+    # one mper call, for the bound on D_(6,4,3), and no Glynn call at all:
+    # mper values every selection in one call of the compiled oracle
+    assert glynn == []
+    assert sums == [d_matrix(6, 4, 3)]
+    assert row.bound == 120

@@ -8,8 +8,8 @@ Usage, from the repository root:
 
 ``--src`` names the directory holding the ``permax`` package (default
 ``src`` next to this directory), so the same script can time two
-checkouts.  Five sections run in order, each opened by a
-``# <section>: <columns>`` line; the first four each draw their inputs
+checkouts.  Six sections run in order, each opened by a
+``# <section>: <columns>`` line; the first five each draw their inputs
 from their own seeded generator, so every run times the same inputs:
 
 - ``permanent``: ``permanent_ryser`` and ``permanent_naive`` on 40
@@ -20,6 +20,10 @@ from their own seeded generator, so every run times the same inputs:
   the figure includes building the row vectors.  ``naive_first`` is the
   order's first ``permanent_naive`` call, timed once before the others:
   it compiles the order's function, which the best-of-5 ``naive`` hides.
+- ``mper``: ``mper`` on 40 uniform k x n matrices per shape (3,5), (5,8),
+  (6,12) and (8,12), one line ``shape us first_us``.  ``first_us`` is
+  the shape's first call, timed once before the others: it compiles the
+  oracle over k rows of n columns, which the best-of-5 ``us`` hides.
 - ``rank_vector``: ``rank_vector`` on 40 full-rank k x n matrices per
   shape, 2 <= k <= 4 and k < n <= 8.
 - ``classify``: 20 order-6 inputs per ``classify_form`` outcome (uniform
@@ -78,6 +82,7 @@ SWEEP_SHAPES = [(n, n) for n in range(2, 7)] + [
     (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6),
     (4, 7), (5, 7), (4, 8), (3, 9), (3, 10),
 ]
+MPER_SHAPES = [(3, 5), (5, 8), (6, 12), (8, 12)]
 IMPORT_RUNS = 11
 
 
@@ -118,6 +123,13 @@ def main() -> None:
         first = best(lambda: px.permanent_naive(mats[0]), 1)[0] * 1e6
         times = [per_call_us(f, mats, 5) for f in (px.permanent_ryser, px.permanent_naive)]
         print(n, *(f"{t:.1f}" for t in (*times, first)), flush=True)
+
+    print("# mper: shape us first_us", flush=True)
+    rng = random.Random(17)
+    for k, n in MPER_SHAPES:
+        mats = [uniform(rng, k, n) for _ in range(40)]
+        first = best(lambda: px.mper(mats[0]), 1)[0] * 1e6
+        print(f"({k},{n}) {per_call_us(px.mper, mats, 5):.1f} {first:.1f}", flush=True)
 
     print("# rank_vector: shape us", flush=True)
     rng = random.Random(11)
