@@ -17,14 +17,17 @@ One kernel scans the classes of both sweeps.  Each class carries the
 running product of per-row subset sums over all 2^n column subsets,
 grown from the class before it, so shared prefixes are computed once.
 Each selection's permanent is linear in the last row, its coefficients
-b_j the permanents of the minors, so one pass per class and selection
-gives every leaf's value, and the rank comes from a table of row spans:
-a leaf evaluates no permanent and runs no elimination.  No leaf of a
-class exceeds the sum of every |b_j|, and a class whose sum is below
-the bound of both ranks its leaves take skips that pass: only classes
-that can reach a bound are valued leaf by leaf (23 of 1,053 at order
-6), the others counted from the span table and their sum of per^2
-taken in closed form.  Every sweep is checked exactly: the class count
+b_j the permanents of the (k-1)-column minors.  Each class sums its
+C(n,k-1) minors off that product once, and every selection reads its
+b_j from them, so one pass per valued class and selection gives every
+leaf's value, and the rank comes from a table of row spans: a leaf
+evaluates no permanent and runs no elimination.  No leaf of a class
+exceeds the sum of every |b_j|, n - k + 1 times the sum of the minors'
+|per|, and a class whose sum is below the bound of both ranks its
+leaves take skips those passes: only classes that can reach a bound are
+valued leaf by leaf (23 of 1,053 at order 6), the others counted from
+the span table and their sum of per^2 taken in closed form from the
+minors.  Every sweep is checked exactly: the class count
 against the Polya count, the matrix and orbit counts, the second moment
 sum per^2, the per-rank matrix counts, and the divisibility of every
 b_j by the power of two the Krauter-Seifter theorem gives permanents of
@@ -41,7 +44,7 @@ import math
 import random
 import time
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import combinations, groupby, permutations, product
 from operator import add, itemgetter, mul, or_
@@ -225,6 +228,16 @@ class _SweepTables:
     """Read-only tables of one k x n sweep, plus the span table of the
     free rows.
 
+    ``lead`` is the Ryser vector of the all-ones first row, signed for
+    the k - 1 rows above the last row, not for all k: so ``minors[i]``
+    picks the 2^(k-1) subsets of the i-th (k-1)-column set T, in
+    ``combinations`` order, and summing them off a class's Ryser vector
+    gives the permanent of the class's minor on T itself, not its
+    negative.  ``sels[c]`` reads the c-th k-column selection's
+    coefficients b_0..b_(n-1) off that list of minors with a 0 appended:
+    b_j is the minor on the selection less column j, and 0 for a column
+    outside the selection.
+
     ``targets`` maps each judged rank to the least value its stratum must
     reach; ``None`` judges nothing and has every class value its leaves.
     """
@@ -240,18 +253,25 @@ class _SweepTables:
             reach = [targets.get(r, math.inf) for r in range(k + 1)]
             self.need = [min(reach[d + 1], reach[d + 2]) for d in range(k - 1)]
         full = range(1 << n)
-        # Ryser weights of the all-ones first row, inclusion-exclusion sign included
-        self.lead = [(-1 if (k - s.bit_count()) & 1 else 1) * s.bit_count() for s in full]
+        # Ryser weights of the all-ones first row, inclusion-exclusion sign
+        # (-1)^(k - 1 - |s|) included
+        self.lead = [(-1 if (k - 1 - s.bit_count()) & 1 else 1) * s.bit_count() for s in full]
         self.row_sums = _RowSums(n)
-        # per k-column selection, column j of it picks the subsets of the
-        # selection that contain j; a column outside it picks nothing
-        self.sels = []
-        for cols in combinations(range(n), k):
-            subsets = [sum(1 << cols[i] for i in range(k) if (b >> i) & 1) for b in range(1 << k)]
-            self.sels.append([
-                itemgetter(*[s for s in subsets if (s >> j) & 1]) if j in cols else None
-                for j in range(n)
-            ])
+        # the empty subset, of weight 0, keeps every getter returning a
+        # tuple, even at k = 2
+        sets = list(combinations(range(n), k - 1))
+        self.minors = [
+            itemgetter(*[sum(1 << c for i, c in enumerate(cols) if (b >> i) & 1)
+                         for b in range(1 << (k - 1))])
+            for cols in sets
+        ]
+        # by column mask; flipping a column outside a selection's mask gives
+        # k + 1 columns, no key, so that column reads the appended 0
+        index = {sum(1 << c for c in cols): i for i, cols in enumerate(sets)}
+        self.sels = [
+            itemgetter(*[index.get(sel ^ 1 << j, len(sets)) for j in range(n)])
+            for sel in (sum(1 << c for c in cols) for cols in combinations(range(n), k))
+        ]
         self.spans = _SpanTable(n - 1)
 
 
@@ -353,7 +373,7 @@ def _prefix_classes(r: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
                 stack.append((rows + (x,), child, wx, child_keys))
 
 
-def _last_row_values(b: list[int]) -> list[int]:
+def _last_row_values(b: Sequence[int]) -> list[int]:
     """One selection's permanent for every last row, from the selection's
     column sums ``b`` of the prefix's Ryser vector: the last row with
     free bits x gives sum(b) - 2 * (the sum of b[j + 1] over the bits j
@@ -384,24 +404,30 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     The classes arrive depth first, so consecutive classes share
     prefixes: the Ryser vector of P (the running product of per-subset
     row sums) and the id of its span grow along the rows that differ from
-    the previous class's.  Each selection's column sums b_j, gathered from
-    it, are the coefficients of the last row's entries, so b_j is the
-    permanent of the (k-1) x (k-1) minor that omits column j.  One
-    doubling pass per selection gives every leaf's value, and the leaf's
-    rank is 1 + dim(span of P), plus 1 when the last row lies outside that
-    span: two table reads.
+    the previous class's.  Each selection's permanent is linear in the
+    last row's entries, with coefficient b_j the permanent of the
+    (k-1) x (k-1) minor that omits column j.  A minor belongs to the
+    n - k + 1 selections that hold its columns, so each of the C(n,k-1)
+    minors is summed off the Ryser vector once per class, and a selection
+    reads its b_j from that list.  One doubling pass per selection gives
+    every leaf's value, and the leaf's rank is 1 + dim(span of P), plus 1
+    when the last row lies outside that span: two table reads.
 
     No leaf of a class is worth more than the sum of every |b_j| over the
-    selections.  When that is below the target of both ranks its leaves
-    take (``tables.need``), no leaf can reach a bound, and the class skips
-    its doubling passes: its census comes from the span mask, and its
-    sum of per^2 is exactly 2^(n-1) times the sum of every b_j^2, since
-    the cross terms cancel over the last rows.  A leaf equal to a target
-    is always valued, so judged maxima and their leaves are exact.
+    selections, which is n - k + 1 times the sum of the minors' |per|.
+    When that is below the target of both ranks its leaves take
+    (``tables.need``), no leaf can reach a bound, and the class builds no
+    selection's b and skips its doubling passes: its census comes from
+    the span mask, and its sum of per^2 is exactly 2^(n-1) times the sum
+    of every b_j^2, n - k + 1 times the minors' per^2, since the cross
+    terms cancel over the last rows.  A valued class sums per^2 from its
+    leaf values instead, so the second-moment check also covers the
+    doubling passes.  A leaf equal to a target is always valued, so judged
+    maxima and their leaves are exact.
 
-    Every b_j of the block is ORed together and checked against the
-    Krauter-Seifter theorem (1983): the permanent of an order-q sign
-    matrix is a multiple of 2^(q - floor(log2 q) - 1).
+    Every minor of the block, and so every b_j, is ORed together and
+    checked against the Krauter-Seifter theorem (1983): the permanent of
+    an order-q sign matrix is a multiple of 2^(q - floor(log2 q) - 1).
 
     Returns the weighted matrix count, the sum of the weights, the
     weighted sum of per^2 over every selection, the weighted matrix count
@@ -410,11 +436,13 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     rank without a target sees only the classes valued for other ranks.
     """
     k, m = tables.k, tables.n - 1
-    row_sums, sels, spans, need = tables.row_sums, tables.sels, tables.spans, tables.need
+    row_sums, minors, sels = tables.row_sums, tables.minors, tables.sels
+    spans, need = tables.spans, tables.need
+    spread = tables.n - k + 1  # the selections holding each (k-1)-column set
     best = [-1] * (k + 1)
     reps: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
     census = [0] * (k + 1)
-    scanned = orbits = squares = classes = minors = 0
+    scanned = orbits = squares = classes = ored = 0
     path: tuple[int, ...] = ()
     vecs, sids = [tables.lead], [0]  # along ``path``, one more than its rows
     for rows, w in block:
@@ -427,22 +455,20 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
         scanned += w << m
         orbits += w
         classes += 1
-        bs = [[sum(g(vec)) if g else 0 for g in sel] for sel in sels]
-        most = 0  # no leaf of the class is worth more
-        for b in bs:
-            minors = reduce(or_, b, minors)
-            most += sum(map(abs, b))
+        mz = [sum(g(vec)) for g in minors]
+        ored = reduce(or_, mz, ored)
         dim = spans.dim[sid]
-        if most < need[dim]:
-            squares += w * sum(sum(map(mul, b, b)) for b in bs) << m
+        if spread * sum(map(abs, mz)) < need[dim]:
+            squares += w * spread * sum(map(mul, mz, mz)) << m
             inside = spans.mask[sid].bit_count()
             census[1 + dim] += w * inside
             census[2 + dim] += w * ((1 << m) - inside)
             continue
+        mz.append(0)
         vals: list[int] = []
         sq = 0
-        for b in bs:
-            per = _last_row_values(b)
+        for sel in sels:
+            per = _last_row_values(sel(mz))
             sq += sum(map(mul, per, per))
             vals = list(map(add, vals, map(abs, per))) if vals else list(map(abs, per))
         squares += w * sq
@@ -458,10 +484,10 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
                 reps[r] += [rows + (x,) for x, v in enumerate(vals) if v == mx and (bits >> x) & 1]
     q = k - 1
     floor = q - q.bit_length()
-    if minors & ((1 << floor) - 1):
+    if ored & ((1 << floor) - 1):
         raise RuntimeError(
             f"column sums are permanents of order {q}, but not all are multiples of 2^{floor}"
-            f" (their OR is {minors})"
+            f" (their OR is {ored})"
         )
     stats = {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
     return scanned, orbits, squares, census, stats, classes

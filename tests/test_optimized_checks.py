@@ -218,18 +218,18 @@ v.verify_square(4)
 
 
 def test_odd_column_sum_breaks_minor_divisibility_under_optimize():
-    # b_1 + 1 in every order-6 class: each column sum is the permanent of
-    # an order-5 sign matrix, a multiple of 2^(5 - 2 - 1) = 4.  The second
-    # moment moves too, but the divisibility check runs first, as the
-    # block ends
+    # the first minor + 1 in every order-6 class: each column sum is the
+    # permanent of an order-5 sign matrix, a multiple of 2^(5 - 2 - 1) = 4.
+    # The second moment moves too, but the divisibility check runs first,
+    # as the block ends
     out = run_optimized(
         """
 import permax.verifier as v
 real = v._SweepTables.__init__
 def corrupted(self, k, n, targets=None):
     real(self, k, n, targets)
-    g = self.sels[0][1]
-    self.sels[0][1] = lambda vec: g(vec) + (1,)
+    g = self.minors[0]
+    self.minors[0] = lambda vec: g(vec) + (1,)
 v._SweepTables.__init__ = corrupted
 v.verify_square(6)
 """

@@ -148,11 +148,20 @@ def multiset_chunk(tables, x1):
     row at once.  The sweep ran this kernel before the prefix classes:
     at order 6 it has 376,992 leaves, and at order 7 its inner nodes
     reach all 77,261 spans of the span table.
+
+    It shares only the row sums and the span table with the kernel: its
+    Ryser weights carry the k-row sign, and it gathers each b_j of each
+    selection as the sum over the selection's subsets that contain j.
     """
-    k, free = tables.k, tables.k - 1
-    nwords = 1 << (tables.n - 1)
+    k, n, free = tables.k, tables.n, tables.k - 1
+    nwords = 1 << (n - 1)
     total = math.factorial(free)
-    row_sums, sels, spans = tables.row_sums, tables.sels, tables.spans
+    row_sums, spans = tables.row_sums, tables.spans
+    lead = [(-1) ** (k - s.bit_count()) * s.bit_count() for s in range(1 << n)]
+    sels = []
+    for cols in combinations(range(n), k):
+        subsets = [sum(1 << c for i, c in enumerate(cols) if (b >> i) & 1) for b in range(1 << k)]
+        sels.append([[s for s in subsets if (s >> j) & 1] if j in cols else [] for j in range(n)])
     best = [-1] * (k + 1)
     reps = [[] for _ in range(k + 1)]
     census = [0] * (k + 1)
@@ -162,7 +171,7 @@ def multiset_chunk(tables, x1):
         vals = [0] * (hi - lo)
         sq = [0] * (hi - lo)
         for sel in sels:
-            b = [sum(g(vec)) if g else 0 for g in sel]
+            b = [sum(vec[s] for s in subsets) for subsets in sel]
             per = [sum(b)]
             for bj in b[1:]:
                 bj *= 2
@@ -199,9 +208,9 @@ def multiset_chunk(tables, x1):
             )
 
     if free == 1:
-        leaves(tables.lead, 0, (), x1, x1 + 1, 1, 0)
+        leaves(lead, 0, (), x1, x1 + 1, 1, 0)
     else:
-        head = [w * t for w, t in zip(tables.lead, row_sums[x1])]
+        head = [w * t for w, t in zip(lead, row_sums[x1])]
         descend(head, spans.child(0, x1), (x1,), 1, 1)
     stats = {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
     return sums[0], census, sums[1], stats
@@ -307,6 +316,25 @@ def test_bound_pruned_pass_matches_the_full_pass(k, n, monkeypatch, tmp_path):
     with_targets = report("pruned.json")
     monkeypatch.setattr(verifier, "_sweep", lambda k, n, targets=None: real(k, n))
     assert with_targets == report("full.json")
+
+
+@shapes((3, 5), (4, 6), (5, 7), (5, 5))
+def test_class_minors_match_the_compiled_oracle(k, n):
+    # each (k-1)-column minor the kernel sums off a class's Ryser vector
+    # is the permanent the compiled oracle gives over the class's k - 1
+    # rows, first row all ones; the oracle lists its column sets in
+    # descending numeric order, so both sides are keyed by column mask
+    tables = verifier._SweepTables(k, n)
+    masks = [sum(1 << c for c in cols) for cols in combinations(range(n), k - 1)]
+    oracle_masks = [s for s in range((1 << n) - 1, 0, -1) if s.bit_count() == k - 1]
+    oracle = permanent._naive_code(k - 1, n)
+    for rows, _ in verifier._prefix_classes(k - 2, n - 1):
+        vec = tables.lead
+        for x in rows:
+            vec = [v * t for v, t in zip(vec, tables.row_sums[x])]
+        got = dict(zip(masks, (sum(g(vec)) for g in tables.minors)))
+        want = dict(zip(oracle_masks, oracle((0,) + tuple(x << 1 for x in rows))))
+        assert got == want, rows
 
 
 def test_order_six_values_23_of_1053_classes(monkeypatch):
