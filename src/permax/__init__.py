@@ -8,6 +8,7 @@ from .d_family import *
 from .errors import *
 from .exact_rank import *
 from .permanent import *
+from .props import *
 from .rank_vectors import *
 from .reduction import *
 from .sign_matrix import *
@@ -20,6 +21,7 @@ __all__ = [
     *errors.__all__,
     *exact_rank.__all__,
     *permanent.__all__,
+    *props.__all__,
     *rank_vectors.__all__,
     *reduction.__all__,
     *sign_matrix.__all__,

@@ -3,9 +3,12 @@
 The matrices D_(n,k) (all ones except -1 in the first k diagonal cells)
 satisfy a two-term recurrence in k with base column n!, which fills a
 full triangular table far faster than evaluating each permanent.  The
-table feeds the rank-conditional bound lookup and two independent
-identities used as cross-checks: a Laplace-style expansion for the
-k = n-1 column and a diagonal recurrence for k = n.
+table backs ``permax dtable`` and the tests, not the verdict: the sweep
+reads each stratum's bound off ``mper`` of its D matrix, and the tests
+check those bounds against the rank-conditional bound lookup here.  Two
+independent identities serve as cross-checks of the table itself: a
+Laplace-style expansion for the k = n-1 column and a diagonal
+recurrence for k = n.
 """
 
 from __future__ import annotations

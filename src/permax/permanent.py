@@ -6,10 +6,7 @@ expansion.  The two evaluators share no code, so each checks the other;
 the compiled oracle is the faster of the two at orders 2-12, and it alone
 values the rectangular sums and the Laplace expansion.  The oracle over
 k rows of n columns values every k-column selection in one call, so a
-rectangular sum is one call, a Laplace expansion two, and the normalized
-matrices of one order stream block by block: one call over a block's
-first n - 1 rows gives its last-row minors' permanents, and one doubling
-pass over them values the block's 2^(n-1) last rows.
+rectangular sum is one call and a Laplace expansion two.
 
 All arithmetic is exact integer arithmetic; the shape budget keeps every
 value inside signed 64-bit range (|per| <= 12! for square inputs).
@@ -18,8 +15,7 @@ value inside signed 64-bit range (|per| <= 12! for square inputs).
 from __future__ import annotations
 
 import functools
-import itertools
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from operator import mul
 
 from .errors import ShapeError
@@ -51,10 +47,10 @@ def permanent_naive(a: SignMatrix) -> int:
     runs per column set.  Compile time and memory grow with 2^n.
     Measured in fresh processes (Python 3.11, shared 2-vCPU VM): orders
     1-8 compile in about 9 ms together, with a 1.5 MB tracemalloc peak,
-    and keep 0.14 MB; order 12 (4,096 assignments, 24,576 terms, 335 KB
+    and keep 0.12 MB; order 12 (4,096 assignments, 24,576 terms, 335 KB
     of bytecode) compiles in 115-140 ms, with a 28.5 MB peak, and keeps
-    2.1 MB.  A fresh process's
-    first order-12 call takes 110-130 ms and peaks at 47 MB RSS, and later
+    1.85 MB, the compiled function alone.  A fresh process's first
+    order-12 call takes 110-130 ms and peaks at 47 MB RSS, and later
     calls take 0.9 ms, against 13-22 ms, 18 MB and 2.0-2.9 ms when a loop
     walked a cached per-order table of column-set successors.
     """
@@ -63,7 +59,6 @@ def permanent_naive(a: SignMatrix) -> int:
     return _naive_code(a.rows, a.rows)(a.words)[0]
 
 
-@functools.cache
 def _naive_source(k: int, n: int) -> str:
     """The source of the compiled oracle for k rows of n columns.
 
@@ -75,7 +70,8 @@ def _naive_source(k: int, n: int) -> str:
     assigned.  It returns the tuple of every k-column set's value, the
     permanent of that column selection, in descending numeric order of
     the sets: for k = n the permanent alone, and for k = n - 1 entry j
-    is the minor without column j + 1.
+    is the minor without column j + 1.  It is read once, to compile, and
+    not kept.
     """
     rows = range(k)
     lines = [
@@ -166,37 +162,6 @@ def _row_vector(n: int, w: int) -> tuple[int, ...]:
         sums += [s + step for s in sums]
     v = _vectors[n][w] = tuple(sums)
     return v
-
-
-def _normalized_blocks(n: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(p, b)`` for every block of ``enumerate_normalized(n)``.
-
-    A block is the 2^(n-1) matrices that share their first n - 1 rows:
-    the all-ones row and the free rows of n - 1 bits read from p lowest
-    first.  Its matrix with last-row free bits x has index
-    p | x << (n-2)(n-1) in that stream.  By Laplace expansion along the
-    last row, each value is linear in that row's entries, and ``b[j]``,
-    the coefficient of column j + 1, is the permanent of the
-    (n-1) x (n-1) minor without the last row and column j + 1: the
-    compiled oracle's n - 1 rows by n columns return exactly these.
-    """
-    evaluate = _naive_code(n - 1, n)
-    # a free row's word: its n - 1 bits past column 1, which holds +1
-    words = range(0, 1 << n, 2)
-    # product varies its last factor fastest, and p its row 0
-    for p, high in enumerate(itertools.product(words, repeat=n - 2)):
-        yield p, list(evaluate((0, *high[::-1])))
-
-
-def _last_row_permanents(b: list[int]) -> list[int]:
-    """The permanents of a block of ``_normalized_blocks``, indexed by the
-    last row's free bits x, from its minors ``b``: column 1 holds +1 and
-    bit j of x negates column j + 2, so the value is sum(b) minus twice
-    the b[j + 1] over the bits j of x, one doubling pass over b."""
-    per = [sum(b)]
-    for bj in b[1:]:
-        per += [v - 2 * bj for v in per]
-    return per
 
 
 @functools.cache

@@ -1,4 +1,4 @@
-"""Exhaustive and randomized verification of the rank-based permanent bound.
+"""Exhaustive verification of the rank-based permanent bound.
 
 Both exhaustive sweeps walk every k x n matrix with all-ones first row
 and column: the square sweep (k = n) bounds |per| per rank, the wide
@@ -32,16 +32,18 @@ against the Polya count, the matrix and orbit counts, the second moment
 sum per^2, the per-rank matrix counts, and the divisibility of every
 b_j by the power of two the Krauter-Seifter theorem gives permanents of
 its order.  One routine, ``_verdict``, admits a shape by its cost and
-judges every rank stratum against its bound and one table of
-sanctioned deviations; a stratum that misses its bound is swept again
-in full before it is reported, and a matrix it names as a
+judges every rank stratum against its bound, mper of a D matrix, and
+one table of sanctioned deviations; a stratum that misses its bound is
+swept again in full before it is reported, and a matrix it names as a
 counterexample is first revalued by the independent oracles.
+
+``verify_properties`` times and reports the seeded property suite of
+``props``, which imports nothing of this module.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
@@ -49,32 +51,16 @@ from functools import reduce
 from itertools import combinations, groupby, permutations, product
 from operator import add, itemgetter, mul, or_
 
-from .d_family import bound_for_rank, build_table
-from .errors import CounterexampleError, PropertyFailure, RangeError, RankError, ShapeError
+from . import props
+from .errors import CounterexampleError, RangeError
 from .exact_rank import rank
-from .permanent import (
-    _last_row_permanents,
-    _normalized_blocks,
-    laplace_expand,
-    mper,
-    permanent_naive,
-    permanent_ryser,
-)
-from .rank_vectors import check_min_law
+from .permanent import mper
 from .reduction import equivalent_to_d
-from .sign_matrix import (
-    _STEP_ARITY,
-    SignMatrix,
-    apply,
-    d_matrix,
-    format_matrix_text,
-    invert_transforms,
-)
+from .sign_matrix import SignMatrix, d_matrix, format_matrix_text
 
 __all__ = [
     "StratumRow",
     "VerifyReport",
-    "enumerate_normalized",
     "verify_mper",
     "verify_properties",
     "verify_square",
@@ -102,28 +88,6 @@ class VerifyReport(namedtuple("VerifyReport", "n rows scanned seconds checks", d
     """
 
     __slots__ = ()
-
-
-def enumerate_normalized(n: int) -> Iterator[SignMatrix]:
-    """Yield every order-n matrix with all-ones first row and first column.
-
-    The (n-1)^2 free cells run in row-major bit order of the enumeration
-    index, so the stream is deterministic.
-    """
-    if not (2 <= n <= 6):
-        raise ShapeError(f"normalized enumeration supports orders 2..6, got {n}")
-    for i in range(1 << (n - 1) ** 2):
-        yield _normalized(n, i)
-
-
-def _normalized(n: int, i: int, k: int | None = None) -> SignMatrix:
-    """The i-th k x n matrix (k = n by default) with all-ones first row and
-    column, its free rows read from i lowest first as in
-    ``enumerate_normalized(n)``."""
-    free = n - 1
-    mask = (1 << free) - 1
-    k = n if k is None else k
-    return SignMatrix(k, n, tuple([0] + [((i >> (r * free)) & mask) << 1 for r in range(k - 1)]))
 
 
 class _SpanTable:
@@ -577,14 +541,15 @@ def _strata(k: int, n: int) -> dict[int, tuple[int, int, tuple[int, ...]]]:
     """The judged rank strata of shape (k, n): every rank of a square
     shape, full row rank of a wide one.  Each maps to its bound, the
     maximum the sweep must find, and the sizes s of the D_(n,k,s) orbits
-    that must attain it."""
-    if k == n:
-        table = build_table(n)
-        bounds = {r: bound_for_rank(n, r, table) for r in range(1, n + 1)}
-    else:
-        bounds = {k: mper(d_matrix(n, k, k - 1))}
+    that must attain it.
+
+    Every rank r has one bound, mper D_(n,k,r-1), read off the compiled
+    oracle.  On a square shape that is |per D_(n,r-1)|, and per D_(n,j)
+    is nonnegative for every j < n, so it equals the ``d_family``
+    recurrence's per-rank bound, which the tests check it against."""
     strata = {}
-    for r, bound in bounds.items():
+    for r in range(1, n + 1) if k == n else (k,):
+        bound = mper(d_matrix(n, k, r - 1))
         top, sizes = _SANCTIONED.get((k, n, r), (None, (r - 1,)))
         strata[r] = (bound, bound if top is None else top, sizes)
     return strata
@@ -692,31 +657,8 @@ def verify_mper(k: int, n: int) -> VerifyReport:
     return _verdict(k, n)
 
 
-def _random_square(rng: random.Random, n: int) -> SignMatrix:
-    return SignMatrix(n, n, tuple([rng.getrandbits(n) for _ in range(n)]))
-
-
-def _random_wide(rng: random.Random, k: int, n: int) -> SignMatrix:
-    while True:
-        a = SignMatrix(k, n, tuple([rng.getrandbits(n) for _ in range(k)]))
-        if rank(a) == k:
-            return a
-
-
-def _random_transforms(rng: random.Random, n: int) -> tuple[tuple, ...]:
-    steps: list[tuple] = []
-    for _ in range(rng.randint(0, 6)):
-        kind = rng.choice(tuple(_STEP_ARITY))  # table order fixes the draws
-        steps.append((kind, *(rng.randint(1, n) for _ in range(_STEP_ARITY[kind]))))
-    return tuple(steps)
-
-
-# the wide shapes whose every full-row-rank matrix meets the minimality law in props
-_LAW_SHAPES = ((2, 3), (2, 4), (3, 4))
-
-
 def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
-    """Randomized and small-exhaustive invariant suite.
+    """Run the property suite of ``props``, seeded and small-exhaustive.
 
     Deterministic given ``seed``; ``samples`` sets the sampled volume and
     the derived per-check allocations.  Raises PropertyFailure naming the
@@ -724,147 +666,14 @@ def verify_properties(seed: int = 0, samples: int = 100_000) -> VerifyReport:
     """
     if samples <= 0:
         raise RangeError(f"sample count must be positive, got {samples}")
-    rng = random.Random(seed)
     t0 = time.monotonic()
-    checks: list[tuple[str, int]] = []
-    scanned = 0
-
-    def done(name: str, cases: int) -> None:
-        nonlocal scanned
-        checks.append((name, cases))
-        scanned += cases
-
-    def fail(name: str, a: SignMatrix, detail: str = "") -> None:
-        raise PropertyFailure(
-            f"{name} violated{': ' + detail if detail else ''}\n"
-            + format_matrix_text(a)
-        )
-
-    # one pass over the normalized slices of orders 2-5, block by block:
-    # a block is the 2^(n-1) last rows under one prefix of rows, and its
-    # values come from one doubling pass over its minors' permanents b_j,
-    # which the compiled oracle of permanent_naive gives in one call over
-    # the prefix.  Up to order 4 every value agrees with permanent_ryser,
-    # an evaluator sharing no code with the oracle, and, at order 4, is a
-    # multiple of 4 (the sampled orders 5-8 below compare the two
-    # evaluators matrix by matrix); per^2 sums exactly to n! 2^((n-1)^2)
-    # per slice; |per| is an orbit invariant, so the slices cover every
-    # orbit of the total bound n!, attained on the all-ones orbit alone,
-    # with (n-2)(n-1)! as the ceiling for everything else.  No value of a
-    # block exceeds the sum of its |b_j|, so an order-5 block whose sum is
-    # within the ceiling is counted unvalued, its per^2 summing to 2^(n-1) sum b_j^2 as the
-    # cross terms cancel over the last rows: only the all-ones prefix's
-    # block is valued there.  A matrix is built only for permanent_ryser
-    # or for a value over the ceiling.
-    oracle = div4 = total = 0
-    for order in (2, 3, 4, 5):
-        top = math.factorial(order)
-        rest = (order - 2) * math.factorial(order - 1)
-        free = order - 1
-        shift = (order - 2) * free
-        squares = 0
-        for p, b in _normalized_blocks(order):
-            total += 1 << free
-            if order == 5 and sum(map(abs, b)) <= rest:
-                squares += sum(map(mul, b, b)) << free
-                continue
-            for x, v in enumerate(_last_row_permanents(b)):
-                squares += v * v
-                if order < 5:
-                    a = _normalized(order, p | x << shift)
-                    if v != permanent_ryser(a):
-                        fail("permanent oracle agreement", a)
-                    oracle += 1
-                if order == 4:
-                    if v % 4:
-                        fail("order-4 divisibility by 4", a)
-                    div4 += 1
-                v = abs(v)
-                if v > rest:
-                    a = _normalized(order, p | x << shift)
-                    if v > top:
-                        fail("total permanent bound", a, f"|per| = {v} > {top}")
-                    if v < top:
-                        fail("non-equality permanent ceiling", a, f"|per| = {v} > {rest}")
-                    if equivalent_to_d(a, 0) is None:
-                        fail("total-bound equality orbit", a)
-        # E[per^2] = n! over uniform sign matrices, and negating lines keeps per^2
-        moment = top << (order - 1) ** 2
-        if squares != moment:
-            raise RuntimeError(
-                f"normalized order-{order} permanents square-sum to {squares}, not {moment}"
-            )
-    for order, pct in ((5, 85), (6, 10), (7, 4), (8, 1)):
-        for _ in range(samples * pct // 100):
-            a = _random_square(rng, order)
-            if permanent_ryser(a) != permanent_naive(a):
-                fail("permanent oracle agreement", a)
-            oracle += 1
-    done("ryser_vs_naive", oracle)
-    done("order4_divisibility", div4)
-    done("total_bound", total)
-
-    # the oracle's expansion along one or two rows agrees with Glynn's direct value
-    cases = max(1, samples // 100)
-    for _ in range(cases):
-        order = rng.randint(2, 6)
-        a = _random_square(rng, order)
-        width = 1 if order == 2 else rng.randint(1, 2)
-        beta = sorted(rng.sample(range(1, order + 1), width))
-        if laplace_expand(a, beta) != permanent_ryser(a):
-            fail("expansion consistency", a, f"rows {beta}")
-    done("laplace_expansion", cases)
-
-    # |per| and rank survive the transformation group, and sequences invert
-    cases = max(1, samples // 10)
-    for _ in range(cases):
-        order = rng.randint(2, 6)
-        a = _random_square(rng, order)
-        seq = _random_transforms(rng, order)
-        b = apply(a, seq)
-        if abs(permanent_ryser(a)) != abs(permanent_ryser(b)):
-            fail("permanent transform invariance", a, f"under {seq}")
-        if rank(a) != rank(b):
-            fail("rank transform invariance", a, f"under {seq}")
-        if apply(b, invert_transforms(seq)) != a:
-            fail("transform inversion", a, f"under {seq}")
-    done("transform_invariance", cases)
-
-    # rank-vector minimality, which a wrong selection rank breaks:
-    # exhaustive at the smallest wide shapes, then sampled across the
-    # supported range.  Every matrix has full row rank by ``rank``, so a
-    # rank vector with no full-rank selection (RankError) misses the law too.
-    # Negating a row or column keeps every selection's rank, so the
-    # exhaustive pass walks the matrices with all-ones first row and column
-    # and counts each full-row-rank one for its 2^(k+n-1) negation images.
-    def min_law(a: SignMatrix) -> None:
-        try:
-            held = check_min_law(a)
-        except RankError:
-            held = False
-        if not held:
-            fail("rank-vector minimality", a)
-
-    cases = 0
-    for k, n in _LAW_SHAPES:
-        for i in range(1 << ((k - 1) * (n - 1))):
-            a = _normalized(n, i, k)
-            if rank(a) == k:
-                min_law(a)
-                cases += 1 << (k + n - 1)
-    for _ in range(max(1, samples // 200)):
-        k = rng.randint(2, 4)
-        a = _random_wide(rng, k, rng.randint(k + 1, 7))
-        min_law(a)
-        cases += 1
-    done("rank_vector_laws", cases)
-
+    checks = props.run(seed, samples)
     return VerifyReport(
         n=0,
         rows=(),
-        scanned=scanned,
+        scanned=sum(cases for _, cases in checks),
         seconds=round(time.monotonic() - t0, 3),
-        checks=tuple(checks),
+        checks=checks,
     )
 
 

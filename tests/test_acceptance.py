@@ -28,7 +28,7 @@ from permax import (
     verify_properties,
     verify_square,
 )
-from permax.verifier import _random_transforms
+from permax.props import _random_transforms
 
 TABLE = build_table(12)
 

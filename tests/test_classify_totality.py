@@ -13,7 +13,7 @@ from permax import (
     p_matrix,
     rank,
 )
-from permax.verifier import _random_transforms
+from permax.props import _random_transforms
 
 TEMPLATES = {
     "DnMinus1": lambda n: d_matrix(n, n, n - 1),

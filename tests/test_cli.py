@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import permax.props
 import permax.verifier
 from permax import CounterexampleError, d_matrix, format_matrix_text, p_matrix
 from permax.cli import main
@@ -161,9 +162,9 @@ def test_counterexample_exit_two(monkeypatch, capsys):
 
 
 def test_props_oracle_disagreement_exit_two(monkeypatch, capsys):
-    real = permax.verifier.permanent_naive
+    real = permax.props.permanent_naive
     monkeypatch.setattr(
-        permax.verifier, "permanent_naive", lambda a: real(a) + 2 * (a.rows == 8)
+        permax.props, "permanent_naive", lambda a: real(a) + 2 * (a.rows == 8)
     )
     assert main(["props", "--seed", "4", "--samples", "400"]) == 2
     assert capsys.readouterr().err.startswith("FAIL: permanent oracle agreement violated\n8 8\n")

@@ -13,6 +13,7 @@ from permax import (
     laplace_identity,
     per_d_diag,
     permanent_ryser,
+    verifier,
 )
 
 TABLE = build_table(12)
@@ -90,6 +91,12 @@ def test_bound_lookup():
     assert bound_for_rank(6, 6, TABLE) == 128
     for n in range(2, 9):
         assert bound_for_rank(n, 1, TABLE) == math.factorial(n)
+    # the verdict reads every square stratum's bound off mper of a D
+    # matrix; the recurrence must give the same bounds
+    for n in range(2, 7):
+        assert {r: bound for r, (bound, _, _) in verifier._strata(n, n).items()} == {
+            r: bound_for_rank(n, r, TABLE) for r in range(1, n + 1)
+        }
     with pytest.raises(RangeError):
         bound_for_rank(5, 6, TABLE)
     with pytest.raises(RangeError):

@@ -279,9 +279,10 @@ v.verify_square(5)
 def test_oracle_disagreement_raises_under_optimize():
     out = run_optimized(
         """
+import permax.props as props
 import permax.verifier as v
-real = v.permanent_naive
-v.permanent_naive = lambda a: real(a) + 2 * (a.rows == 8)
+real = props.permanent_naive
+props.permanent_naive = lambda a: real(a) + 2 * (a.rows == 8)
 v.verify_properties(4, 400)
 """
     )
@@ -317,12 +318,13 @@ def run_with_order_five_block(p: int, b: str) -> str:
     order-5 block ``p`` replaced by ``b``, an expression in the real ``b``."""
     return run_optimized(
         f"""
+import permax.props as props
 import permax.verifier as v
-real = v._normalized_blocks
+real = props._normalized_blocks
 def changed(n):
     for p, b in real(n):
         yield p, {b} if (n, p) == (5, {p}) else b
-v._normalized_blocks = changed
+props._normalized_blocks = changed
 v.verify_properties(0, 100)
 """
     )
@@ -342,7 +344,7 @@ def test_batched_value_over_the_ceiling_names_its_matrix_under_optimize():
     out = run_with_order_five_block(3, "[37, 0, 0, 0, -37]")
     head, _, matrix = out.partition("\n")
     assert head == "non-equality permanent ceiling violated: |per| = 74 > 72"
-    assert matrix == format_matrix_text(permax.verifier._normalized(5, 3 | 8 << 12)).strip()
+    assert matrix == format_matrix_text(permax.props._normalized(5, 3 | 8 << 12)).strip()
 
 
 def test_odd_glynn_sum_raises_under_optimize():

@@ -1,6 +1,7 @@
 """The public surface: each module's ``__all__`` declares its names, the
 package re-exports them, and every exported name and every name the tools
-import resolves."""
+import resolves.  The property suite and the sweep import nothing of each
+other's code."""
 
 import ast
 import importlib
@@ -166,3 +167,56 @@ def test_tool_imports_resolve():
         "import permax as px\nfrom permax import verifier, nope\n"
         "px.rank_vector, px.verifier._gone, verifier._sweep_block, verifier._also_gone\n"
     ) == ["from permax import nope", "permax.verifier._gone", "permax.verifier._also_gone"]
+
+
+# the exhaustive sweep's kernel in ``verifier``: everything that values,
+# ranks and counts its leaves
+KERNEL = {
+    "_SpanTable", "_RowSums", "_SweepTables", "_prefix_classes", "_polya_count",
+    "_last_row_values", "_rank_split", "_sweep_block", "_check_census", "_sweep",
+}
+
+
+def _parsed(module):
+    return ast.parse((Path(permax.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(tree):
+    """Each ``permax`` module a module imports from, with the names it
+    binds from it; a module imported whole binds none of its names."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "permax":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                out.setdefault(module, set()).update(a.name for a in node.names)
+            else:
+                for a in node.names:
+                    out.setdefault(a.name, set())
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("permax."):
+                    out.setdefault(a.name.partition(".")[2], set())
+    return out
+
+
+def test_props_and_the_sweep_share_no_code():
+    # the property suite and the sweep check each other, so neither reads
+    # the other's code: the verdict takes its bounds and rechecks from mper
+    # alone, and the kernel's leaves touch no evaluator at all
+    assert "verifier" not in _package_imports(_parsed("props"))
+    tree = _parsed("verifier")
+    imports = _package_imports(tree)
+    assert imports["permanent"] == {"mper"}
+    assert "d_family" not in imports and "rank_vectors" not in imports
+    assert imports["props"] == set()  # the module alone, so no private name leaks
+    kernel = [node for node in tree.body if getattr(node, "name", None) in KERNEL]
+    assert sorted(node.name for node in kernel) == sorted(KERNEL)
+    used = {
+        node.id for part in kernel for node in ast.walk(part) if isinstance(node, ast.Name)
+    }
+    assert used & {"mper", "rank", "equivalent_to_d", "props"} == set()

@@ -25,7 +25,7 @@ from permax import (
     rank,
 )
 from permax import reduction
-from permax.verifier import _random_transforms
+from permax.props import _random_transforms
 
 
 def random_square(rng, n):

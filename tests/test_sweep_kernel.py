@@ -20,7 +20,7 @@ from operator import add
 
 import pytest
 
-from permax import permanent, verifier
+from permax import enumerate_normalized, permanent, verifier
 from permax.errors import CounterexampleError, RangeError
 from permax.exact_rank import _rank_rows, rank
 from permax.permanent import mper, permanent_naive, permanent_ryser
@@ -414,7 +414,7 @@ def test_two_row_sweep_is_one_block(monkeypatch, n):
 def test_rank_census_matches_bareiss(n):
     tables = verifier._SweepTables(n, n)
     census = verifier._sweep_block(tables, verifier._prefix_classes(n - 2, n - 1))[3]
-    want = Counter(rank(a) for a in verifier.enumerate_normalized(n))
+    want = Counter(rank(a) for a in enumerate_normalized(n))
     assert census == [want[r] for r in range(n + 1)]
     assert census[n] == verifier._FULL_RANK[n]
 
@@ -468,12 +468,9 @@ def test_chunk_frees_the_tables_on_return(k, n):
 
 
 def test_leaf_counterexample_names_the_matrix(monkeypatch):
-    real = verifier.bound_for_rank
-
-    def lowered(n, r, table):
-        return 47 if (n, r) == (5, 3) else real(n, r, table)
-
-    monkeypatch.setattr(verifier, "bound_for_rank", lowered)
+    real = verifier.mper
+    # lowers the order-5 rank-3 bound, per D_(5,2), from 48 to 47
+    monkeypatch.setattr(verifier, "mper", lambda a: 47 if a == d_matrix(5, 5, 2) else real(a))
     with pytest.raises(CounterexampleError) as info:
         verifier.verify_square(5)
     head, text = str(info.value).split("\n", 1)
@@ -484,17 +481,13 @@ def test_leaf_counterexample_names_the_matrix(monkeypatch):
     assert abs(permanent_naive(a)) == 48
 
 
-@pytest.mark.parametrize(
-    "k, n, r, patch",
-    [(5, 5, 1, "bound_for_rank"), (4, 6, 4, "mper")],
-    ids=["5", "4x6"],
-)
-def test_missed_bound_names_the_true_maximum(k, n, r, patch, monkeypatch):
+@pytest.mark.parametrize("k, n, r", [(5, 5, 1), (4, 6, 4)], ids=["5", "4x6"])
+def test_missed_bound_names_the_true_maximum(k, n, r, monkeypatch):
     # doubled bounds leave no class to value, so the pruned sweep sees no
     # leaf of the stratum; the full sweep run before raising names the
     # true maximum
-    real = getattr(verifier, patch)
-    monkeypatch.setattr(verifier, patch, lambda *args: 2 * real(*args))
+    real = verifier.mper
+    monkeypatch.setattr(verifier, "mper", lambda a: 2 * real(a))
     sweeps = []
     real_sweep = verifier._sweep
 
@@ -553,10 +546,9 @@ def test_recheck_blames_the_kernel_for_a_wrong_value_or_rank():
 
 def test_wide_sweep_evaluates_permanents_only_for_the_bound(monkeypatch):
     glynn, sums = [], []
-    for module in (permanent, verifier):
-        monkeypatch.setattr(
-            module, "permanent_ryser", lambda a: glynn.append(a) or permanent_ryser(a)
-        )
+    monkeypatch.setattr(
+        permanent, "permanent_ryser", lambda a: glynn.append(a) or permanent_ryser(a)
+    )
     monkeypatch.setattr(verifier, "mper", lambda a: sums.append(a) or mper(a))
     (row,) = verifier.verify_mper(4, 6).rows
     # one mper call, for the bound on D_(6,4,3), and no Glynn call at all:

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
-import permax.permanent
+import permax.props
 import permax.reduction
 import permax.verifier
 from permax import (
@@ -59,15 +59,15 @@ def test_batched_normalized_permanents_match_the_evaluator(n):
     # as props checks the values up to order 4; this reaches order 5 too
     shift, rows = (n - 2) * (n - 1), range(1, n)
     seen = []
-    for p, b in permax.permanent._normalized_blocks(n):
-        prefix = permax.verifier._normalized(n, p, n - 1)
+    for p, b in permax.props._normalized_blocks(n):
+        prefix = permax.props._normalized(n, p, n - 1)
         assert b == [
             permanent_ryser(submatrix_select(prefix, rows, [c for c in range(1, n + 1) if c != j]))
             for j in range(1, n + 1)
         ]
-        for x, v in enumerate(permax.permanent._last_row_permanents(b)):
+        for x, v in enumerate(permax.props._last_row_permanents(b)):
             i = p | x << shift
-            a = permax.verifier._normalized(n, i)
+            a = permax.props._normalized(n, i)
             assert a.words[: n - 1] == prefix.words
             assert v == permanent_ryser(a)
             seen.append(i)
@@ -77,16 +77,16 @@ def test_batched_normalized_permanents_match_the_evaluator(n):
 def test_props_values_one_order_five_block(monkeypatch):
     # every other order-5 block has sum |b_j| within the ceiling 72 and is
     # counted unvalued; the all-ones prefix's minors are each 4! = 24
-    real = permax.verifier._last_row_permanents
+    real = permax.props._last_row_permanents
     valued = []
     monkeypatch.setattr(
-        permax.verifier, "_last_row_permanents", lambda b: valued.append(b) or real(b)
+        permax.props, "_last_row_permanents", lambda b: valued.append(b) or real(b)
     )
     verify_properties(seed=0, samples=100)
     # orders 2-4 value every block, for the oracle
     assert Counter(len(b) for b in valued) == {2: 1, 3: 1 << 2, 4: 1 << 6, 5: 1}
     assert valued[-1] == [24] * 5
-    assert sum(1 for _ in permax.permanent._normalized_blocks(5)) == 1 << 12
+    assert sum(1 for _ in permax.props._normalized_blocks(5)) == 1 << 12
 
 
 def test_sweep_order_two_and_three():
@@ -321,8 +321,8 @@ def test_min_law_walk_weights_its_representatives(k, n, reps, walked, full):
     # row and column, each counted 2^(k+n-1) times; their negation images
     # must be exactly the full-row-rank k x n matrices, each rank vector
     # unchanged, so the weighted count is a brute-force count
-    assert (k, n) in permax.verifier._LAW_SHAPES
-    normalized = [permax.verifier._normalized(n, i, k) for i in range(1 << ((k - 1) * (n - 1)))]
+    assert (k, n) in permax.props._LAW_SHAPES
+    normalized = [permax.props._normalized(n, i, k) for i in range(1 << ((k - 1) * (n - 1)))]
     kept = [a for a in normalized if rank(a) == k]
     assert (len(kept), len(normalized)) == (reps, walked)
     brute = {w for w in product(range(1 << n), repeat=k) if rank(SignMatrix(k, n, w)) == k}
@@ -362,7 +362,7 @@ def test_property_suite_is_seed_deterministic():
 
 
 def test_property_suite_reports_oracle_disagreement(monkeypatch):
-    real = permax.verifier.permanent_naive
+    real = permax.props.permanent_naive
     skewed = []
 
     def off_by_two_at_order_eight(a):
@@ -371,7 +371,7 @@ def test_property_suite_reports_oracle_disagreement(monkeypatch):
         skewed.append(a)
         return real(a) + 2
 
-    monkeypatch.setattr(permax.verifier, "permanent_naive", off_by_two_at_order_eight)
+    monkeypatch.setattr(permax.props, "permanent_naive", off_by_two_at_order_eight)
     with pytest.raises(PropertyFailure) as info:
         verify_properties(seed=4, samples=400)
     head, _, matrix = str(info.value).partition("\n")
