@@ -59,6 +59,8 @@ class SignMatrix:
     words: tuple[int, ...]
 
     def __init__(self, rows: int, cols: int, words: tuple[int, ...]) -> None:
+        # a tuple, so the caller's list cannot change the value or its hash
+        words = tuple(words)
         if not (1 <= rows <= MAX_ROWS):
             raise ShapeError(f"rows = {rows} outside 1..{MAX_ROWS}")
         if not (rows <= cols <= MAX_COLS):

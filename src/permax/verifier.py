@@ -108,9 +108,11 @@ class _SpanTable:
     span it too; every sweep builds its own table.  Step ids are 32-bit:
     the full order-7 table (m = 6) has 77,261 spans, past the 16-bit
     limit of 32,767.  The full order-6 table (1,788 spans) takes about
-    0.9 MB, 0.23 MB of it step ids.  Both figures are what the multiset
-    reference kernel in the tests reaches; the sweep's prefix classes
-    fill far fewer spans.
+    0.9 MB, 0.23 MB of it step ids.  The order-6 count is the closure
+    that ``test_span_transitions_match_bareiss[6]`` pins; the order-7
+    count is the closure of ``_SpanTable(6)`` over all 64 vectors, as
+    measured (16-23 s on a shared 2-vCPU machine, too slow for the
+    tests).  The sweep's prefix classes fill far fewer spans.
     Forms are kept in flat lists, not tuples: a freed table's tuples
     would park in the interpreter's tuple free lists, and peak memory
     crept across repeated sweeps.
@@ -349,13 +351,6 @@ def _last_row_values(b: Sequence[int]) -> list[int]:
     return per
 
 
-def _rank_split(vals: list[int], dim: int, mask: int) -> tuple[tuple[int, int], ...]:
-    """A class's last rows by rank, as bit sets over x: a row in the prefix
-    span (bit x of ``mask``) leaves the rank at 1 + ``dim``, any other
-    row adds one."""
-    return (1 + dim, mask), (2 + dim, ((1 << len(vals)) - 1) ^ mask)
-
-
 def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], int]]) -> tuple:
     """Scan every matrix of a stream of prefix classes.
 
@@ -374,20 +369,25 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     n - k + 1 selections that hold its columns, so each of the C(n,k-1)
     minors is summed off the Ryser vector once per class, and a selection
     reads its b_j from that list.  One doubling pass per selection gives
-    every leaf's value, and the leaf's rank is 1 + dim(span of P), plus 1
-    when the last row lies outside that span: two table reads.
+    every leaf's value.  A leaf's rank is 1 + dim(span of P), plus 1 when
+    the last row lies outside that span, so the span table alone splits
+    a class's last rows by rank: the span mask is the set of rank
+    1 + dim, its complement the set of rank 2 + dim.  Each class takes
+    that split once, as soon as its span is known, and every class's
+    census is read off it.
 
     No leaf of a class is worth more than the sum of every |b_j| over the
     selections, which is n - k + 1 times the sum of the minors' |per|.
     When that is below the target of both ranks its leaves take
     (``tables.need``), no leaf can reach a bound, and the class builds no
-    selection's b and skips its doubling passes: its census comes from
-    the span mask, and its sum of per^2 is exactly 2^(n-1) times the sum
-    of every b_j^2, n - k + 1 times the minors' per^2, since the cross
-    terms cancel over the last rows.  A valued class sums per^2 from its
-    leaf values instead, so the second-moment check also covers the
-    doubling passes.  A leaf equal to a target is always valued, so judged
-    maxima and their leaves are exact.
+    selection's b and skips its doubling passes: its sum of per^2 is
+    exactly 2^(n-1) times the sum of every b_j^2, n - k + 1 times the
+    minors' per^2, since the cross terms cancel over the last rows.  A
+    valued class sums per^2 from its leaf values instead, so the
+    second-moment check also covers the doubling passes, and takes its
+    per-rank maxima over the two halves of the same split.  A leaf equal
+    to a target is always valued, so judged maxima and their leaves are
+    exact.
 
     Every minor of the block, and so every b_j, is ORed together and
     checked against the Krauter-Seifter theorem (1983): the permanent of
@@ -421,12 +421,13 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
         classes += 1
         mz = [sum(g(vec)) for g in minors]
         ored = reduce(or_, mz, ored)
-        dim = spans.dim[sid]
+        dim, inside = spans.dim[sid], spans.mask[sid]
+        # the last rows by rank, as bit sets over x
+        split = (1 + dim, inside), (2 + dim, ((1 << (1 << m)) - 1) ^ inside)
+        for r, bits in split:
+            census[r] += w * bits.bit_count()
         if spread * sum(map(abs, mz)) < need[dim]:
             squares += w * spread * sum(map(mul, mz, mz)) << m
-            inside = spans.mask[sid].bit_count()
-            census[1 + dim] += w * inside
-            census[2 + dim] += w * ((1 << m) - inside)
             continue
         mz.append(0)
         vals: list[int] = []
@@ -437,8 +438,7 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
             vals = list(map(add, vals, map(abs, per))) if vals else list(map(abs, per))
         squares += w * sq
         top = max(vals)
-        for r, bits in _rank_split(vals, dim, spans.mask[sid]):
-            census[r] += w * bits.bit_count()
+        for r, bits in split:
             if top < best[r]:
                 continue
             mx = max((v for x, v in enumerate(vals) if (bits >> x) & 1), default=-1)
@@ -529,11 +529,11 @@ def _recheck(a: SignMatrix, value: int, r: int) -> None:
     independent of it agree with the value and rank it found for ``a``:
     ``mper``, which values every k-column selection in one call of the
     compiled oracle of ``permanent_naive``, and the Bareiss rank."""
-    got = mper(a)
-    if (got, rank(a)) != (value, r):
+    got, got_rank = mper(a), rank(a)
+    if (got, got_rank) != (value, r):
         raise RuntimeError(
             f"sweep kernel fault: it gives value {value} and rank {r}, the oracles"
-            f" give {got} and rank {rank(a)}:\n" + format_matrix_text(a)
+            f" give {got} and rank {got_rank}:\n" + format_matrix_text(a)
         )
 
 
@@ -720,5 +720,6 @@ def write_report(report: VerifyReport, fmt: str, path) -> None:
     the same columns.  Everything except the timing field is reproducible
     across runs.
     """
+    text = _encode(*_report_table(report), fmt)  # a bad format raises before the file opens
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_encode(*_report_table(report), fmt))
+        f.write(text)

@@ -253,27 +253,23 @@ v._last_row_values = lambda b: real(b[:1] + b[:0:-1])
     assert out.startswith("sweep kernel fault: it gives value "), out
 
 
-def test_low_rank_for_zero_permanent_raises_under_optimize():
-    # from k = 5 on (16 last rows at a square order), a leaf of |per| 0
-    # outside its prefix span is ranked one too low; no maximum moves
+def test_span_step_that_drops_row_three_raises_under_optimize():
+    # the span table keeps a one-dimensional span where row x = 3 grows
+    # it to two dimensions, so every class below such a prefix, and each
+    # of its leaves, is ranked one too low; the census is read off the
+    # span table and checked before any stratum is judged
     out = run_optimized(
         """
 import permax.verifier as v
-real = v._rank_split
-def low(vals, dim, mask):
-    (r_in, inside), (r_out, outside) = real(vals, dim, mask)
-    if len(vals) < 16:
-        return (r_in, inside), (r_out, outside)
-    zero = sum(1 << x for x, val in enumerate(vals) if val == 0) & outside
-    return (r_in, inside | zero), (r_out, outside & ~zero)
-v._rank_split = low
+real = v._SpanTable.child
+def child(self, sid, x):
+    nid = real(self, sid, x)
+    return sid if x == 3 and self.dim[sid] == 1 and self.dim[nid] == 2 else nid
+v._SpanTable.child = child
 v.verify_square(5)
 """
     )
-    # the zero leaves over rank-2 prefixes land on rank 2; a class that
-    # cannot reach a bound forms no leaf values, so only the classes
-    # valued for their bounds move any
-    assert out == "rank census: rank 2 holds 305 matrices, not 225"
+    assert out == "rank census: rank 2 holds 513 matrices, not 225"
 
 
 def test_oracle_disagreement_raises_under_optimize():

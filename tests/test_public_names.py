@@ -173,7 +173,7 @@ def test_tool_imports_resolve():
 # ranks and counts its leaves
 KERNEL = {
     "_SpanTable", "_RowSums", "_SweepTables", "_prefix_classes", "_polya_count",
-    "_last_row_values", "_rank_split", "_sweep_block", "_check_census", "_sweep",
+    "_last_row_values", "_sweep_block", "_check_census", "_sweep",
 }
 
 

@@ -79,6 +79,18 @@ def test_sign_matrix_is_a_hashable_immutable_value():
     assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
 
 
+def test_list_words_are_kept_as_a_tuple():
+    words = [1, 2]
+    a = SignMatrix(2, 2, words)
+    assert a == SignMatrix(2, 2, (1, 2)) and hash(a) == hash(SignMatrix(2, 2, (1, 2)))
+    words.append(3)
+    words[0] = 0
+    assert a.words == (1, 2) and isinstance(a.words, tuple)
+    # a tuple argument is kept as it is
+    t = (1, 2)
+    assert SignMatrix(2, 2, t).words is t
+
+
 @pytest.mark.parametrize(
     "args, error, message",
     [

@@ -1,11 +1,12 @@
 """The sweep kernel against independent oracles.
 
 The span table is checked against Bareiss elimination.  The prefix-class
-kernel, square or wide, is checked against the multiset kernel it
-replaced, kept here as the reference, and that kernel against a plain
-per-leaf scan: ``permanent_ryser`` on every selection of the rebuilt
-matrix, Bareiss rank and the multinomial weight from a Counter.  The
-prefix classes are checked against brute force and the Polya count.
+kernel, square or wide, is checked against one reference, a plain scan
+of every leaf that reads none of the kernel's tables: Glynn
+(``permanent_ryser``) on every selection of the rebuilt matrix, checked
+against ``mper``, Bareiss rank and the multinomial weight from a
+Counter.  The prefix classes are checked against brute force and the
+Polya count.
 """
 
 import gc
@@ -108,10 +109,11 @@ def test_span_misses_fill_their_sibling_steps(monkeypatch):
 
 
 def reference_chunk(k, n, x1):
-    """The multiset chunk of smallest free row x1, computed leaf by leaf
-    with the general routines: the weighted matrix count, the weighted
-    count per rank, the weighted sum of per^2 over the selections, and
-    per rank the largest value with its leaves."""
+    """Every multiset of k - 1 free rows whose smallest row is x1, scanned
+    leaf by leaf with the general routines: the weighted matrix count,
+    the weighted count per rank, the weighted sum of per^2 over the
+    selections, and per rank the largest value with its leaves, free
+    rows in non-decreasing order."""
     free = k - 1
     stats = {}
     census = [0] * (k + 1)
@@ -136,84 +138,6 @@ def reference_chunk(k, n, x1):
         elif value == best:
             reps.append(rows)
     return scanned, census, squares, stats
-
-
-def multiset_chunk(tables, x1):
-    """The multiset kernel: every row multiset whose smallest free row
-    is x1, depth-first, rows in non-decreasing order, each leaf weighted
-    by its multinomial count.  Returns what ``reference_chunk`` does.
-
-    Every inner node carries the Ryser vector of its rows and its span
-    id; one doubling pass per parent and selection values every last
-    row at once.  The sweep ran this kernel before the prefix classes:
-    at order 6 it has 376,992 leaves, and at order 7 its inner nodes
-    reach all 77,261 spans of the span table.
-
-    It shares only the row sums and the span table with the kernel: its
-    Ryser weights carry the k-row sign, and it gathers each b_j of each
-    selection as the sum over the selection's subsets that contain j.
-    """
-    k, n, free = tables.k, tables.n, tables.k - 1
-    nwords = 1 << (n - 1)
-    total = math.factorial(free)
-    row_sums, spans = tables.row_sums, tables.spans
-    lead = [(-1) ** (k - s.bit_count()) * s.bit_count() for s in range(1 << n)]
-    sels = []
-    for cols in combinations(range(n), k):
-        subsets = [sum(1 << c for i, c in enumerate(cols) if (b >> i) & 1) for b in range(1 << k)]
-        sels.append([[s for s in subsets if (s >> j) & 1] if j in cols else [] for j in range(n)])
-    best = [-1] * (k + 1)
-    reps = [[] for _ in range(k + 1)]
-    census = [0] * (k + 1)
-    sums = [0, 0]  # scanned, squares
-
-    def leaves(vec, sid, rows, lo, hi, den, run):
-        vals = [0] * (hi - lo)
-        sq = [0] * (hi - lo)
-        for sel in sels:
-            b = [sum(vec[s] for s in subsets) for subsets in sel]
-            per = [sum(b)]
-            for bj in b[1:]:
-                bj *= 2
-                per += [p - bj for p in per]
-            per = per[lo:hi]
-            vals = list(map(add, vals, map(abs, per)))
-            sq = list(map(add, sq, (p * p for p in per)))
-        mask, inside = spans.mask[sid], 1 + spans.dim[sid]
-        for x, v in enumerate(vals, lo):
-            # the leaf equal to the last row extends that row's run
-            weight = total // (den * (run + 1)) if rows and x == rows[-1] else total // den
-            sums[0] += weight
-            sums[1] += weight * sq[x - lo]
-            r = inside if (mask >> x) & 1 else inside + 1
-            census[r] += weight
-            if v > best[r]:
-                best[r], reps[r] = v, [rows + (x,)]
-            elif v == best[r]:
-                reps[r].append(rows + (x,))
-
-    def descend(vec, sid, rows, den, run):
-        last = rows[-1]
-        if len(rows) == free - 1:
-            leaves(vec, sid, rows, last, nwords, den, run)
-            return
-        for x in range(last, nwords):
-            same = x == last
-            descend(
-                [v * t for v, t in zip(vec, row_sums[x])],
-                spans.child(sid, x),
-                rows + (x,),
-                den * (run + 1) if same else den,
-                run + 1 if same else 1,
-            )
-
-    if free == 1:
-        leaves(lead, 0, (), x1, x1 + 1, 1, 0)
-    else:
-        head = [w * t for w, t in zip(lead, row_sums[x1])]
-        descend(head, spans.child(0, x1), (x1,), 1, 1)
-    stats = {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
-    return sums[0], census, sums[1], stats
 
 
 def brute_key(rows, m):
@@ -241,18 +165,10 @@ TEN_SHAPES = ((2, 2), (3, 3), (4, 4), (5, 5), (2, 3), (2, 4), (2, 7), (3, 4), (3
 
 
 @shapes(*TEN_SHAPES)
-def test_chunks_match_per_leaf_reference(k, n):
-    # the multiset reference kernel, chunk by chunk, against a scan of
-    # every leaf
-    tables = verifier._SweepTables(k, n)
-    for x1 in range(1 << (n - 1)):
-        assert multiset_chunk(tables, x1) == reference_chunk(k, n, x1), x1
-
-
-@shapes(*TEN_SHAPES)
 def test_blocks_match_multiset_reference(k, n):
-    # the same maxima, census and second moment, and the extremal leaves
-    # of both kernels make up the same orbits
+    # the same scan count, census, second moment and maxima as the scan of
+    # every row multiset, summed over its chunks, and extremal leaves that
+    # make up the same orbits
     tables = verifier._SweepTables(k, n)
     classes = verifier._prefix_classes(k - 2, n - 1)
     scanned, orbits, squares, census, stats, count = verifier._sweep_block(tables, classes)
@@ -260,7 +176,7 @@ def test_blocks_match_multiset_reference(k, n):
     want_scanned = want_squares = 0
     want_stats = {}
     for x1 in range(1 << (n - 1)):
-        part = multiset_chunk(tables, x1)
+        part = reference_chunk(k, n, x1)
         want_scanned += part[0]
         want_census = list(map(add, want_census, part[1]))
         want_squares += part[2]

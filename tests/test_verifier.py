@@ -416,6 +416,12 @@ def test_write_report_empty_and_errors(tmp_path):
 
     with pytest.raises(ValueError):
         write_report(empty, "yaml", tmp_path / "x")
+    assert not (tmp_path / "x").exists()
+    # a bad format leaves an existing report's bytes as they were
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="^unknown report format 'yaml'$"):
+        write_report(empty, "yaml", path)
+    assert path.read_bytes() == before
     with pytest.raises(OSError):
         write_report(empty, "json", tmp_path / "missing" / "x.json")
 
