@@ -57,12 +57,15 @@ def _swaps(kind: str, order) -> list[tuple]:
     """Swap steps of ``kind`` that bring line order[p] to position p (0-based
     lines, 1-based steps)."""
     current = list(range(len(order)))
+    where = current[:]  # where[line]: the position of ``line`` in ``current``
     steps: list[tuple] = []
     for p, want in enumerate(order):
-        q = current.index(want)
+        q = where[want]
         if q != p:
             steps.append((kind, p + 1, q + 1))
-            current[p], current[q] = current[q], current[p]
+            moved = current[p]
+            current[p], current[q] = want, moved
+            where[want], where[moved] = p, q
     return steps
 
 

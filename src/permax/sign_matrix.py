@@ -216,25 +216,25 @@ def apply(a: SignMatrix, steps) -> SignMatrix:
     rows, cols = a.rows, a.cols
     words = list(a.words)
     for step in steps:
-        arity = _STEP_ARITY[_check_step(step)]
-        on_cols = step[0][-1] == "C"
-        size = cols if on_cols else rows
-        if not all(1 <= i <= size for i in step[1:]):
-            raise IndexError(f"{format_transforms([step])} outside 1..{size}")
-        if arity == 0:
+        kind = _check_step(step)
+        if kind == "T":
             if rows != cols:
                 raise ShapeError(f"transpose of {rows}x{cols} leaves the rows <= cols budget")
             words = list(_transpose_words(words, cols))
-        elif on_cols:
+            continue
+        i, k = step[1], step[-1]  # one and the same index for a negation
+        size = cols if kind[-1] == "C" else rows
+        if not (1 <= i <= size and 1 <= k <= size):
+            raise IndexError(f"{format_transforms([step])} outside 1..{size}")
+        if kind[-1] == "C":
             # bits holds the step's columns (one for swapC j j): a negation
             # flips them in every row, a swap in the rows where they differ
-            bits = sum({1 << (j - 1) for j in step[1:]})
-            words = [w ^ bits if arity == 1 or 0 < w & bits < bits else w for w in words]
-        elif arity == 1:
-            words[step[1] - 1] ^= (1 << cols) - 1
+            bits, flip = 1 << (i - 1) | 1 << (k - 1), kind == "negC"
+            words = [w ^ bits if flip or 0 < w & bits < bits else w for w in words]
+        elif kind == "negR":
+            words[i - 1] ^= (1 << cols) - 1
         else:
-            i, k = step[1] - 1, step[2] - 1
-            words[i], words[k] = words[k], words[i]
+            words[i - 1], words[k - 1] = words[k - 1], words[i - 1]
     return SignMatrix(rows, cols, tuple(words))
 
 

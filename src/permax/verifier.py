@@ -13,23 +13,27 @@ orbit size and streamed depth first, and the last free row runs over
 all 2^(n-1) patterns.  That cuts the order-6 stream from 2^25 matrices
 to 1,053 classes and 33,696 leaves.
 
-One kernel scans the classes of both sweeps.  Each class carries the
-running product of per-row subset sums over all 2^n column subsets,
-grown from the class before it, so shared prefixes are computed once.
-Each selection's permanent is linear in the last row, its coefficients
-b_j the permanents of the (k-1)-column minors.  Each class sums its
-C(n,k-1) minors off that product once, and every selection reads its
-b_j from them, so one pass per valued class and selection gives every
-leaf's value, and the rank comes from a table of row spans: a leaf
-evaluates no permanent and runs no elimination.  No leaf of a class
-exceeds the sum of every |b_j|, n - k + 1 times the sum of the minors'
-|per|, and a class whose sum is below the bound of both ranks its
-leaves take skips those passes: only classes that can reach a bound are
-valued leaf by leaf (23 of 1,053 at order 6), the others counted from
-the span table and their sum of per^2 taken in closed form from the
-minors.  Every sweep is checked exactly: the class count
-against the Polya count, the matrix and orbit counts, the second moment
-sum per^2, the per-rank matrix counts, and the divisibility of every
+One kernel scans the classes of both sweeps.  Each selection's
+permanent is linear in the last row, its coefficients b_j the
+permanents of the (k-1)-column minors, and each minor is linear in turn
+in the class's last prefix row.  So the kernel works on two levels.  A
+class's parent, its first k - 2 rows, all-ones row included, carries
+the running product of per-row subset sums over all 2^n column subsets,
+grown from the parent before it, and sums its C(n,k-2) second minors
+off that product once (190 parents for the 1,053 classes of order 6).
+Each class takes its C(n,k-1) minors from them by one Laplace step
+along its last prefix row, and every selection reads its b_j from those
+minors, so one pass per valued class and selection gives every leaf's
+value, and the rank comes from a table of row spans: a leaf evaluates
+no permanent and runs no elimination.  No leaf of a class exceeds the
+sum of every |b_j|, n - k + 1 times the sum of the minors' |per|, and a
+class whose sum is below the bound of both ranks its leaves take skips
+those passes: only classes that can reach a bound are valued leaf by
+leaf (23 of 1,053 at order 6), the others counted from the span table
+and their sum of per^2 taken in closed form from the minors.  Every
+sweep is checked exactly: the class count against the Polya count, the
+matrix and orbit counts, the second moment sum per^2, the per-rank
+matrix counts, and the divisibility of every second minor and every
 b_j by the power of two the Krauter-Seifter theorem gives permanents of
 its order.  One routine, ``_verdict``, admits a shape by its cost and
 judges every rank stratum against its bound, mper of a D matrix, and
@@ -48,8 +52,8 @@ import time
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import combinations, groupby, permutations, product
-from operator import add, itemgetter, mul, or_
+from itertools import combinations, compress, groupby, permutations, product
+from operator import add, itemgetter, mul, not_, or_, sub
 
 from . import props
 from .errors import CounterexampleError, RangeError
@@ -98,8 +102,10 @@ class _SpanTable:
     canonical key.  Each span keeps an integer basis of its annihilator:
     adding a vector x with form values a_k = f_k(x), a_i != 0, keeps the
     forms a_i * f_k - a_k * f_i (k != i), each divided by its gcd, and
-    x lies in the span exactly when every form vanishes on it.  This is
-    exact integer arithmetic independent of the Bareiss elimination in
+    x lies in the span exactly when every form vanishes on it.  The mask
+    values every form on all 2^m vectors at once, packed into one integer
+    per vector, so no loop runs per form over them.  This is exact
+    integer arithmetic independent of the Bareiss elimination in
     ``exact_rank``.
 
     ``step[i << m | x]`` is the id of span i extended by x.  Entries
@@ -129,6 +135,7 @@ class _SpanTable:
         self.step = array("i")
         self._forms: list[list[int]] = []  # basis forms, concatenated
         self._ids: dict[int, int] = {}
+        self._digits = bytes.maketrans(b"\0\1", b"01")  # membership bytes as binary digits
         self._intern([tuple(int(i == j) for j in range(m)) for i in range(m)])
 
     def child(self, sid: int, x: int) -> int:
@@ -147,7 +154,8 @@ class _SpanTable:
     def _extend(self, sid: int, x: int) -> int:
         flat, m = self._forms[sid], self.m
         forms = [flat[k : k + m] for k in range(0, len(flat), m)]
-        vals = [sum(c for j, c in enumerate(f) if (x >> j) & 1) for f in forms]
+        bits = [(x >> j) & 1 for j in range(m)]
+        vals = [sum(compress(f, bits)) for f in forms]
         i = next(k for k, a in enumerate(vals) if a)
         fi, ai = forms[i], vals[i]
         out = []
@@ -159,27 +167,34 @@ class _SpanTable:
         return self._intern(out)
 
     def _intern(self, forms: list[tuple[int, ...]]) -> int:
-        mask = (1 << (1 << self.m)) - 1
+        # every form packed into one integer per vector, each in a field of
+        # ``width`` bits, wide enough for its signed value, so the packed
+        # value is 0 exactly on the span; one doubling per coordinate
+        # values every vector, and ``map`` calls read the zeros off
+        width = max([sum(map(abs, f)) for f in forms], default=0).bit_length() + 1
+        packed = [0] * self.m
         for f in forms:
-            vals = [0]
-            for c in f:
-                vals += [v + c for v in vals]
-            mask &= sum(1 << x for x, v in enumerate(vals) if v == 0)
+            packed = [(p << width) + c for p, c in zip(packed, f)]
+        vals = [0]
+        for p in packed:
+            vals += [v + p for v in vals]
+        member = bytes(map(not_, vals))
+        mask = int(member.translate(self._digits)[::-1], 2)
         sid = self._ids.get(mask)
         if sid is None:
             sid = len(self.dim)
             self.dim.append(self.m - len(forms))
             self.mask.append(mask)
             self._forms.append([c for f in forms for c in f])
-            self.step.extend([sid if (mask >> x) & 1 else -1 for x in range(1 << self.m)])
+            self.step.fromlist([sid if b else -1 for b in member])
             self._ids[mask] = sid
         return sid
 
 
 class _RowSums(dict):
     """Per-subset row sums over the 2^n column subsets, keyed by a row's
-    free bits and filled on first use: a sweep reads only the rows of its
-    prefix classes (10 of the 512 at (3,10)), and a two-row sweep none."""
+    free bits and filled on first use: only the rows of a sweep's parents
+    are read (at (3,10) the all-ones row alone, and at k = 2 none)."""
 
     def __init__(self, n: int) -> None:
         super().__init__()
@@ -194,15 +209,25 @@ class _SweepTables:
     """Read-only tables of one k x n sweep, plus the span table of the
     free rows.
 
-    ``lead`` is the Ryser vector of the all-ones first row, signed for
-    the k - 1 rows above the last row, not for all k: so ``minors[i]``
-    picks the 2^(k-1) subsets of the i-th (k-1)-column set T, in
-    ``combinations`` order, and summing them off a class's Ryser vector
-    gives the permanent of the class's minor on T itself, not its
-    negative.  ``sels[c]`` reads the c-th k-column selection's
-    coefficients b_0..b_(n-1) off that list of minors with a 0 appended:
-    b_j is the minor on the selection less column j, and 0 for a column
-    outside the selection.
+    A class's parent is its first k - 2 rows: the all-ones first row and
+    the class's first k - 3 free rows (no row at all when k = 2).  ``sign``
+    is the Ryser inclusion-exclusion sign (-1)^(k - 2 - |s|) over those
+    rows, so the running product of ``sign`` and the parent rows' sums is
+    the parent's Ryser vector, and ``seconds[u]`` picks the 2^(k-2)
+    subsets of the u-th (k-2)-column set U, in ``combinations`` order:
+    summing them gives the second minor M_U, the permanent of the
+    parent's rows on U.  The class's last prefix row (the all-ones row
+    when k = 2) adds one more row, and its (k-1)-column minors follow by
+    Laplace expansion along that row, b_T = sum over c in T of a_c M_(T-c).
+    The two Laplace tables read that off the list of second minors with a
+    0 appended: the k - 1 getters of ``base`` pick, for each (k-1)-column
+    set T in ``combinations`` order, M_(T-c) for the i-th column c of T,
+    and they sum to T's minor when the row is all ones; ``drop[j]`` picks
+    M_(T-c) for free column c = j + 1, and 0 where T lacks c, which a
+    row with a -1 in column c takes off twice.  ``sels[c]`` reads the c-th
+    k-column selection's coefficients b_0..b_(n-1) off the list of minors
+    with a 0 appended: b_j is the minor on the selection less column j,
+    and 0 for a column outside the selection.
 
     ``targets`` maps each judged rank to the least value its stratum must
     reach; ``None`` judges nothing and has every class value its leaves.
@@ -218,25 +243,38 @@ class _SweepTables:
         else:
             reach = [targets.get(r, math.inf) for r in range(k + 1)]
             self.need = [min(reach[d + 1], reach[d + 2]) for d in range(k - 1)]
-        full = range(1 << n)
-        # Ryser weights of the all-ones first row, inclusion-exclusion sign
-        # (-1)^(k - 1 - |s|) included
-        self.lead = [(-1 if (k - 1 - s.bit_count()) & 1 else 1) * s.bit_count() for s in full]
+        self.sign = [-1 if (k - 2 - s.bit_count()) & 1 else 1 for s in range(1 << n)]
         self.row_sums = _RowSums(n)
-        # the empty subset, of weight 0, keeps every getter returning a
-        # tuple, even at k = 2
-        sets = list(combinations(range(n), k - 1))
-        self.minors = [
-            itemgetter(*[sum(1 << c for i, c in enumerate(cols) if (b >> i) & 1)
-                         for b in range(1 << (k - 1))])
-            for cols in sets
+
+        def subsets(cols: tuple[int, ...]) -> list[int]:
+            out = [0]
+            for c in cols:
+                out += [s | 1 << c for s in out]
+            return out
+
+        def masks(q: int) -> list[int]:
+            return [sum(1 << c for c in cols) for cols in combinations(range(n), q)]
+
+        lower = list(combinations(range(n), k - 2))
+        # the empty set's one subset, at k = 2, is read as a slice, so that
+        # every getter returns a sequence
+        self.seconds = [
+            itemgetter(*subsets(cols)) if k > 2 else itemgetter(slice(1)) for cols in lower
         ]
-        # by column mask; flipping a column outside a selection's mask gives
-        # k + 1 columns, no key, so that column reads the appended 0
-        index = {sum(1 << c for c in cols): i for i, cols in enumerate(sets)}
+        # by column mask; dropping a column outside a set's mask gives one
+        # column too many, no key, so that column reads the appended 0
+        index = {u: i for i, u in enumerate(masks(k - 2))}
+        sets, upper = list(combinations(range(n), k - 1)), masks(k - 1)
+        self.base = [
+            itemgetter(*[index[t ^ 1 << cols[i]] for t, cols in zip(upper, sets)])
+            for i in range(k - 1)
+        ]
+        self.drop = [
+            itemgetter(*[index.get(t ^ 1 << c, len(lower)) for t in upper]) for c in range(1, n)
+        ]
+        index = {t: i for i, t in enumerate(upper)}
         self.sels = [
-            itemgetter(*[index.get(sel ^ 1 << j, len(sets)) for j in range(n)])
-            for sel in (sum(1 << c for c in cols) for cols in combinations(range(n), k))
+            itemgetter(*[index.get(sel ^ 1 << j, len(sets)) for j in range(n)]) for sel in masks(k)
         ]
         self.spans = _SpanTable(n - 1)
 
@@ -360,21 +398,25 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     same value and rank.  A leaf's value is the sum of |per| over its
     k-column selections, so a square leaf's value is its |per|.
 
-    The classes arrive depth first, so consecutive classes share
-    prefixes: the Ryser vector of P (the running product of per-subset
-    row sums) and the id of its span grow along the rows that differ from
-    the previous class's.  Each selection's permanent is linear in the
-    last row's entries, with coefficient b_j the permanent of the
-    (k-1) x (k-1) minor that omits column j.  A minor belongs to the
-    n - k + 1 selections that hold its columns, so each of the C(n,k-1)
-    minors is summed off the Ryser vector once per class, and a selection
-    reads its b_j from that list.  One doubling pass per selection gives
-    every leaf's value.  A leaf's rank is 1 + dim(span of P), plus 1 when
-    the last row lies outside that span, so the span table alone splits
-    a class's last rows by rank: the span mask is the set of rank
-    1 + dim, its complement the set of rank 2 + dim.  Each class takes
-    that split once, as soon as its span is known, and every class's
-    census is read off it.
+    Each selection's permanent is linear in the last row's entries, with
+    coefficient b_j the permanent of the (k-1) x (k-1) minor that omits
+    column j, and each minor is linear in turn in P's last row.  So the
+    kernel works on two levels.  The classes arrive depth first, and
+    consecutive classes share parents, P less its last row: the parent's
+    Ryser vector (the running product of per-subset row sums) grows along
+    the parent rows that differ from the previous class's, and each new
+    parent sums its C(n,k-2) second minors off that vector once.  Each
+    class then takes its C(n,k-1) minors by one Laplace step along P's
+    last row: the parent's base vector, less twice the parent's column
+    vector of each column where that row has a -1.  A minor belongs to the
+    n - k + 1 selections that hold its columns, and a selection reads its
+    b_j from that list.  One doubling pass per selection gives every
+    leaf's value.  A leaf's rank is 1 + dim(span of P), plus 1 when the
+    last row lies outside that span, so the span table alone splits a
+    class's last rows by rank: the span mask is the set of rank 1 + dim,
+    its complement the set of rank 2 + dim.  The census adds up each
+    span id's weight during the scan and takes that split once per span
+    id after it; a valued class takes the split of its own span.
 
     No leaf of a class is worth more than the sum of every |b_j| over the
     selections, which is n - k + 1 times the sum of the minors' |per|.
@@ -385,13 +427,13 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     minors' per^2, since the cross terms cancel over the last rows.  A
     valued class sums per^2 from its leaf values instead, so the
     second-moment check also covers the doubling passes, and takes its
-    per-rank maxima over the two halves of the same split.  A leaf equal
-    to a target is always valued, so judged maxima and their leaves are
-    exact.
+    per-rank maxima over the two halves of its split.  A leaf equal to a
+    target is always valued, so judged maxima and their leaves are exact.
 
-    Every minor of the block, and so every b_j, is ORed together and
-    checked against the Krauter-Seifter theorem (1983): the permanent of
-    an order-q sign matrix is a multiple of 2^(q - floor(log2 q) - 1).
+    Every second minor of the block is ORed together, and so is every
+    minor, and so every b_j; both are checked against the Krauter-Seifter
+    theorem (1983), second minors first: the permanent of an order-q sign
+    matrix is a multiple of 2^(q - floor(log2 q) - 1).
 
     Returns the weighted matrix count, the sum of the weights, the
     weighted sum of per^2 over every selection, the weighted matrix count
@@ -400,36 +442,48 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     rank without a target sees only the classes valued for other ranks.
     """
     k, m = tables.k, tables.n - 1
-    row_sums, minors, sels = tables.row_sums, tables.minors, tables.sels
+    row_sums, seconds, sels = tables.row_sums, tables.seconds, tables.sels
     spans, need = tables.spans, tables.need
     spread = tables.n - k + 1  # the selections holding each (k-1)-column set
+    last_rows = (1 << (1 << m)) - 1
     best = [-1] * (k + 1)
     reps: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
     census = [0] * (k + 1)
-    scanned = orbits = squares = classes = ored = 0
-    path: tuple[int, ...] = ()
-    vecs, sids = [tables.lead], [0]  # along ``path``, one more than its rows
+    weights: dict[int, int] = {}  # the prefix weight of each span id
+    scanned = orbits = squares = classes = ored = ored_seconds = 0
+    up: tuple[int, ...] | None = None  # the parent's rows, all-ones row first
+    sids, vecs = [0], [tables.sign]  # span id and Ryser product along ``up``, per row taken
     for rows, w in block:
-        i = next((i for i, (x, y) in enumerate(zip(rows, path)) if x != y), len(path))
-        del vecs[i + 1 :], sids[i + 1 :]
-        for x in rows[i:]:
-            vecs.append(list(map(mul, vecs[-1], row_sums[x])))
-            sids.append(spans.child(sids[-1], x))
-        path, vec, sid = rows, vecs[-1], sids[-1]
+        prefix = (0,) + rows
+        parent, x = prefix[:-1], prefix[-1]
+        if parent != up:
+            i = next((i for i, (a, b) in enumerate(zip(parent, up or ())) if a != b), 0)
+            del sids[i + 1 :], vecs[i + 1 :]
+            for y in parent[i:]:
+                sids.append(spans.child(sids[-1], y))
+                vecs.append(list(map(mul, vecs[-1], row_sums[y])))
+            up = parent
+            second = [sum(g(vecs[-1])) for g in seconds]
+            ored_seconds = reduce(or_, second, ored_seconds)
+            second.append(0)
+            base = list(map(sum, zip(*[g(second) for g in tables.base])))
+            steps = [[v + v for v in g(second)] for g in tables.drop]
+        sid = spans.child(sids[-1], x)
+        mz = base
+        while x:
+            low = x & -x
+            mz = list(map(sub, mz, steps[low.bit_length() - 1]))
+            x ^= low
         scanned += w << m
         orbits += w
         classes += 1
-        mz = [sum(g(vec)) for g in minors]
+        weights[sid] = weights.get(sid, 0) + w
         ored = reduce(or_, mz, ored)
-        dim, inside = spans.dim[sid], spans.mask[sid]
-        # the last rows by rank, as bit sets over x
-        split = (1 + dim, inside), (2 + dim, ((1 << (1 << m)) - 1) ^ inside)
-        for r, bits in split:
-            census[r] += w * bits.bit_count()
+        dim = spans.dim[sid]
         if spread * sum(map(abs, mz)) < need[dim]:
             squares += w * spread * sum(map(mul, mz, mz)) << m
             continue
-        mz.append(0)
+        mz = mz + [0]
         vals: list[int] = []
         sq = 0
         for sel in sels:
@@ -438,7 +492,9 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
             vals = list(map(add, vals, map(abs, per))) if vals else list(map(abs, per))
         squares += w * sq
         top = max(vals)
-        for r, bits in split:
+        inside = spans.mask[sid]
+        # the last rows by rank, as bit sets over x
+        for r, bits in (1 + dim, inside), (2 + dim, last_rows ^ inside):
             if top < best[r]:
                 continue
             mx = max((v for x, v in enumerate(vals) if (bits >> x) & 1), default=-1)
@@ -446,13 +502,17 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
                 best[r], reps[r] = mx, []
             if mx == best[r]:
                 reps[r] += [rows + (x,) for x, v in enumerate(vals) if v == mx and (bits >> x) & 1]
-    q = k - 1
-    floor = q - q.bit_length()
-    if ored & ((1 << floor) - 1):
-        raise RuntimeError(
-            f"column sums are permanents of order {q}, but not all are multiples of 2^{floor}"
-            f" (their OR is {ored})"
-        )
+    for sid, w in weights.items():
+        dim, inside = spans.dim[sid], spans.mask[sid].bit_count()
+        census[1 + dim] += w * inside
+        census[2 + dim] += w * ((1 << m) - inside)
+    for what, q, ors in ("second minors", k - 2, ored_seconds), ("column sums", k - 1, ored):
+        floor = q - q.bit_length()
+        if ors & ((1 << floor) - 1):
+            raise RuntimeError(
+                f"{what} are permanents of order {q}, but not all are multiples of 2^{floor}"
+                f" (their OR is {ors})"
+            )
     stats = {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
     return scanned, orbits, squares, census, stats, classes
 

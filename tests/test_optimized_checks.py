@@ -218,24 +218,47 @@ v.verify_square(4)
 
 
 def test_odd_column_sum_breaks_minor_divisibility_under_optimize():
-    # the first minor + 1 in every order-6 class: each column sum is the
-    # permanent of an order-5 sign matrix, a multiple of 2^(5 - 2 - 1) = 4.
-    # The second moment moves too, but the divisibility check runs first,
-    # as the block ends
+    # the first minor of every order-6 parent's base vector + 1, so each
+    # class's first minor is off by one: each column sum is the permanent
+    # of an order-5 sign matrix, a multiple of 2^(5 - 2 - 1) = 4.  The
+    # second minors hold and the second moment moves too, but the
+    # divisibility check runs first, as the block ends
     out = run_optimized(
         """
 import permax.verifier as v
 real = v._SweepTables.__init__
 def corrupted(self, k, n, targets=None):
     real(self, k, n, targets)
-    g = self.minors[0]
-    self.minors[0] = lambda vec: g(vec) + (1,)
+    g = self.base[0]
+    self.base[0] = lambda second: (g(second)[0] + 1,) + g(second)[1:]
 v._SweepTables.__init__ = corrupted
 v.verify_square(6)
 """
     )
     assert out.startswith(
         "column sums are permanents of order 5, but not all are multiples of 2^2 (their OR is "
+    )
+
+
+def test_odd_second_minor_breaks_its_divisibility_under_optimize():
+    # the first second minor of every order-6 parent + 1: each is the
+    # permanent of an order-4 sign matrix, a multiple of 2^(4 - 2 - 1) = 2.
+    # The class minors stepped from it turn odd too, and the second moment
+    # moves, but the second minors' check fires first, as the block ends
+    out = run_optimized(
+        """
+import permax.verifier as v
+real = v._SweepTables.__init__
+def corrupted(self, k, n, targets=None):
+    real(self, k, n, targets)
+    g = self.seconds[0]
+    self.seconds[0] = lambda vec: g(vec) + (1,)
+v._SweepTables.__init__ = corrupted
+v.verify_square(6)
+"""
+    )
+    assert out.startswith(
+        "second minors are permanents of order 4, but not all are multiples of 2^1 (their OR is "
     )
 
 

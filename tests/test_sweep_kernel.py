@@ -234,23 +234,40 @@ def test_bound_pruned_pass_matches_the_full_pass(k, n, monkeypatch, tmp_path):
     assert with_targets == report("full.json")
 
 
-@shapes((3, 5), (4, 6), (5, 7), (5, 5))
+@shapes((2, 2), (2, 5), (3, 3), (3, 5), (4, 6), (5, 7), (5, 5))
 def test_class_minors_match_the_compiled_oracle(k, n):
-    # each (k-1)-column minor the kernel sums off a class's Ryser vector
-    # is the permanent the compiled oracle gives over the class's k - 1
-    # rows, first row all ones; the oracle lists its column sets in
-    # descending numeric order, so both sides are keyed by column mask
+    # each second minor the kernel sums off a parent's Ryser vector is the
+    # permanent the compiled oracle gives over the parent's k - 2 rows, and
+    # each class's minor, one Laplace step along its last prefix row, the
+    # oracle's over its k - 1 rows, first row all ones; the oracle lists
+    # its column sets in descending numeric order, so both sides are keyed
+    # by column mask
     tables = verifier._SweepTables(k, n)
-    masks = [sum(1 << c for c in cols) for cols in combinations(range(n), k - 1)]
-    oracle_masks = [s for s in range((1 << n) - 1, 0, -1) if s.bit_count() == k - 1]
-    oracle = permanent._naive_code(k - 1, n)
+
+    def keyed(q, values):
+        return dict(zip([sum(1 << c for c in cols) for cols in combinations(range(n), q)], values))
+
+    def oracle(q, words):
+        # the permanent of no rows is 1, on the one empty column set
+        if q == 0:
+            return {0: 1}
+        masks = [s for s in range((1 << n) - 1, 0, -1) if s.bit_count() == q]
+        return dict(zip(masks, permanent._naive_code(q, n)(words)))
+
     for rows, _ in verifier._prefix_classes(k - 2, n - 1):
-        vec = tables.lead
-        for x in rows:
+        words = (0,) + tuple(x << 1 for x in rows)
+        vec = tables.sign
+        for x in ((0,) + rows)[:-1]:
             vec = [v * t for v, t in zip(vec, tables.row_sums[x])]
-        got = dict(zip(masks, (sum(g(vec)) for g in tables.minors)))
-        want = dict(zip(oracle_masks, oracle((0,) + tuple(x << 1 for x in rows))))
-        assert got == want, rows
+        second = [sum(g(vec)) for g in tables.seconds]
+        assert keyed(k - 2, second) == oracle(k - 2, words[:-1]), rows
+        second.append(0)
+        got = [sum(t) for t in zip(*[g(second) for g in tables.base])]
+        last = words[-1] >> 1
+        for j in range(n - 1):
+            if (last >> j) & 1:
+                got = [b - 2 * d for b, d in zip(got, tables.drop[j](second))]
+        assert keyed(k - 1, got) == oracle(k - 1, words), rows
 
 
 def test_order_six_values_23_of_1053_classes(monkeypatch):
@@ -366,6 +383,11 @@ def test_two_row_tables_stay_small():
         tracemalloc.stop()
     assert tables.row_sums == {}
     assert held < 200_000
+    # three rows: every class's parent is the all-ones row, so a sweep
+    # reads that row's sums and no free row's
+    tables = verifier._SweepTables(3, 10)
+    verifier._sweep_block(tables, verifier._prefix_classes(1, 9))
+    assert tables.row_sums == {0: [s.bit_count() for s in range(1 << 10)]}
 
 
 @shapes((2, 2), (4, 4), (3, 5))

@@ -38,9 +38,10 @@ from their own seeded generator, so every run times the same inputs:
   of D_(5,5) (D5Special) and 20 uniform order-7 ConditionA matrices.
 - ``sweep``: the square orders 2-6, the twelve wide shapes of acceptance
   criterion 7, (2,3) to (4,6), and the largest wide shapes the sweep
-  budget admits, (4,7), (5,7), (4,8), (3,9) and (3,10), and four shapes
-  past the budget, (6,7), (5,8), (4,9) and (5,9), so that a cost model
-  for the budget can be fitted to pruned times beyond it.  ``gen_s`` is
+  budget admits, (4,7), (5,7), (4,8), (3,9) and (3,10), and six shapes
+  past the budget, (6,7), (5,8), (4,9), (5,9), order 7 and (6,8), so
+  that a cost model for the budget can be fitted to pruned times beyond
+  it.  ``gen_s`` is
   ``list(_prefix_classes(...))``, the classes of the first k - 2 free
   rows under row and column permutations, kept so the leaf pass can be
   timed apart; ``leaf_s`` is a fresh ``_SweepTables`` plus one
@@ -83,7 +84,7 @@ SWEEP_SHAPES = [(n, n) for n in range(2, 7)] + [
     (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
     (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6),
     (4, 7), (5, 7), (4, 8), (3, 9), (3, 10),
-    (6, 7), (5, 8), (4, 9), (5, 9),
+    (6, 7), (5, 8), (4, 9), (5, 9), (7, 7), (6, 8),
 ]
 MPER_SHAPES = [(3, 5), (5, 8), (6, 12), (8, 12)]
 IMPORT_RUNS = 11
