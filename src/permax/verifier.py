@@ -15,14 +15,15 @@ to 1,053 classes and 33,696 leaves.
 
 One kernel scans the classes of both sweeps.  Each selection's
 permanent is linear in the last row, its coefficients b_j the
-permanents of the (k-1)-column minors, and each minor is linear in turn
-in the class's last prefix row.  So the kernel works on two levels.  A
-class's parent, its first k - 2 rows, all-ones row included, carries
-the running product of per-row subset sums over all 2^n column subsets,
-grown from the parent before it, and sums its C(n,k-2) second minors
-off that product once (190 parents for the 1,053 classes of order 6).
-Each class takes its C(n,k-1) minors from them by one Laplace step
-along its last prefix row, and every selection reads its b_j from those
+permanents of the (k-1)-column minors, and each order-j minor of a
+prefix is linear in turn in its row j, its coefficients the order-(j-1)
+minors of the rows above.  So every prefix row takes its minors by one
+Laplace step from those of the rows above it, carried down the
+depth-first stack of prefix rows from the empty permanent 1: a parent
+row, one of a class's first k - 2 rows, all-ones row included, is
+stepped once when it is pushed (190 parents for the 1,053 classes of
+order 6), and each class takes its C(n,k-1) minors by the same step
+along its last prefix row.  Every selection reads its b_j from those
 minors, so one pass per valued class and selection gives every leaf's
 value, and the rank comes from a table of row spans: a leaf evaluates
 no permanent and runs no elimination.  No leaf of a class exceeds the
@@ -33,9 +34,9 @@ leaf (23 of 1,053 at order 6), the others counted from the span table
 and their sum of per^2 taken in closed form from the minors.  Every
 sweep is checked exactly: the class count against the Polya count, the
 matrix and orbit counts, the second moment sum per^2, the per-rank
-matrix counts, and the divisibility of every second minor and every
-b_j by the power of two the Krauter-Seifter theorem gives permanents of
-its order.  One routine, ``_verdict``, admits a shape by its cost and
+matrix counts, and the divisibility of the minors of every order q by
+the power of two the Krauter-Seifter theorem gives permanents of that
+order.  One routine, ``_verdict``, admits a shape by its cost and
 judges every rank stratum against its bound, mper of a D matrix, and
 one table of sanctioned deviations; a stratum that misses its bound is
 swept again in full before it is reported, and a matrix it names as a
@@ -191,43 +192,26 @@ class _SpanTable:
         return sid
 
 
-class _RowSums(dict):
-    """Per-subset row sums over the 2^n column subsets, keyed by a row's
-    free bits and filled on first use: only the rows of a sweep's parents
-    are read (at (3,10) the all-ones row alone, and at k = 2 none)."""
-
-    def __init__(self, n: int) -> None:
-        super().__init__()
-        self.full = range(1 << n)
-
-    def __missing__(self, x: int) -> list[int]:
-        sums = self[x] = [s.bit_count() - 2 * ((x << 1) & s).bit_count() for s in self.full]
-        return sums
-
-
 class _SweepTables:
     """Read-only tables of one k x n sweep, plus the span table of the
     free rows.
 
-    A class's parent is its first k - 2 rows: the all-ones first row and
-    the class's first k - 3 free rows (no row at all when k = 2).  ``sign``
-    is the Ryser inclusion-exclusion sign (-1)^(k - 2 - |s|) over those
-    rows, so the running product of ``sign`` and the parent rows' sums is
-    the parent's Ryser vector, and ``seconds[u]`` picks the 2^(k-2)
-    subsets of the u-th (k-2)-column set U, in ``combinations`` order:
-    summing them gives the second minor M_U, the permanent of the
-    parent's rows on U.  The class's last prefix row (the all-ones row
-    when k = 2) adds one more row, and its (k-1)-column minors follow by
-    Laplace expansion along that row, b_T = sum over c in T of a_c M_(T-c).
-    The two Laplace tables read that off the list of second minors with a
-    0 appended: the k - 1 getters of ``base`` pick, for each (k-1)-column
-    set T in ``combinations`` order, M_(T-c) for the i-th column c of T,
-    and they sum to T's minor when the row is all ones; ``drop[j]`` picks
-    M_(T-c) for free column c = j + 1, and 0 where T lacks c, which a
-    row with a -1 in column c takes off twice.  ``sels[c]`` reads the c-th
-    k-column selection's coefficients b_0..b_(n-1) off the list of minors
-    with a 0 appended: b_j is the minor on the selection less column j,
-    and 0 for a column outside the selection.
+    The first j rows of a prefix, the all-ones first row first, have one
+    minor per j-column set T, the permanent of those rows on T, and it
+    follows from the minors of the rows above by Laplace expansion along
+    row j, b_T = sum over c in T of a_c M_(T-c), starting from the one
+    order-0 minor, the empty permanent 1.  Every list of minors, in
+    ``combinations`` order of its column sets, ends with one 0 more.
+    ``levels[j]``, for j = 1..k-1, is the table pair of that step into
+    order j, and both read the list of order-(j-1) minors: the j getters
+    of ``base`` pick M_(T-c) for the i-th column c of T, and they sum to
+    T's minor when the row is all ones; ``drop[c - 1]`` picks M_(T-c) for
+    free column c, and 0 where T lacks c, which a row with a -1 in column
+    c takes off twice.  Each getter picks the closing 0 last, so the
+    order-j list ends with a 0 too.  ``sels[s]`` reads the s-th k-column
+    selection's coefficients b_0..b_(n-1) off the list of order-(k-1)
+    minors: b_j is the minor on the selection less column j, and 0 for a
+    column outside the selection.
 
     ``targets`` maps each judged rank to the least value its stratum must
     reach; ``None`` judges nothing and has every class value its leaves.
@@ -243,38 +227,28 @@ class _SweepTables:
         else:
             reach = [targets.get(r, math.inf) for r in range(k + 1)]
             self.need = [min(reach[d + 1], reach[d + 2]) for d in range(k - 1)]
-        self.sign = [-1 if (k - 2 - s.bit_count()) & 1 else 1 for s in range(1 << n)]
-        self.row_sums = _RowSums(n)
-
-        def subsets(cols: tuple[int, ...]) -> list[int]:
-            out = [0]
-            for c in cols:
-                out += [s | 1 << c for s in out]
-            return out
 
         def masks(q: int) -> list[int]:
             return [sum(1 << c for c in cols) for cols in combinations(range(n), q)]
 
-        lower = list(combinations(range(n), k - 2))
-        # the empty set's one subset, at k = 2, is read as a slice, so that
-        # every getter returns a sequence
-        self.seconds = [
-            itemgetter(*subsets(cols)) if k > 2 else itemgetter(slice(1)) for cols in lower
-        ]
-        # by column mask; dropping a column outside a set's mask gives one
-        # column too many, no key, so that column reads the appended 0
-        index = {u: i for i, u in enumerate(masks(k - 2))}
-        sets, upper = list(combinations(range(n), k - 1)), masks(k - 1)
-        self.base = [
-            itemgetter(*[index[t ^ 1 << cols[i]] for t, cols in zip(upper, sets)])
-            for i in range(k - 1)
-        ]
-        self.drop = [
-            itemgetter(*[index.get(t ^ 1 << c, len(lower)) for t in upper]) for c in range(1, n)
-        ]
-        index = {t: i for i, t in enumerate(upper)}
+        # the minors a table reads, by column mask; dropping a column
+        # outside a set's mask gives one column too many, no key, so that
+        # column reads the closing 0
+        index = {0: 0}
+        self.levels = {}
+        for j in range(1, k):
+            sets, upper = list(combinations(range(n), j)), masks(j)
+            base = [
+                itemgetter(*[index[t ^ 1 << cols[i]] for t, cols in zip(upper, sets)], -1)
+                for i in range(j)
+            ]
+            drop = [
+                itemgetter(*[index.get(t ^ 1 << c, -1) for t in upper], -1) for c in range(1, n)
+            ]
+            self.levels[j] = base, drop
+            index = {t: i for i, t in enumerate(upper)}
         self.sels = [
-            itemgetter(*[index.get(sel ^ 1 << j, len(sets)) for j in range(n)]) for sel in masks(k)
+            itemgetter(*[index.get(sel ^ 1 << j, -1) for j in range(n)]) for sel in masks(k)
         ]
         self.spans = _SpanTable(n - 1)
 
@@ -378,10 +352,10 @@ def _prefix_classes(r: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 def _last_row_values(b: Sequence[int]) -> list[int]:
-    """One selection's permanent for every last row, from the selection's
-    column sums ``b`` of the prefix's Ryser vector: the last row with
-    free bits x gives sum(b) - 2 * (the sum of b[j + 1] over the bits j
-    of x), and one doubling pass fills that for every x."""
+    """One selection's permanent for every last row, from its
+    coefficients ``b``, b_j the minor on the selection less column j: the
+    last row with free bits x gives sum(b) - 2 * (the sum of b[j + 1]
+    over the bits j of x), and one doubling pass fills that for every x."""
     per = [sum(b)]
     for bj in b[1:]:
         bj *= 2
@@ -400,23 +374,27 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
 
     Each selection's permanent is linear in the last row's entries, with
     coefficient b_j the permanent of the (k-1) x (k-1) minor that omits
-    column j, and each minor is linear in turn in P's last row.  So the
-    kernel works on two levels.  The classes arrive depth first, and
-    consecutive classes share parents, P less its last row: the parent's
-    Ryser vector (the running product of per-subset row sums) grows along
-    the parent rows that differ from the previous class's, and each new
-    parent sums its C(n,k-2) second minors off that vector once.  Each
-    class then takes its C(n,k-1) minors by one Laplace step along P's
-    last row: the parent's base vector, less twice the parent's column
-    vector of each column where that row has a -1.  A minor belongs to the
-    n - k + 1 selections that hold its columns, and a selection reads its
-    b_j from that list.  One doubling pass per selection gives every
-    leaf's value.  A leaf's rank is 1 + dim(span of P), plus 1 when the
-    last row lies outside that span, so the span table alone splits a
-    class's last rows by rank: the span mask is the set of rank 1 + dim,
-    its complement the set of rank 2 + dim.  The census adds up each
-    span id's weight during the scan and takes that split once per span
-    id after it; a valued class takes the split of its own span.
+    column j, and each order-j minor of the first j rows is linear in turn
+    in row j, with the order-(j-1) minors of the rows above as
+    coefficients.  So every prefix row takes its minors by one Laplace step
+    from those of the rows above it: a base vector, less one doubled drop
+    vector per column where the row has a -1.  The classes arrive depth
+    first, and consecutive classes share parents, P less its last row.  A
+    stack holds one entry for the empty permanent 1 and one per parent row
+    after it, all-ones row first: the span id of the rows so far, and the
+    base and doubled drop vectors of the next step, formed once when the
+    row is pushed.  Only the parent rows that differ from the previous
+    class's are stepped and pushed, and each class takes its C(n,k-1)
+    minors by the same step, one level deeper, along P's last row, which
+    is not pushed.  A minor belongs to the n - k + 1 selections that hold
+    its columns, and a selection reads its b_j from that list.  One
+    doubling pass per selection gives every leaf's value.  A leaf's rank is
+    1 + dim(span of P), plus 1 when the last row lies outside that span,
+    so the span table alone splits a class's last rows by rank: the span
+    mask is the set of rank 1 + dim, its complement the set of
+    rank 2 + dim.  The census adds up each span id's weight during the scan and
+    takes that split once per span id after it; a valued class takes the
+    split of its own span.
 
     No leaf of a class is worth more than the sum of every |b_j| over the
     selections, which is n - k + 1 times the sum of the minors' |per|.
@@ -430,10 +408,10 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     per-rank maxima over the two halves of its split.  A leaf equal to a
     target is always valued, so judged maxima and their leaves are exact.
 
-    Every second minor of the block is ORed together, and so is every
-    minor, and so every b_j; both are checked against the Krauter-Seifter
-    theorem (1983), second minors first: the permanent of an order-q sign
-    matrix is a multiple of 2^(q - floor(log2 q) - 1).
+    The minors of each order q = 1..k-1 in the block are ORed together,
+    and each OR is checked against the Krauter-Seifter theorem (1983),
+    lowest order first: the permanent of an order-q sign matrix is a
+    multiple of 2^(q - floor(log2 q) - 1).
 
     Returns the weighted matrix count, the sum of the weights, the
     weighted sum of per^2 over every selection, the weighted matrix count
@@ -442,48 +420,49 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     rank without a target sees only the classes valued for other ranks.
     """
     k, m = tables.k, tables.n - 1
-    row_sums, seconds, sels = tables.row_sums, tables.seconds, tables.sels
-    spans, need = tables.spans, tables.need
+    levels, sels, spans, need = tables.levels, tables.sels, tables.spans, tables.need
     spread = tables.n - k + 1  # the selections holding each (k-1)-column set
     last_rows = (1 << (1 << m)) - 1
     best = [-1] * (k + 1)
     reps: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
     census = [0] * (k + 1)
     weights: dict[int, int] = {}  # the prefix weight of each span id
-    scanned = orbits = squares = classes = ored = ored_seconds = 0
-    up: tuple[int, ...] | None = None  # the parent's rows, all-ones row first
-    sids, vecs = [0], [tables.sign]  # span id and Ryser product along ``up``, per row taken
+    ored = [0] * k  # per order q, the OR of every order-q minor
+    scanned = orbits = squares = classes = 0
+
+    def lift(minors: list[int], q: int) -> tuple[list[int], list[list[int]]]:
+        # the base vector and doubled drop vectors of the step into order q
+        base, drop = levels[q]
+        summed = list(map(sum, zip(*[g(minors) for g in base])))
+        return summed, [[v + v for v in g(minors)] for g in drop]
+
+    up: tuple[int, ...] = ()  # the parent's rows, all-ones row first
+    stack = [(0, *lift([1, 0], 1))]  # per row of ``up``, and one before: span id, next step
     for rows, w in block:
         prefix = (0,) + rows
-        parent, x = prefix[:-1], prefix[-1]
-        if parent != up:
-            i = next((i for i, (a, b) in enumerate(zip(parent, up or ())) if a != b), 0)
-            del sids[i + 1 :], vecs[i + 1 :]
-            for y in parent[i:]:
-                sids.append(spans.child(sids[-1], y))
-                vecs.append(list(map(mul, vecs[-1], row_sums[y])))
-            up = parent
-            second = [sum(g(vecs[-1])) for g in seconds]
-            ored_seconds = reduce(or_, second, ored_seconds)
-            second.append(0)
-            base = list(map(sum, zip(*[g(second) for g in tables.base])))
-            steps = [[v + v for v in g(second)] for g in tables.drop]
-        sid = spans.child(sids[-1], x)
-        mz = base
-        while x:
-            low = x & -x
-            mz = list(map(sub, mz, steps[low.bit_length() - 1]))
-            x ^= low
+        if prefix[:-1] != up:
+            i = next((i for i, (a, b) in enumerate(zip(prefix, up)) if a != b), 0)
+            del stack[i + 1 :]
+            up = prefix[:-1]
+        # the rows past the stack, the class's last prefix row at least
+        for q, x in enumerate(prefix[len(stack) - 1 :], len(stack)):
+            sid, mz, drops = stack[-1]
+            sid = spans.child(sid, x)
+            while x:
+                low = x & -x
+                mz = list(map(sub, mz, drops[low.bit_length() - 1]))
+                x ^= low
+            ored[q] = reduce(or_, mz, ored[q])
+            if q < k - 1:
+                stack.append((sid, *lift(mz, q + 1)))
         scanned += w << m
         orbits += w
         classes += 1
         weights[sid] = weights.get(sid, 0) + w
-        ored = reduce(or_, mz, ored)
         dim = spans.dim[sid]
         if spread * sum(map(abs, mz)) < need[dim]:
             squares += w * spread * sum(map(mul, mz, mz)) << m
             continue
-        mz = mz + [0]
         vals: list[int] = []
         sq = 0
         for sel in sels:
@@ -506,12 +485,12 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
         dim, inside = spans.dim[sid], spans.mask[sid].bit_count()
         census[1 + dim] += w * inside
         census[2 + dim] += w * ((1 << m) - inside)
-    for what, q, ors in ("second minors", k - 2, ored_seconds), ("column sums", k - 1, ored):
+    for q in range(1, k):
         floor = q - q.bit_length()
-        if ors & ((1 << floor) - 1):
+        if ored[q] & ((1 << floor) - 1):
             raise RuntimeError(
-                f"{what} are permanents of order {q}, but not all are multiples of 2^{floor}"
-                f" (their OR is {ors})"
+                f"minors are permanents of order {q}, but not all are multiples of 2^{floor}"
+                f" (their OR is {ored[q]})"
             )
     stats = {r: (best[r], reps[r]) for r in range(1, k + 1) if best[r] >= 0}
     return scanned, orbits, squares, census, stats, classes
@@ -520,10 +499,13 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
 # Nonsingular normalized matrices of order n: A055165(n - 1), the number of
 # nonsingular (n-1) x (n-1) 0/1 matrices, https://oeis.org/A055165.  The
 # order-7 value was computed twice, by a prototype sweep and by this
-# kernel, and agrees with A055165(6) as remembered; it was not read from
-# the OEIS entry.  The budget refuses order 7, so only a direct census check
-# reaches it.
-_FULL_RANK = {2: 1, 3: 6, 4: 174, 5: 22_560, 6: 12_514_320, 7: 28_836_612_000}
+# kernel, and agrees with A055165(6) as remembered; the order-8 value was
+# computed three times, by two generation paths.  Neither was read from
+# the OEIS entry.  The budget refuses orders 7 and 8, so only a direct
+# census check or a sweep run past the budget reaches them.
+_FULL_RANK = {
+    2: 1, 3: 6, 4: 174, 5: 22_560, 6: 12_514_320, 7: 28_836_612_000, 8: 270_345_669_985_440,
+}
 
 
 def _check_census(k: int, n: int, census: list[int]) -> None:

@@ -217,48 +217,57 @@ v.verify_square(4)
     assert matrix.startswith("4 4\n")
 
 
-def test_odd_column_sum_breaks_minor_divisibility_under_optimize():
-    # the first minor of every order-6 parent's base vector + 1, so each
-    # class's first minor is off by one: each column sum is the permanent
-    # of an order-5 sign matrix, a multiple of 2^(5 - 2 - 1) = 4.  The
-    # second minors hold and the second moment moves too, but the
-    # divisibility check runs first, as the block ends
-    out = run_optimized(
-        """
+def run_with_odd_minors(q: int) -> str:
+    """Run ``verify_square(6)`` under ``python -O`` with the first getter
+    of the order-q level's ``base`` reading one more, so the first
+    order-q minor of every prefix row at that level is off by one."""
+    return run_optimized(
+        f"""
 import permax.verifier as v
 real = v._SweepTables.__init__
 def corrupted(self, k, n, targets=None):
     real(self, k, n, targets)
-    g = self.base[0]
-    self.base[0] = lambda second: (g(second)[0] + 1,) + g(second)[1:]
+    base = self.levels[{q}][0]
+    g = base[0]
+    base[0] = lambda minors: (g(minors)[0] + 1,) + g(minors)[1:]
 v._SweepTables.__init__ = corrupted
 v.verify_square(6)
 """
     )
+
+
+def test_odd_column_sum_breaks_minor_divisibility_under_optimize():
+    # each class's first order-5 minor, a column sum of its selection,
+    # + 1: each is the permanent of an order-5 sign matrix, a multiple of
+    # 2^(5 - 2 - 1) = 4.  The lower orders hold and the second moment
+    # moves too, but the divisibility check runs first, as the block ends
+    out = run_with_odd_minors(5)
     assert out.startswith(
-        "column sums are permanents of order 5, but not all are multiples of 2^2 (their OR is "
+        "minors are permanents of order 5, but not all are multiples of 2^2 (their OR is "
     )
 
 
 def test_odd_second_minor_breaks_its_divisibility_under_optimize():
-    # the first second minor of every order-6 parent + 1: each is the
+    # the first order-4 minor of every parent's last row + 1: each is the
     # permanent of an order-4 sign matrix, a multiple of 2^(4 - 2 - 1) = 2.
-    # The class minors stepped from it turn odd too, and the second moment
-    # moves, but the second minors' check fires first, as the block ends
-    out = run_optimized(
-        """
-import permax.verifier as v
-real = v._SweepTables.__init__
-def corrupted(self, k, n, targets=None):
-    real(self, k, n, targets)
-    g = self.seconds[0]
-    self.seconds[0] = lambda vec: g(vec) + (1,)
-v._SweepTables.__init__ = corrupted
-v.verify_square(6)
-"""
-    )
+    # The order-5 minors stepped from it turn odd too, and the second
+    # moment moves, but the order-4 check fires first: the orders are
+    # checked lowest first, as the block ends
+    out = run_with_odd_minors(4)
     assert out.startswith(
-        "second minors are permanents of order 4, but not all are multiples of 2^1 (their OR is "
+        "minors are permanents of order 4, but not all are multiples of 2^1 (their OR is "
+    )
+
+
+def test_odd_order_three_minor_breaks_its_divisibility_under_optimize():
+    # the first order-3 minor of every parent's second free row + 1, an
+    # order whose minors no check read before: each is the permanent of an
+    # order-3 sign matrix, a multiple of 2^(3 - 1 - 1) = 2.  The order-4
+    # and order-5 minors stepped from it move too, and so may the second
+    # moment, but the order-3 check, the lowest, fires first
+    out = run_with_odd_minors(3)
+    assert out.startswith(
+        "minors are permanents of order 3, but not all are multiples of 2^1 (their OR is "
     )
 
 

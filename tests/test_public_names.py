@@ -172,7 +172,7 @@ def test_tool_imports_resolve():
 # the exhaustive sweep's kernel in ``verifier``: everything that values,
 # ranks and counts its leaves
 KERNEL = {
-    "_SpanTable", "_RowSums", "_SweepTables", "_prefix_classes", "_polya_count",
+    "_SpanTable", "_SweepTables", "_prefix_classes", "_polya_count",
     "_last_row_values", "_sweep_block", "_check_census", "_sweep",
 }
 

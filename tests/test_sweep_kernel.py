@@ -236,38 +236,31 @@ def test_bound_pruned_pass_matches_the_full_pass(k, n, monkeypatch, tmp_path):
 
 @shapes((2, 2), (2, 5), (3, 3), (3, 5), (4, 6), (5, 7), (5, 5))
 def test_class_minors_match_the_compiled_oracle(k, n):
-    # each second minor the kernel sums off a parent's Ryser vector is the
-    # permanent the compiled oracle gives over the parent's k - 2 rows, and
-    # each class's minor, one Laplace step along its last prefix row, the
-    # oracle's over its k - 1 rows, first row all ones; the oracle lists
-    # its column sets in descending numeric order, so both sides are keyed
-    # by column mask
+    # each order-j minor, j = 1..k-1, that the level tables step to along a
+    # class's prefix rows, from the empty permanent 1, is the permanent the
+    # compiled oracle gives over the prefix's first j rows, first row all
+    # ones, and each list of minors ends with one 0; the oracle lists its
+    # column sets in descending numeric order, so both sides are keyed by
+    # column mask
     tables = verifier._SweepTables(k, n)
-
-    def keyed(q, values):
-        return dict(zip([sum(1 << c for c in cols) for cols in combinations(range(n), q)], values))
-
-    def oracle(q, words):
-        # the permanent of no rows is 1, on the one empty column set
-        if q == 0:
-            return {0: 1}
-        masks = [s for s in range((1 << n) - 1, 0, -1) if s.bit_count() == q]
-        return dict(zip(masks, permanent._naive_code(q, n)(words)))
-
+    assert sorted(tables.levels) == list(range(1, k))
+    masks = {
+        q: [sum(1 << c for c in cols) for cols in combinations(range(n), q)] for q in range(1, k)
+    }
+    oracles = {q: permanent._naive_code(q, n) for q in range(1, k)}
     for rows, _ in verifier._prefix_classes(k - 2, n - 1):
         words = (0,) + tuple(x << 1 for x in rows)
-        vec = tables.sign
-        for x in ((0,) + rows)[:-1]:
-            vec = [v * t for v, t in zip(vec, tables.row_sums[x])]
-        second = [sum(g(vec)) for g in tables.seconds]
-        assert keyed(k - 2, second) == oracle(k - 2, words[:-1]), rows
-        second.append(0)
-        got = [sum(t) for t in zip(*[g(second) for g in tables.base])]
-        last = words[-1] >> 1
-        for j in range(n - 1):
-            if (last >> j) & 1:
-                got = [b - 2 * d for b, d in zip(got, tables.drop[j](second))]
-        assert keyed(k - 1, got) == oracle(k - 1, words), rows
+        minors = [1, 0]
+        for q in range(1, k):
+            base, drop = tables.levels[q]
+            got = [sum(t) for t in zip(*[g(minors) for g in base])]
+            for j in range(n - 1):
+                if (words[q - 1] >> (j + 1)) & 1:
+                    got = [b - 2 * d for b, d in zip(got, drop[j](minors))]
+            want = dict(zip(sorted(masks[q], reverse=True), oracles[q](words[:q])))
+            assert len(got) == len(masks[q]) + 1 and got[-1] == 0, (rows, q)
+            assert dict(zip(masks[q], got)) == want, (rows, q)
+            minors = got
 
 
 def test_order_six_values_23_of_1053_classes(monkeypatch):
@@ -352,42 +345,52 @@ def test_rank_census_matches_bareiss(n):
     assert census[n] == verifier._FULL_RANK[n]
 
 
-# the order-7 census by rank, 0 to 7, of a sweep run twice outside the
-# sweep budget; it sums to 2^36, the normalized order-7 matrices
-ORDER_SEVEN_CENSUS = [
-    0, 1, 3_969, 1_807_806, 190_071_000, 5_295_204_600, 34_395_777_360, 28_836_612_000,
-]
+# the census by rank, 0 to n, of sweeps run outside the sweep budget:
+# order 7 twice, order 8 three times by two generation paths; they sum
+# to 2^36 and 2^49, the normalized matrices of each order
+CENSUS = {
+    7: [0, 1, 3_969, 1_807_806, 190_071_000, 5_295_204_600, 34_395_777_360, 28_836_612_000],
+    8: [
+        0, 1, 16_129, 25_316_928, 9_271_660_734, 1_001_080_231_200, 32_307_576_315_840,
+        259_286_329_895_040, 270_345_669_985_440,
+    ],
+}
 
 
-def test_order_seven_census_meets_the_pinned_full_rank_count():
-    assert sum(ORDER_SEVEN_CENSUS) == 1 << 36
-    verifier._check_census(7, 7, ORDER_SEVEN_CENSUS)
-    # one nonsingular matrix counted at rank 6 keeps every other law
-    off = ORDER_SEVEN_CENSUS[:6] + [ORDER_SEVEN_CENSUS[6] + 1, ORDER_SEVEN_CENSUS[7] - 1]
+@pytest.mark.parametrize("n", [7, 8])
+def test_order_seven_census_meets_the_pinned_full_rank_count(n):
+    census = CENSUS[n]
+    assert sum(census) == 1 << (n - 1) ** 2
+    verifier._check_census(n, n, census)
+    # one nonsingular matrix counted at rank n - 1 keeps every other law
+    off = census[:-2] + [census[-2] + 1, census[-1] - 1]
     with pytest.raises(
-        RuntimeError, match=r"^rank census: rank 7 holds 28836611999 matrices, not 28836612000$"
+        RuntimeError,
+        match=rf"^rank census: rank {n} holds {census[-1] - 1} matrices, not {census[-1]}$",
     ):
-        verifier._check_census(7, 7, off)
-    with pytest.raises(RangeError, match=r"^shape \(7,7\) needs .* over the 2\^20 budget$"):
-        verifier.verify_square(7)
+        verifier._check_census(n, n, off)
+    with pytest.raises(RangeError, match=rf"^shape \({n},{n}\) needs .* over the 2\^20 budget$"):
+        verifier.verify_square(n)
 
 
 def test_two_row_tables_stay_small():
-    # one free row: every leaf is fed from the first row's weights, so no
-    # per-row sums over the 2^n column subsets are built
+    # no table has an entry per column subset: the order-j level reads and
+    # gives one entry per column set of j or j - 1 columns, so one free row
+    # builds the order-1 level alone, and a sweep adds no table
     tracemalloc.start()
     try:
         tables = verifier._SweepTables(2, 10)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert tables.row_sums == {}
     assert held < 200_000
-    # three rows: every class's parent is the all-ones row, so a sweep
-    # reads that row's sums and no free row's
-    tables = verifier._SweepTables(3, 10)
-    verifier._sweep_block(tables, verifier._prefix_classes(1, 9))
-    assert tables.row_sums == {0: [s.bit_count() for s in range(1 << 10)]}
+    for k in (2, 3):
+        tables = verifier._SweepTables(k, 10)
+        verifier._sweep_block(tables, verifier._prefix_classes(k - 2, 9))
+        assert sorted(tables.levels) == list(range(1, k))
+        getters = [g for base, drop in tables.levels.values() for g in base + drop]
+        assert max(len(g(range(1 << 10))) for g in getters + tables.sels) < 1 << 10
+        assert all(len(t) < 1 << 10 for t in vars(tables).values() if isinstance(t, (list, dict)))
 
 
 @shapes((2, 2), (4, 4), (3, 5))
