@@ -67,11 +67,13 @@ def _naive_source(k: int, n: int) -> str:
     most k columns in numeric order, the sum of ``a{|S|-1}_{j}*p{S - {j}}``
     over the columns j of S (``a0_{j}`` alone for S = {j}).  Every
     S - {j} precedes S numerically, so each term reads a value already
-    assigned.  It returns the tuple of every k-column set's value, the
+    assigned.  It returns the list of every k-column set's value, the
     permanent of that column selection, in descending numeric order of
     the sets: for k = n the permanent alone, and for k = n - 1 entry j
-    is the minor without column j + 1.  It is read once, to compile, and
-    not kept.
+    is the minor without column j + 1.  A list, not a tuple: CPython 3.11
+    keeps every freed 20-entry tuple on its free list and never reuses
+    it, so the C(6,3) = 20 values of each 3 x 6 call would pile up until
+    a full collection.  It is read once, to compile, and not kept.
     """
     rows = range(k)
     lines = [
@@ -86,13 +88,13 @@ def _naive_source(k: int, n: int) -> str:
                 f"a{r}_{j}*p{s ^ 1 << j}" if r else f"a0_{j}" for j in range(n) if (s >> j) & 1
             ]
             lines.append(f"    p{s} = " + " + ".join(terms))
-    full = [f"p{s}," for s in range((1 << n) - 1, 0, -1) if s.bit_count() == k]
-    lines.append("    return " + " ".join(full))
+    full = [f"p{s}" for s in range((1 << n) - 1, 0, -1) if s.bit_count() == k]
+    lines.append("    return [" + ", ".join(full) + "]")
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _naive_code(k: int, n: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def _naive_code(k: int, n: int) -> Callable[[tuple[int, ...]], list[int]]:
     """Compile ``_naive_source(k, n)`` and return its function of the row words."""
     namespace = {"e": _entries(n)}
     exec(compile(_naive_source(k, n), f"<permanent_naive {k}x{n}>", "exec"), namespace)
@@ -208,7 +210,7 @@ def laplace_expand(a: SignMatrix, beta) -> int:
     One oracle call over the rows beta values every alpha, and one over
     the other rows every complement, each in descending numeric order of
     its column sets; complementing sets of one size reverses that order,
-    so the second tuple, reversed, pairs with the first.
+    so the second list, reversed, pairs with the first.
     """
     if not a.is_square:
         raise ShapeError(f"Laplace expansion needs a square matrix, got {a.rows}x{a.cols}")

@@ -66,7 +66,7 @@ def _normalized_blocks(n: int) -> Iterator[tuple[int, list[int]]]:
     words = range(0, 1 << n, 2)
     # product varies its last factor fastest, and p its row 0
     for p, high in enumerate(itertools.product(words, repeat=n - 2)):
-        yield p, list(evaluate((0, *high[::-1])))
+        yield p, evaluate((0, *high[::-1]))
 
 
 def _last_row_permanents(b: list[int]) -> list[int]:

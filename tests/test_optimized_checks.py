@@ -128,26 +128,44 @@ def run_miscounted(call: str, summary: str) -> str:
     patch = (
         "real, first = v._sweep_block, []\n"
         "def miscounted(t, block):\n"
-        "    s, o, *rest = real(t, block)\n"
+        "    o, *rest = real(t, block)\n"
         "    first.append(block)\n"
-        f"    return {summary} if len(first) == 1 else (s, o, *rest)\n"
+        f"    return {summary} if len(first) == 1 else (o, *rest)\n"
         "v._sweep_block = miscounted"
     )
     return run_optimized(f"import permax.verifier as v\n{patch}\n{call}")
 
 
-@pytest.mark.parametrize("call", ["v.verify_square(3)", "v.verify_mper(2, 3)"])
-def test_wrong_scan_count_raises_under_optimize(call):
-    # drops one matrix from the count of the first block
-    out = run_miscounted(call, "(s - 1, o, *rest)")
-    assert out == "weighted enumeration lost matrices"
+@pytest.mark.parametrize(
+    "call, held",
+    [("v.verify_square(3)", "5 prefixes, not 2^2"), ("v.verify_mper(2, 3)", "2 prefixes, not 2^0")],
+    ids=["v.verify_square(3)", "v.verify_mper(2, 3)"],
+)
+def test_wrong_scan_count_raises_under_optimize(call, held):
+    # the first class weighs one more, which adds its 2^(n-1) matrices to
+    # the scan count; that count is the orbit sum times 2^(n-1), so the
+    # orbit check names the fault
+    out = run_optimized(
+        f"""
+import permax.verifier as v
+real = v._prefix_classes
+def heavier(r, m):
+    classes = real(r, m)
+    rows, w = next(classes)
+    yield rows, w + 1
+    yield from classes
+v._prefix_classes = heavier
+{call}
+"""
+    )
+    assert out == f"prefix orbits hold {held}"
 
 
 # the exponent is (k - 2)(n - 1), the free cells of a prefix
 @pytest.mark.parametrize("call, exponent", [("v.verify_square(3)", 2), ("v.verify_mper(2, 3)", 0)])
 def test_wrong_orbit_sum_raises_under_optimize(call, exponent):
     # drops one prefix from the orbit sizes of the first block
-    out = run_miscounted(call, "(s, o - 1, *rest)")
+    out = run_miscounted(call, "(o - 1, *rest)")
     assert out == f"prefix orbits hold {(1 << exponent) - 1} prefixes, not 2^{exponent}"
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -70,8 +71,8 @@ def test_naive_plan_lists_every_proper_column_set_once(n):
     # over k rows, the compiled oracle assigns every nonempty set of at
     # most k columns once, in numeric order, and each term reads the set
     # with one column removed, times the entry of row |S| in that column
-    # (n * 2^(n-1) terms for k = n); it returns the k-column sets' values
-    # in descending numeric order
+    # (n * 2^(n-1) terms for k = n); it returns the list of the k-column
+    # sets' values in descending numeric order
     for k in range(1, n + 1):
         source = permanent_module._naive_source(k, n)
         sets, terms = [], 0
@@ -90,7 +91,7 @@ def test_naive_plan_lists_every_proper_column_set_once(n):
         assert sets == [s for s in range(1, 1 << n) if s.bit_count() <= k]
         assert terms == sum(m * math.comb(n, m) for m in range(1, k + 1))
         full = [s for s in range((1 << n) - 1, 0, -1) if s.bit_count() == k]
-        assert source.endswith("    return " + " ".join(f"p{s}," for s in full) + "\n")
+        assert source.endswith("    return [" + ", ".join(f"p{s}" for s in full) + "]\n")
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -104,10 +105,27 @@ def test_wide_naive_values_every_selection_in_descending_set_order(n):
         sets = [s for s in range((1 << n) - 1, 0, -1) if s.bit_count() == k]
         for _ in range(3):
             a = make_matrix([rng.choice((1, -1)) for _ in range(k * n)], k, n)
-            assert permanent_module._naive_code(k, n)(a.words) == tuple(
+            assert permanent_module._naive_code(k, n)(a.words) == [
                 permanent_ryser(submatrix_select(a, rows, [j + 1 for j in range(n) if s >> j & 1]))
                 for s in sets
-            )
+            ]
+
+
+def test_wide_oracle_calls_hold_little_memory():
+    # a 3 x 6 call values C(6,3) = 20 selections; CPython 3.11 keeps every
+    # freed 20-entry tuple on its free list and never reuses it, so 1,000
+    # calls returning tuples held 200,000 bytes until a full collection
+    rng = random.Random(59)
+    mats = [make_matrix([rng.choice((1, -1)) for _ in range(18)], 3, 6) for _ in range(1000)]
+    mper(mats[0])  # compiles the 3 x 6 oracle
+    tracemalloc.start()
+    try:
+        for a in mats:
+            mper(a)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 16_000
 
 
 def test_naive_plans_of_interleaved_orders_stay_apart():

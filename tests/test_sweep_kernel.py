@@ -171,7 +171,7 @@ def test_blocks_match_multiset_reference(k, n):
     # make up the same orbits
     tables = verifier._SweepTables(k, n)
     classes = verifier._prefix_classes(k - 2, n - 1)
-    scanned, orbits, squares, census, stats, count = verifier._sweep_block(tables, classes)
+    orbits, squares, census, stats, count = verifier._sweep_block(tables, classes)
     want_census = [0] * (k + 1)
     want_scanned = want_squares = 0
     want_stats = {}
@@ -186,11 +186,11 @@ def test_blocks_match_multiset_reference(k, n):
                 want_stats[r] = (mx, list(reps))
             elif mx == top:
                 kept.extend(reps)
-    assert scanned == want_scanned == 1 << ((k - 1) * (n - 1))
+    assert orbits << (n - 1) == want_scanned == 1 << ((k - 1) * (n - 1))
     assert count == verifier._polya_count(k - 2, n - 1)
     assert orbits == 1 << ((k - 2) * (n - 1))
     assert census == want_census
-    assert squares == want_squares == math.comb(n, k) * math.factorial(k) * scanned
+    assert squares == want_squares == math.comb(n, k) * math.factorial(k) * want_scanned
     assert stats.keys() == want_stats.keys()
     for r, (mx, reps) in stats.items():
         top, kept = want_stats[r]
@@ -216,8 +216,8 @@ def test_bound_pruned_pass_matches_the_full_pass(k, n, monkeypatch, tmp_path):
     judged = {r: top for r, (_, top, _) in verifier._strata(k, n).items()}
     full = verifier._sweep_block(verifier._SweepTables(k, n), classes)
     pruned = verifier._sweep_block(verifier._SweepTables(k, n, judged), classes)
-    assert pruned[:4] == full[:4] and pruned[5] == full[5]
-    assert {r: pruned[4][r] for r in judged} == {r: full[4][r] for r in judged}
+    assert pruned[:3] == full[:3] and pruned[4] == full[4]
+    assert {r: pruned[3][r] for r in judged} == {r: full[3][r] for r in judged}
 
     def report(name):
         path = tmp_path / name
@@ -339,7 +339,7 @@ def test_two_row_sweep_is_one_block(monkeypatch, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_rank_census_matches_bareiss(n):
     tables = verifier._SweepTables(n, n)
-    census = verifier._sweep_block(tables, verifier._prefix_classes(n - 2, n - 1))[3]
+    census = verifier._sweep_block(tables, verifier._prefix_classes(n - 2, n - 1))[2]
     want = Counter(rank(a) for a in enumerate_normalized(n))
     assert census == [want[r] for r in range(n + 1)]
     assert census[n] == verifier._FULL_RANK[n]

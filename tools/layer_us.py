@@ -7,10 +7,16 @@ Usage, from the repository root:
     python3 tools/layer_us.py [--src DIR]
 
 ``--src`` names the directory holding the ``permax`` package (default
-``src`` next to this directory), so the same script can time two
-checkouts.  Six sections run in order, each opened by a
-``# <section>: <columns>`` line; the first five each draw their inputs
-from their own seeded generator, so every run times the same inputs:
+``src`` next to this directory), so the same script can time another
+checkout.  One run times one checkout, and the machine's load drifts
+between runs: two runs one after the other have read up to 40% apart
+on the same shapes.  To compare two checkouts, alternate whole runs
+with the sides swapped, at least two runs per side, or time both trees
+interleaved in one process.
+
+Six sections run in order, each opened by a ``# <section>: <columns>``
+line; the first five each draw their inputs from their own seeded
+generator, so every run times the same inputs:
 
 - ``permanent``: ``permanent_ryser`` and ``permanent_naive`` on 40
   uniform n x n matrices per order n = 2..12, one line
