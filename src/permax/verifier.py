@@ -54,7 +54,7 @@ import time
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import combinations, compress, groupby, permutations, product
+from itertools import accumulate, combinations, compress, groupby, permutations, product
 from operator import add, itemgetter, mul, not_, or_, sub
 
 from . import props
@@ -294,62 +294,74 @@ def _prefix_classes(r: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """One tuple of r rows of m bits per class under row and column
     permutations, with the class size, depth first.
 
-    A tuple's key is the least sorted list of its column codes (bit i of
-    a code is the column's bit in row i) over the row orders that list
-    the rows by weight; weights survive column permutations, so the key
-    is a class invariant.  By canonical augmentation (McKay, 1998), a
-    class's parent is the class of its rows less the one an order
-    attaining the key puts last.  A representative's child by a row x is
-    kept when x weighs at least as much as every row, some order
-    attaining the key puts x last, and no kept sibling has its key.  So
-    each class comes once, and only the kept children along the path to
-    it wait on the stack.  The orders attaining the key, times the
-    column orders that fix the sorted codes, count the stabilizer: the
-    class has r! m! / |Stab| tuples.
+    A tuple's key is the least, over the row orders that list the rows by
+    weight, of its histogram of column codes (bit i of a code is the
+    column's bit in row i), packed into one integer: an order maps code c
+    to 1 << B * c', c' the code the order makes of c and B = m.bit_length()
+    bits, room for a count up to m, so the key under it is the sum of its
+    codes' images.  Every order's table holds the same 2^r powers, shared,
+    not copies.  Weights survive column permutations, so the key is a
+    class invariant, and tuples with one key are one class.  By canonical
+    augmentation (McKay, 1998), a class's parent is the class of its rows
+    less the one an order attaining the key puts last.  Up to column
+    order, a representative's child is fixed by how many columns of each
+    run, the columns sharing a code, the new row x sets: x sets the first
+    t columns of every run, for every choice of the t, and weighs at least
+    as much as every row.  A child is kept when some order attaining its
+    key puts x last and no kept sibling has its key.  So each class comes
+    once, only the kept children along the path to it wait on the stack,
+    and a kept child of the last level is yielded at once.  Its
+    stabilizer is the number of orders that reach its key, times the
+    column orders that fix its codes, the factorial of each multiplicity
+    among them: the class has r! m! / |Stab| tuples.
     """
+    if not r:
+        yield (), 1
     size = math.factorial(r) * math.factorial(m)
-    # every row order of up to r rows as a map of column codes
+    # every row order of up to r rows as a map of column codes to their
+    # histogram fields, each entry one of the shared powers
+    powers = [1 << m.bit_length() * c for c in range(1 << r)]
     recode = {
-        order: [sum(((c >> p) & 1) << i for i, p in enumerate(order)) for c in range(1 << j)]
-        for j in range(r + 1)
-        for order in permutations(range(j))
+        order: [
+            powers[sum(((c >> p) & 1) << i for i, p in enumerate(order))] for c in range(1 << j)
+        ].__getitem__
+        for j in range(r + 1) for order in permutations(range(j))
     }
     spread = [[[((x >> c) & 1) << j for c in range(m)] for x in range(1 << m)] for j in range(r)]
-    heavier = [[x for x in range(1 << m) if x.bit_count() >= w] for w in range(m + 1)]
-    # row weights, which never fall along a tuple -> the codes maps of the
-    # orders by weight, those putting the last row last first
-    orders: dict[tuple[int, ...], list[list[int]]] = {}
+    # row weights, which never fall along a tuple -> the field getters of
+    # the orders by weight, those putting the last row last first
+    orders: dict[tuple[int, ...], list] = {}
 
-    stack = [((), [0] * m, (), [[0] * m])]  # rows, codes, weights, keys
+    stack = [((), [0] * m, ())] if r else []  # rows, codes, weights
     while stack:
-        rows, codes, weights, keys = stack.pop()
-        if len(rows) == r:
-            key = min(keys)
-            fixed = keys.count(key)
-            for c in set(codes):
-                fixed *= math.factorial(codes.count(c))
-            yield rows, size // fixed
-            continue
-        j = len(rows)
-        tried, kept = set(), set()  # children equal up to column order share a class
-        for x in heavier[max(weights, default=0)]:
-            child = list(map(or_, codes, spread[j][x]))
-            plain = tuple(sorted(child))
-            if plain in tried:
+        rows, codes, weights = stack.pop()
+        j, least, kept = len(rows), max(weights, default=0), set()
+        # the new rows, the first t columns of each run for every t, built as
+        # lists: product()'s pool tuples would park on the interpreter's
+        # tuple free lists, and peak memory grew with the classes walked
+        xs = [0]
+        for _, run in groupby(sorted(range(m), key=codes.__getitem__), codes.__getitem__):
+            xs = [x + f for f in accumulate([1 << c for c in run], initial=0) for x in xs]
+        for x in xs:
+            if (w := x.bit_count()) < least:
                 continue
-            tried.add(plain)
-            wx = weights + (x.bit_count(),)
+            child = list(map(or_, codes, spread[j][x]))
+            wx = weights + (w,)
             maps = orders.get(wx)
             if maps is None:
                 blocks = [list(g) for _, g in groupby(range(j + 1), wx.__getitem__)]
                 perms = sorted(product(*map(permutations, blocks)), key=lambda o: o[-1][-1] != j)
                 maps = orders[wx] = [recode[sum(o, ())] for o in perms]
-            child_keys = [sorted(map(t.__getitem__, child)) for t in maps]
-            key = min(child_keys)
+            keys = [sum(map(t, child)) for t in maps]
+            key = min(keys)
             # one order in |last weight block| puts x last
-            if key in child_keys[: len(maps) // wx.count(wx[-1])] and tuple(key) not in kept:
-                kept.add(tuple(key))
-                stack.append((rows + (x,), child, wx, child_keys))
+            if key in keys[: len(maps) // wx.count(wx[-1])] and key not in kept:
+                kept.add(key)
+                if j + 1 < r:
+                    stack.append((rows + (x,), child, wx))
+                    continue
+                fixed = math.prod(map(math.factorial, map(child.count, set(child))))
+                yield rows + (x,), size // (keys.count(key) * fixed)
 
 
 def _last_row_values(b: Sequence[int]) -> list[int]:
@@ -493,30 +505,40 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     return orbits, squares, census, stats, classes
 
 
-# Nonsingular normalized matrices of order n: A055165(n - 1), the number of
-# nonsingular (n-1) x (n-1) 0/1 matrices, https://oeis.org/A055165.  The
-# order-7 value was computed twice, by a prototype sweep and by this
-# kernel, and agrees with A055165(6) as remembered; the order-8 value was
-# computed three times, by two generation paths.  Neither was read from
-# the OEIS entry.  The budget refuses orders 7 and 8, so only a direct
-# census check or a sweep run past the budget reaches them.
-_FULL_RANK = {
-    2: 1, 3: 6, 4: 174, 5: 22_560, 6: 12_514_320, 7: 28_836_612_000, 8: 270_345_669_985_440,
+# The normalized matrices of order n by rank, 0 to n, each row summing to
+# 2^((n-1)^2).  Rank n holds the nonsingular ones, A055165(n - 1), the
+# number of nonsingular (n-1) x (n-1) 0/1 matrices
+# (https://oeis.org/A055165).  Orders 2-6 are this kernel's census, the
+# same under two class generators; order 7 was computed twice, by a
+# prototype sweep and by this kernel, and order 8 three times, by two
+# generation paths.  No row was read from the OEIS entry.  The budget
+# refuses orders 7 and 8, so only a direct census check or a sweep run
+# past the budget reaches them.
+_CENSUS = {
+    2: (0, 1, 1),
+    3: (0, 1, 9, 6),
+    4: (0, 1, 49, 288, 174),
+    5: (0, 1, 225, 6_750, 36_000, 22_560),
+    6: (0, 1, 961, 118_800, 3_159_750, 17_760_600, 12_514_320),
+    7: (0, 1, 3_969, 1_807_806, 190_071_000, 5_295_204_600, 34_395_777_360, 28_836_612_000),
+    8: (
+        0, 1, 16_129, 25_316_928, 9_271_660_734, 1_001_080_231_200, 32_307_576_315_840,
+        259_286_329_895_040, 270_345_669_985_440,
+    ),
 }
 
 
 def _check_census(k: int, n: int, census: list[int]) -> None:
     """Raise unless the per-rank matrix counts of a k x n sweep meet the
-    laws that hold whatever the permanents are."""
-    laws = [
-        ("rank 1", census[1], 1),
-        ("rank 2", census[2], ((1 << (k - 1)) - 1) * ((1 << (n - 1)) - 1)),
-    ]
-    if k == n and n in _FULL_RANK:
-        laws.append((f"rank {n}", census[n], _FULL_RANK[n]))
-    for what, got, want in laws:
-        if got != want:
-            raise RuntimeError(f"rank census: {what} holds {got} matrices, not {want}")
+    laws that hold whatever the permanents are, naming the lowest rank
+    off: every rank of a square order that ``_CENSUS`` pins, and ranks 1
+    and 2, in closed form, of any other shape, wide ones included."""
+    laws = {1: 1, 2: ((1 << (k - 1)) - 1) * ((1 << (n - 1)) - 1)}
+    if k == n and n in _CENSUS:
+        laws = dict(enumerate(_CENSUS[n]))
+    for r, want in laws.items():
+        if census[r] != want:
+            raise RuntimeError(f"rank census: rank {r} holds {census[r]} matrices, not {want}")
 
 
 def _sweep(

@@ -183,22 +183,23 @@ v.verify_square(4)
 
 
 def test_moved_orbit_weight_raises_under_optimize():
-    # one prefix moves from the first class to the last: the matrix and
-    # orbit counts hold, and the second moment, checked next, catches it
+    # one prefix moves from the class of three all-ones rows to the class
+    # of three zero rows: the matrix and orbit counts hold, and the second
+    # moment, checked next, catches it.  The classes are picked by rows,
+    # not by stream position: two classes whose leaves add the same sum of
+    # per^2 and the same census split would hide the move from every check
     out = run_optimized(
         """
 import permax.verifier as v
 real = v._prefix_classes
 def moved(r, m):
-    classes = list(real(r, m))
-    (a, wa), (b, wb) = classes[0], classes[-1]
-    return [(a, wa - 1)] + classes[1:-1] + [(b, wb + 1)]
+    shift = {(15, 15, 15): -1, (0, 0, 0): 1}
+    return [(rows, w + shift.get(rows, 0)) for rows, w in real(r, m)]
 v._prefix_classes = moved
 v.verify_square(5)
 """
     )
-    assert out.startswith("selection permanents square-sum to ")
-    assert out.endswith(", not 7864320")  # 5! 2^16
+    assert out == "selection permanents square-sum to 7891968, not 7864320"  # 5! 2^16
 
 
 def test_halved_leaf_values_raise_under_optimize():
@@ -320,6 +321,26 @@ v.verify_square(5)
 """
     )
     assert out == "rank census: rank 2 holds 513 matrices, not 225"
+
+
+def test_census_moved_between_ranks_raises_under_optimize():
+    # 148 order-6 matrices counted at rank 4, not 3: the orbit sum, the
+    # second moment and ranks 1, 2 and 6 hold, and only the census row
+    # pinned at every rank sees the move
+    out = run_optimized(
+        """
+import permax.verifier as v
+real = v._sweep_block
+def moved(t, block):
+    out = real(t, block)
+    out[2][3] -= 148
+    out[2][4] += 148
+    return out
+v._sweep_block = moved
+v.verify_square(6)
+"""
+    )
+    assert out == "rank census: rank 3 holds 118652 matrices, not 118800"
 
 
 def test_oracle_disagreement_raises_under_optimize():

@@ -98,14 +98,14 @@ def test_span_misses_fill_their_sibling_steps(monkeypatch):
         verifier._SpanTable, "_extend", lambda self, sid, x: calls.append(x) or real(self, sid, x)
     )
     verifier._sweep(6, 6)
-    assert len(calls) == 221  # 393 with one step filled per miss
+    assert len(calls) == 206  # 368 with one step filled per miss
     del calls[:]
     spans = verifier._SpanTable(6)
     for rows, _ in verifier._prefix_classes(5, 6):  # the order-7 prefix walks
         sid = 0
         for x in rows:
             sid = spans.child(sid, x)
-    assert len(calls) == 3185  # 7,531 with one step filled per miss
+    assert len(calls) == 2995  # 6,900 with one step filled per miss
 
 
 def reference_chunk(k, n, x1):
@@ -284,7 +284,11 @@ def test_prefix_classes_match_brute_force(r, m):
 
 
 @pytest.mark.parametrize(
-    "r, m, count", [(3, 4, 87), (3, 5, 190), (4, 5, 1053), (4, 6, 3250), (3, 7, 734), (4, 7, 9343)]
+    "r, m, count",
+    [
+        (3, 4, 87), (3, 5, 190), (4, 5, 1053), (4, 6, 3250), (3, 7, 734), (4, 7, 9343),
+        (5, 6, 28576),
+    ],
 )
 def test_prefix_class_counts(r, m, count):
     assert verifier._polya_count(r, m) == count
@@ -341,34 +345,30 @@ def test_rank_census_matches_bareiss(n):
     tables = verifier._SweepTables(n, n)
     census = verifier._sweep_block(tables, verifier._prefix_classes(n - 2, n - 1))[2]
     want = Counter(rank(a) for a in enumerate_normalized(n))
-    assert census == [want[r] for r in range(n + 1)]
-    assert census[n] == verifier._FULL_RANK[n]
-
-
-# the census by rank, 0 to n, of sweeps run outside the sweep budget:
-# order 7 twice, order 8 three times by two generation paths; they sum
-# to 2^36 and 2^49, the normalized matrices of each order
-CENSUS = {
-    7: [0, 1, 3_969, 1_807_806, 190_071_000, 5_295_204_600, 34_395_777_360, 28_836_612_000],
-    8: [
-        0, 1, 16_129, 25_316_928, 9_271_660_734, 1_001_080_231_200, 32_307_576_315_840,
-        259_286_329_895_040, 270_345_669_985_440,
-    ],
-}
+    assert census == [want[r] for r in range(n + 1)] == list(verifier._CENSUS[n])
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_order_seven_census_meets_the_pinned_full_rank_count(n):
-    census = CENSUS[n]
+    # the census rows of sweeps run outside the sweep budget sum to 2^36
+    # and 2^49, the normalized matrices of each order
+    census = list(verifier._CENSUS[n])
     assert sum(census) == 1 << (n - 1) ** 2
     verifier._check_census(n, n, census)
-    # one nonsingular matrix counted at rank n - 1 keeps every other law
-    off = census[:-2] + [census[-2] + 1, census[-1] - 1]
+    short = census[:-1] + [census[-1] - 1]
     with pytest.raises(
         RuntimeError,
         match=rf"^rank census: rank {n} holds {census[-1] - 1} matrices, not {census[-1]}$",
     ):
-        verifier._check_census(n, n, off)
+        verifier._check_census(n, n, short)
+    # one nonsingular matrix counted at rank n - 1: every rank is checked,
+    # the lowest off named first
+    moved = census[:-2] + [census[-2] + 1, census[-1] - 1]
+    with pytest.raises(
+        RuntimeError,
+        match=rf"^rank census: rank {n - 1} holds {census[-2] + 1} matrices, not {census[-2]}$",
+    ):
+        verifier._check_census(n, n, moved)
     with pytest.raises(RangeError, match=rf"^shape \({n},{n}\) needs .* over the 2\^20 budget$"):
         verifier.verify_square(n)
 
