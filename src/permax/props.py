@@ -6,7 +6,10 @@ nothing of it, so each can check the other.  The normalized matrices of
 one order (all-ones first row and column) stream block by block: one
 call of the compiled oracle of ``permanent_naive`` over a block's first
 n - 1 rows gives its last-row minors' permanents, and one doubling pass
-over them values the block's 2^(n-1) last rows.
+over them values the block's 2^(n-1) last rows.  The sampled orders
+compare Glynn's sum with the compiled oracle on bare row words, through
+each evaluator's word-level core, and build a matrix only to name one
+on which they disagree.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from operator import mul
 
 from .errors import PropertyFailure, RankError, ShapeError
 from .exact_rank import rank
-from .permanent import _naive_code, laplace_expand, permanent_naive, permanent_ryser
+from .permanent import _glynn, _naive_code, laplace_expand
 from .rank_vectors import check_min_law
 from .reduction import equivalent_to_d
 from .sign_matrix import _STEP_ARITY, SignMatrix, apply, format_matrix_text, invert_transforms
@@ -84,6 +87,29 @@ def _random_square(rng: random.Random, n: int) -> SignMatrix:
     return SignMatrix(n, n, tuple([rng.getrandbits(n) for _ in range(n)]))
 
 
+def _sampled_words(rng: random.Random, n: int, count: int) -> Iterator[tuple[int, ...]]:
+    """The row words of ``count`` successive ``_random_square(rng, n)``
+    draws, from the same ``rng`` calls, with no matrix built."""
+    bits = (n,) * n
+    for _ in range(count):
+        # not tuple(map(...)): map has no length, so tuple() would allocate
+        # 10 slots and shrink them, and CPython 3.11 parks up to 2,000 of the
+        # shrunk tuples on its free list, 0.16 MB at order 5
+        yield (*map(rng.getrandbits, bits),)
+
+
+def _first_disagreement(rng: random.Random, n: int, count: int) -> tuple[int, ...] | None:
+    """Compare Glynn's sum with the compiled oracle on ``count`` sampled
+    order-n matrices, on their row words, and return the words of the
+    first on which they disagree, or None.  Each order's oracle is looked
+    up once, and no matrix is built."""
+    naive = _naive_code(n, n)
+    for words in _sampled_words(rng, n, count):
+        if _glynn(n, words) != naive(words)[0]:
+            return words
+    return None
+
+
 def _random_wide(rng: random.Random, k: int, n: int) -> SignMatrix:
     while True:
         a = SignMatrix(k, n, tuple([rng.getrandbits(n) for _ in range(k)]))
@@ -122,18 +148,19 @@ def run(seed: int, samples: int) -> tuple[tuple[str, int], ...]:
     # a block is the 2^(n-1) last rows under one prefix of rows, and its
     # values come from one doubling pass over its minors' permanents b_j,
     # which the compiled oracle of permanent_naive gives in one call over
-    # the prefix.  Up to order 4 every value agrees with permanent_ryser,
-    # an evaluator sharing no code with the oracle, and, at order 4, is a
-    # multiple of 4 (the sampled orders 5-8 below compare the two
-    # evaluators matrix by matrix); per^2 sums exactly to n! 2^((n-1)^2)
+    # the prefix.  Up to order 4 every value agrees with Glynn's sum, the
+    # core of permanent_ryser, sharing no code with the oracle, and, at
+    # order 4, is a multiple of 4 (the sampled orders 5-8 below compare
+    # the two evaluators matrix by matrix); per^2 sums exactly to n! 2^((n-1)^2)
     # per slice; |per| is an orbit invariant, so the slices cover every
     # orbit of the total bound n!, attained on the all-ones orbit alone,
     # with (n-2)(n-1)! as the ceiling for everything else.  No value of a
     # block exceeds the sum of its |b_j|, so an order-5 block whose sum is
     # within the ceiling is counted unvalued, its per^2 summing to 2^(n-1) sum b_j^2 as the
     # cross terms cancel over the last rows: only the all-ones prefix's
-    # block is valued there.  A matrix is built only for permanent_ryser
-    # or for a value over the ceiling.
+    # block is valued there.  Glynn's core values each matrix on its row
+    # words, and a matrix is built only to name a failure or for a value
+    # over the ceiling.
     oracle = div4 = total = 0
     for order in (2, 3, 4, 5):
         top = math.factorial(order)
@@ -143,20 +170,22 @@ def run(seed: int, samples: int) -> tuple[tuple[str, int], ...]:
         squares = 0
         for p, b in _normalized_blocks(order):
             total += 1 << free
-            if order == 5 and sum(map(abs, b)) <= rest:
+            if order < 5:
+                prefix = _normalized(order, p, order - 1).words
+            elif sum(map(abs, b)) <= rest:
                 squares += sum(map(mul, b, b)) << free
                 continue
             for x, v in enumerate(_last_row_permanents(b)):
                 squares += v * v
                 if order < 5:
-                    a = _normalized(order, p | x << shift)
-                    if v != permanent_ryser(a):
-                        fail("permanent oracle agreement", a)
+                    words = (*prefix, x << 1)
+                    if v != _glynn(order, words):
+                        fail("permanent oracle agreement", SignMatrix(order, order, words))
                     oracle += 1
-                if order == 4:
-                    if v % 4:
-                        fail("order-4 divisibility by 4", a)
-                    div4 += 1
+                    if order == 4:
+                        if v % 4:
+                            fail("order-4 divisibility by 4", SignMatrix(order, order, words))
+                        div4 += 1
                 v = abs(v)
                 if v > rest:
                     a = _normalized(order, p | x << shift)
@@ -173,11 +202,11 @@ def run(seed: int, samples: int) -> tuple[tuple[str, int], ...]:
                 f"normalized order-{order} permanents square-sum to {squares}, not {moment}"
             )
     for order, pct in ((5, 85), (6, 10), (7, 4), (8, 1)):
-        for _ in range(samples * pct // 100):
-            a = _random_square(rng, order)
-            if permanent_ryser(a) != permanent_naive(a):
-                fail("permanent oracle agreement", a)
-            oracle += 1
+        draws = samples * pct // 100
+        words = _first_disagreement(rng, order, draws)
+        if words is not None:
+            fail("permanent oracle agreement", SignMatrix(order, order, words))
+        oracle += draws
     checks = [("ryser_vs_naive", oracle), ("order4_divisibility", div4), ("total_bound", total)]
 
     # the oracle's expansion along one or two rows agrees with Glynn's direct value
@@ -187,7 +216,7 @@ def run(seed: int, samples: int) -> tuple[tuple[str, int], ...]:
         a = _random_square(rng, order)
         width = 1 if order == 2 else rng.randint(1, 2)
         beta = sorted(rng.sample(range(1, order + 1), width))
-        if laplace_expand(a, beta) != permanent_ryser(a):
+        if laplace_expand(a, beta) != _glynn(order, a.words):
             fail("expansion consistency", a, f"rows {beta}")
     checks.append(("laplace_expansion", cases))
 
@@ -198,7 +227,7 @@ def run(seed: int, samples: int) -> tuple[tuple[str, int], ...]:
         a = _random_square(rng, order)
         seq = _random_transforms(rng, order)
         b = apply(a, seq)
-        if abs(permanent_ryser(a)) != abs(permanent_ryser(b)):
+        if abs(_glynn(order, a.words)) != abs(_glynn(order, b.words)):
             fail("permanent transform invariance", a, f"under {seq}")
         if rank(a) != rank(b):
             fail("rank transform invariance", a, f"under {seq}")

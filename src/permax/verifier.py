@@ -53,7 +53,7 @@ import math
 import time
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate, combinations, compress, groupby, permutations, product
 from operator import add, itemgetter, mul, not_, or_, sub
 
@@ -263,12 +263,15 @@ def _partitions(n: int, most: int | None = None) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+@cache
 def _polya_count(r: int, m: int) -> int:
     """Number of r x m 0/1 matrices up to row and column permutations.
 
     Burnside over S_r x S_m: a pair of permutations with cycle lengths
     a_i and b_j fixes 2^(sum gcd(a_i, b_j)) matrices, and each pair of
-    cycle types is summed once, times its number of pairs.
+    cycle types is summed once, times its number of pairs.  Cached, so
+    the verdict's pricing of a shape and the sweep's class-count check
+    compute it once.
     """
 
     def cycle_types(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -368,11 +371,13 @@ def _last_row_values(b: Sequence[int]) -> list[int]:
     """One selection's permanent for every last row, from its
     coefficients ``b``, b_j the minor on the selection less column j: the
     last row with free bits x gives sum(b) - 2 * (the sum of b[j + 1]
-    over the bits j of x), and one doubling pass fills that for every x."""
+    over the bits j of x), and one doubling pass fills that for every x.
+    A zero coefficient leaves the values as they are, so its half is a
+    copy of them."""
     per = [sum(b)]
     for bj in b[1:]:
         bj *= 2
-        per += [p - bj for p in per]
+        per += [p - bj for p in per] if bj else per
     return per
 
 

@@ -162,10 +162,13 @@ def test_counterexample_exit_two(monkeypatch, capsys):
 
 
 def test_props_oracle_disagreement_exit_two(monkeypatch, capsys):
-    real = permax.props.permanent_naive
-    monkeypatch.setattr(
-        permax.props, "permanent_naive", lambda a: real(a) + 2 * (a.rows == 8)
-    )
+    real = permax.props._naive_code
+
+    def skewed(k, n):
+        naive = real(k, n)
+        return (lambda words: [naive(words)[0] + 2]) if (k, n) == (8, 8) else naive
+
+    monkeypatch.setattr(permax.props, "_naive_code", skewed)
     assert main(["props", "--seed", "4", "--samples", "400"]) == 2
     assert capsys.readouterr().err.startswith("FAIL: permanent oracle agreement violated\n8 8\n")
 

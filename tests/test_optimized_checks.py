@@ -348,8 +348,11 @@ def test_oracle_disagreement_raises_under_optimize():
         """
 import permax.props as props
 import permax.verifier as v
-real = props.permanent_naive
-props.permanent_naive = lambda a: real(a) + 2 * (a.rows == 8)
+real = props._naive_code
+def skewed(k, n):
+    naive = real(k, n)
+    return (lambda words: [naive(words)[0] + 2]) if (k, n) == (8, 8) else naive
+props._naive_code = skewed
 v.verify_properties(4, 400)
 """
     )

@@ -141,6 +141,24 @@ def test_naive_plans_of_interleaved_orders_stay_apart():
     assert (info.currsize, info.misses, info.hits) == (len(orders),) * 3
 
 
+def test_glynn_core_on_words_matches_permanent_ryser():
+    # permanent_ryser is the shape check over this core, and the oracle
+    # checks both; orders 10-12 draw more row words than the vector cache
+    # holds, so their fills empty it on the way
+    rng = random.Random(47)
+    orders = [(n, 4) for n in range(1, 10)] + [(10, 30), (11, 12), (12, 6)]
+    drawn = {}
+    for n, count in orders:
+        for _ in range(count):
+            words = tuple(rng.getrandbits(n) for _ in range(n))
+            drawn.setdefault(n, set()).update(words)
+            a = SignMatrix(n, n, words)
+            assert permanent_module._glynn(n, words) == permanent_ryser(a) == permanent_naive(a)
+    vectors = permanent_module._vectors
+    assert sum(len(c) << (m - 1) for m, c in vectors.items()) <= permanent_module._VECTOR_ENTRIES
+    assert not drawn[10] <= set(vectors[10])
+
+
 def test_naive_reads_nothing_of_the_glynn_evaluator(monkeypatch):
     # with Glynn's row-vector cache emptied and its builder raising, the
     # oracle, compiled afresh, still sums the permutations term by term

@@ -1,6 +1,7 @@
 """Sweep harness: normalized enumeration, bound verification, reports."""
 
 import json
+import random
 import re
 from collections import Counter
 from itertools import combinations, product
@@ -87,6 +88,29 @@ def test_props_values_one_order_five_block(monkeypatch):
     assert Counter(len(b) for b in valued) == {2: 1, 3: 1 << 2, 4: 1 << 6, 5: 1}
     assert valued[-1] == [24] * 5
     assert sum(1 for _ in permax.props._normalized_blocks(5)) == 1 << 12
+
+
+def test_props_samples_the_words_of_random_square(monkeypatch):
+    # the sampled comparison draws its row words without building matrices,
+    # from the same rng calls as _random_square, so the stream is unchanged
+    real = permax.props._sampled_words
+    drawn = []
+
+    def recorded(rng, n, count):
+        for words in real(rng, n, count):
+            drawn.append(words)
+            yield words
+
+    monkeypatch.setattr(permax.props, "_sampled_words", recorded)
+    seed, samples = 3, 300
+    verify_properties(seed=seed, samples=samples)
+    rng = random.Random(seed)
+    want = [
+        permax.props._random_square(rng, order).words
+        for order, pct in ((5, 85), (6, 10), (7, 4), (8, 1))
+        for _ in range(samples * pct // 100)
+    ]
+    assert drawn == want
 
 
 def test_sweep_order_two_and_three():
@@ -362,22 +386,27 @@ def test_property_suite_is_seed_deterministic():
 
 
 def test_property_suite_reports_oracle_disagreement(monkeypatch):
-    real = permax.props.permanent_naive
+    real = permax.props._naive_code
     skewed = []
 
-    def off_by_two_at_order_eight(a):
-        if a.rows != 8:
-            return real(a)
-        skewed.append(a)
-        return real(a) + 2
+    def off_by_two_at_order_eight(k, n):
+        naive = real(k, n)
+        if (k, n) != (8, 8):
+            return naive
 
-    monkeypatch.setattr(permax.props, "permanent_naive", off_by_two_at_order_eight)
+        def off_by_two(words):
+            skewed.append(words)
+            return [naive(words)[0] + 2]
+
+        return off_by_two
+
+    monkeypatch.setattr(permax.props, "_naive_code", off_by_two_at_order_eight)
     with pytest.raises(PropertyFailure) as info:
         verify_properties(seed=4, samples=400)
     head, _, matrix = str(info.value).partition("\n")
     assert head == "permanent oracle agreement violated"
-    assert parse_matrix_text(matrix) == skewed[0]
-    assert skewed[0].rows == 8 and len(skewed) == 1
+    assert len(skewed) == 1 and len(skewed[0]) == 8
+    assert parse_matrix_text(matrix) == SignMatrix(8, 8, skewed[0])
 
 
 def test_write_report_formats(tmp_path):

@@ -14,8 +14,8 @@ on the same shapes.  To compare two checkouts, alternate whole runs
 with the sides swapped, at least two runs per side, or time both trees
 interleaved in one process.
 
-Six sections run in order, each opened by a ``# <section>: <columns>``
-line; the first five each draw their inputs from their own seeded
+Seven sections run in order, each opened by a ``# <section>: <columns>``
+line; the first six each draw their inputs from their own seeded
 generator, so every run times the same inputs:
 
 - ``permanent``: ``permanent_ryser`` and ``permanent_naive`` on 40
@@ -26,6 +26,10 @@ generator, so every run times the same inputs:
   the figure includes building the row vectors.  ``naive_first`` is the
   order's first ``permanent_naive`` call, timed once before the others:
   it compiles the order's function, which the best-of-5 ``naive`` hides.
+- ``props_sample``: the property suite's sampled comparison,
+  ``props._first_disagreement``, over 1,000 seeded matrices per order
+  n = 5..8, one line ``n us``: microseconds per sampled matrix, its
+  row words drawn and valued by Glynn's core and the compiled oracle.
 - ``mper``: ``mper`` on 40 uniform k x n matrices per shape (3,5), (5,8),
   (6,12) and (8,12), one line ``shape us first_us``.  ``first_us`` is
   the shape's first call, timed once before the others: it compiles the
@@ -93,6 +97,7 @@ SWEEP_SHAPES = [(n, n) for n in range(2, 7)] + [
     (6, 7), (5, 8), (4, 9), (5, 9), (7, 7), (6, 8),
 ]
 MPER_SHAPES = [(3, 5), (5, 8), (6, 12), (8, 12)]
+SAMPLES = 1000
 IMPORT_RUNS = 11
 
 
@@ -133,6 +138,11 @@ def main() -> None:
         first = best(lambda: px.permanent_naive(mats[0]), 1)[0] * 1e6
         times = [per_call_us(f, mats, 5) for f in (px.permanent_ryser, px.permanent_naive)]
         print(n, *(f"{t:.1f}" for t in (*times, first)), flush=True)
+
+    print("# props_sample: n us", flush=True)
+    for n in range(5, 9):
+        t = best(lambda: px.props._first_disagreement(random.Random(19), n, SAMPLES), 5)[0]
+        print(n, f"{t / SAMPLES * 1e6:.2f}", flush=True)
 
     print("# mper: shape us first_us", flush=True)
     rng = random.Random(17)
