@@ -228,6 +228,9 @@ def laplace_expand(a: SignMatrix, beta) -> int:
     b = _check_index_set(beta, n)
     if len(b) >= n:
         raise ShapeError(f"row set {b} must be a proper subset of 1..{n}")
-    top = _naive_code(len(b), n)(tuple(a.words[i - 1] for i in b))
-    rest = _naive_code(n - len(b), n)(tuple(w for i, w in enumerate(a.words, 1) if i not in b))
+    # lists, not tuple(genexpr): a generator has no length, so tuple()
+    # would allocate 10 slots and shrink them, and CPython 3.11 parks up
+    # to 2,000 of the shrunk tuples per size on its free list
+    top = _naive_code(len(b), n)([a.words[i - 1] for i in b])
+    rest = _naive_code(n - len(b), n)([w for i, w in enumerate(a.words, 1) if i not in b])
     return sum(map(mul, top, reversed(rest)))

@@ -9,7 +9,10 @@ n - 1 rows gives its last-row minors' permanents, and one doubling pass
 over them values the block's 2^(n-1) last rows.  The sampled orders
 compare Glynn's sum with the compiled oracle on bare row words, through
 each evaluator's word-level core, and build a matrix only to name one
-on which they disagree.
+on which they disagree.  The transform-invariance check runs on row
+words too: ``sign_matrix._apply_words`` applies each drawn sequence and
+its inverse, Glynn's core and ``exact_rank._rank_words`` value |per| and
+rank before and after, and a matrix is built only to name a failure.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from collections.abc import Iterator
 from operator import mul
 
 from .errors import PropertyFailure, RankError, ShapeError
-from .exact_rank import rank
+from .exact_rank import _rank_words, rank
 from .permanent import _glynn, _naive_code, laplace_expand
 from .rank_vectors import check_min_law
 from .reduction import equivalent_to_d
-from .sign_matrix import _STEP_ARITY, SignMatrix, apply, format_matrix_text, invert_transforms
+from .sign_matrix import _STEP_ARITY, SignMatrix, _apply_words, format_matrix_text, invert_transforms
 
 __all__ = ["enumerate_normalized"]
 
@@ -117,12 +120,44 @@ def _random_wide(rng: random.Random, k: int, n: int) -> SignMatrix:
             return a
 
 
+# the step kinds in table order, which fixes the draws
+_STEP_KINDS = tuple(_STEP_ARITY)
+
+
 def _random_transforms(rng: random.Random, n: int) -> tuple[tuple, ...]:
     steps: list[tuple] = []
     for _ in range(rng.randint(0, 6)):
-        kind = rng.choice(tuple(_STEP_ARITY))  # table order fixes the draws
+        kind = rng.choice(_STEP_KINDS)
         steps.append((kind, *(rng.randint(1, n) for _ in range(_STEP_ARITY[kind]))))
     return tuple(steps)
+
+
+def _transform_cases(rng: random.Random, count: int) -> Iterator[tuple[int, list[int], tuple]]:
+    """``(n, words, steps)`` for ``count`` transform cases: an order n in
+    2..6, the row words of ``_random_square(rng, n)`` and the steps of
+    ``_random_transforms(rng, n)``, from the same ``rng`` calls, with no
+    matrix built."""
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        words = [rng.getrandbits(n) for _ in range(n)]
+        yield n, words, _random_transforms(rng, n)
+
+
+def _first_transform_failure(rng: random.Random, count: int) -> tuple[str, list[int], tuple] | None:
+    """Check ``count`` cases of ``_transform_cases`` on their row words:
+    |per| (Glynn's core) and rank (``_rank_words``) must not change
+    under the steps, and the inverse steps must restore the words.
+    Return the violated check's name, the words and the steps of the
+    first case that fails, or None."""
+    for n, words, steps in _transform_cases(rng, count):
+        moved = _apply_words(n, n, words, steps)
+        if abs(_glynn(n, words)) != abs(_glynn(n, moved)):
+            return "permanent transform invariance", words, steps
+        if _rank_words(n, words) != _rank_words(n, moved):
+            return "rank transform invariance", words, steps
+        if _apply_words(n, n, moved, invert_transforms(steps)) != words:
+            return "transform inversion", words, steps
+    return None
 
 
 # the wide shapes whose every full-row-rank matrix meets the minimality law, walked in full
@@ -222,17 +257,10 @@ def run(seed: int, samples: int) -> tuple[tuple[str, int], ...]:
 
     # |per| and rank survive the transformation group, and sequences invert
     cases = max(1, samples // 10)
-    for _ in range(cases):
-        order = rng.randint(2, 6)
-        a = _random_square(rng, order)
-        seq = _random_transforms(rng, order)
-        b = apply(a, seq)
-        if abs(_glynn(order, a.words)) != abs(_glynn(order, b.words)):
-            fail("permanent transform invariance", a, f"under {seq}")
-        if rank(a) != rank(b):
-            fail("rank transform invariance", a, f"under {seq}")
-        if apply(b, invert_transforms(seq)) != a:
-            fail("transform inversion", a, f"under {seq}")
+    failure = _first_transform_failure(rng, cases)
+    if failure is not None:
+        name, words, seq = failure
+        fail(name, SignMatrix(len(words), len(words), words), f"under {seq}")
     checks.append(("transform_invariance", cases))
 
     # rank-vector minimality, which a wrong selection rank breaks:

@@ -192,8 +192,16 @@ def _check_index_set(members, n: int) -> tuple[int, ...]:
 
 
 def _transpose_words(words, cols: int) -> tuple[int, ...]:
-    """The columns of row ``words`` as row words."""
-    return tuple(sum(((w >> j) & 1) << i for i, w in enumerate(words)) for j in range(cols))
+    """The columns of row ``words`` as row words: each set bit of row i
+    sets bit i of its column's word, lowest set bit first."""
+    out = [0] * cols
+    for i, w in enumerate(words):
+        bit = 1 << i
+        while w:
+            low = w & -w
+            out[low.bit_length() - 1] |= bit
+            w ^= low
+    return tuple(out)
 
 
 _STEP_ARITY = {"negR": 1, "negC": 1, "swapR": 2, "swapC": 2, "T": 0}
@@ -206,15 +214,11 @@ def _check_step(step) -> str:
     return step[0]
 
 
-def apply(a: SignMatrix, steps) -> SignMatrix:
-    """Apply a transform sequence in order.  Preserves |permanent| and rank.
-
-    A step's arity names its action (0 transpose, 1 negate, 2 swap) and
-    its last letter its axis; only a square matrix transposes, so the
-    shape never changes.
-    """
-    rows, cols = a.rows, a.cols
-    words = list(a.words)
+def _apply_words(rows: int, cols: int, words, steps) -> list[int]:
+    """The row words of a rows x cols matrix with row words ``words``
+    after the transform sequence ``steps``, every step checked as
+    ``apply`` describes; ``words`` is left as it was."""
+    words = list(words)
     for step in steps:
         kind = _check_step(step)
         if kind == "T":
@@ -235,7 +239,18 @@ def apply(a: SignMatrix, steps) -> SignMatrix:
             words[i - 1] ^= (1 << cols) - 1
         else:
             words[i - 1], words[k - 1] = words[k - 1], words[i - 1]
-    return SignMatrix(rows, cols, tuple(words))
+    return words
+
+
+def apply(a: SignMatrix, steps) -> SignMatrix:
+    """Apply a transform sequence in order.  Preserves |permanent| and rank.
+
+    A step's arity names its action (0 transpose, 1 negate, 2 swap) and
+    its last letter its axis; only a square matrix transposes, so the
+    shape never changes.  The steps run on the row words, in
+    ``_apply_words``, and one matrix is built from the result.
+    """
+    return SignMatrix(a.rows, a.cols, _apply_words(a.rows, a.cols, a.words, steps))
 
 
 def format_transforms(steps) -> str:

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
-from permax import apply, d_matrix, make_matrix, p_matrix, q_matrix, rank
+import pytest
+
+from permax import SignMatrix, apply, d_matrix, make_matrix, p_matrix, q_matrix, rank
+from permax.exact_rank import _rank_words
 
 
 def reference_rank(a):
@@ -79,3 +82,46 @@ def test_rank_is_transform_invariant():
             else:
                 steps.append((kind, rng.randint(1, n), rng.randint(1, n)))
         assert rank(apply(a, steps)) == r
+
+
+# every row count 1..12 with its square shape, the next width, a middle
+# width and the widest, 16 columns
+SHAPES = sorted({(k, n) for k in range(1, 13) for n in (k, k + 1, (k + 16) // 2, 16)})
+
+
+def assert_rank_matches_reference(a):
+    want = reference_rank(a)
+    assert rank(a) == want, a
+    # props hands the word-level core lists of row words
+    assert _rank_words(a.cols, list(a.words)) == want, a
+    return want
+
+
+@pytest.mark.parametrize("k,n", SHAPES, ids=[f"{k}x{n}" for k, n in SHAPES])
+def test_rank_words_matches_reference_on_uniform_matrices(k, n):
+    rng = random.Random(k * 100 + n)
+    for _ in range(6):
+        assert_rank_matches_reference(SignMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k))))
+
+
+@pytest.mark.parametrize("k,n", SHAPES, ids=[f"{k}x{n}" for k, n in SHAPES])
+def test_rank_words_matches_reference_on_rank_deficient_matrices(k, n):
+    # uniform draws are almost always of full rank, so draw matrices of
+    # known deficiency: rows from three words and their complements (at
+    # most two distinct rows once normalized), and columns that copy or
+    # negate m < k base columns, whose rows stay distinct and
+    # take the elimination
+    rng = random.Random(k * 100 + n + 1)
+    full = (1 << n) - 1
+    for _ in range(6):
+        three = [rng.getrandbits(n) for _ in range(3)]
+        words = tuple(rng.choice(three) ^ rng.choice((0, full)) for _ in range(k))
+        assert assert_rank_matches_reference(SignMatrix(k, n, words)) <= 3
+    if k == 1:
+        return
+    for _ in range(6):
+        m = rng.randint(1, k - 1)
+        base = [rng.getrandbits(k) for _ in range(m)]
+        cols = [rng.choice(base) ^ rng.choice((0, (1 << k) - 1)) for _ in range(n)]
+        words = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
+        assert assert_rank_matches_reference(SignMatrix(k, n, words)) <= m

@@ -450,3 +450,57 @@ v.verify_properties(0, 200)
     assert head == "rank-vector minimality violated"
     k, n = map(int, matrix.split("\n", 1)[0].split())
     assert 2 <= k < n
+
+
+def run_transform_mutant(patch: str) -> tuple[str, str]:
+    """Run the property suite under ``python -O`` with ``patch`` applied
+    to ``props`` and return the failure's head line and its matrix."""
+    out = run_optimized(
+        f"import permax.props as props\nimport permax.verifier as v\n{patch}\n"
+        "v.verify_properties(0, 100)"
+    )
+    head, _, matrix = out.partition("\n")
+    return head, matrix
+
+
+def test_transform_that_moves_an_entry_breaks_permanent_invariance_under_optimize():
+    # every transformed matrix comes back with entry (1, 1) negated; the
+    # rank and inversion checks would fail on the same case, but the
+    # permanent check runs first, and it fires on the first case where
+    # the negated entry moves |per|
+    head, matrix = run_transform_mutant(
+        "real = props._apply_words\n"
+        "def skewed(rows, cols, words, steps):\n"
+        "    out = real(rows, cols, words, steps)\n"
+        "    out[0] ^= 1\n"
+        "    return out\n"
+        "props._apply_words = skewed"
+    )
+    assert head == (
+        "permanent transform invariance violated: under (('swapR', 3, 3), ('negR', 3))"
+    )
+    assert matrix.startswith("5 5\n")
+
+
+def test_rank_of_the_leading_rows_breaks_rank_invariance_under_optimize():
+    # the rank of every row but the last: a transpose exposes it on the
+    # first 3 x 3 case, whose last row adds to the rank of the first two
+    # while its last column does not; |per| is untouched, so the
+    # permanent check passes
+    head, matrix = run_transform_mutant(
+        "real = props._rank_words\n"
+        "props._rank_words = lambda cols, words: real(cols, words[:-1])"
+    )
+    assert head == "rank transform invariance violated: under (('T',),)"
+    assert matrix == "3 3\n-1 -1 -1\n 1  1  1\n 1 -1  1"
+
+
+def test_unreversed_inverse_breaks_transform_inversion_under_optimize():
+    # the inverse replays the steps in their own order, which undoes a
+    # sequence only when its steps commute; |per| and rank are untouched
+    head, matrix = run_transform_mutant("props.invert_transforms = tuple")
+    assert head == (
+        "transform inversion violated: under"
+        " (('swapR', 3, 4), ('T',), ('negC', 3), ('negR', 4))"
+    )
+    assert matrix.startswith("6 6\n")

@@ -20,6 +20,7 @@ from permax import (
     q_matrix,
     submatrix_select,
 )
+from permax.sign_matrix import _apply_words
 
 J2 = make_matrix([1, 1, 1, 1], 2, 2)
 
@@ -171,7 +172,12 @@ def _reference_apply(entries: list[list[int]], steps) -> list[list[int]]:
     return m
 
 
-@pytest.mark.parametrize("rows,cols", [(n, n) for n in range(2, 7)] + [(2, 5), (3, 7), (4, 6), (1, 4)])
+@pytest.mark.parametrize(
+    "rows,cols",
+    [(n, n) for n in range(2, 7)]
+    + [(2, 5), (3, 7), (4, 6), (1, 4)]
+    + [(1, 1), (9, 9), (12, 12), (1, 16), (3, 8), (12, 16)],
+)
 def test_apply_matches_list_reference(rows, cols):
     rng = random.Random(rows * 100 + cols)
     arity = {"negR": 1, "negC": 1, "swapR": 2, "swapC": 2, "T": 0}
@@ -183,10 +189,14 @@ def test_apply_matches_list_reference(rows, cols):
             kind = rng.choice(kinds)
             size = cols if kind in ("negC", "swapC") else rows
             steps.append((kind, *(rng.randint(1, size) for _ in range(arity[kind]))))
-        flat = [e for row in entries for e in row]
-        got = apply(make_matrix(flat, rows, cols), steps)
+        a = make_matrix([e for row in entries for e in row], rows, cols)
+        got = apply(a, steps)
         want = _reference_apply(entries, steps)
         assert got == make_matrix([e for row in want for e in row], rows, cols), steps
+        # the word-level core gives the same words and leaves its input alone
+        words = list(a.words)
+        assert _apply_words(rows, cols, words, steps) == list(got.words), steps
+        assert words == list(a.words)
 
 
 @pytest.mark.parametrize(
@@ -208,6 +218,10 @@ def test_apply_error_contract(step, error, message):
     a = make_matrix([1, -1, 1, 1, 1, -1], 2, 3)
     with pytest.raises(error) as info:
         apply(a, [("negR", 1), step])
+    assert str(info.value) == message
+    # the word-level core makes every check apply makes, with the same messages
+    with pytest.raises(error) as info:
+        _apply_words(2, 3, list(a.words), [("negR", 1), step])
     assert str(info.value) == message
 
 

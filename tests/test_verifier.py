@@ -113,6 +113,33 @@ def test_props_samples_the_words_of_random_square(monkeypatch):
     assert drawn == want
 
 
+def test_props_transform_cases_are_random_square_and_random_transforms(monkeypatch):
+    # the transform check draws its words and steps without building
+    # matrices, from the same rng calls as _random_square and
+    # _random_transforms, so each seed checks the same cases
+    real = permax.props._transform_cases
+    drawn, states = [], []
+
+    def recorded(rng, count):
+        states.append(rng.getstate())
+        for case in real(rng, count):
+            drawn.append(case)
+            yield case
+
+    monkeypatch.setattr(permax.props, "_transform_cases", recorded)
+    seed, samples = 3, 300
+    verify_properties(seed=seed, samples=samples)
+    assert len(states) == 1
+    rng = random.Random()
+    rng.setstate(states[0])
+    want = []
+    for _ in range(samples // 10):
+        order = rng.randint(2, 6)
+        words = permax.props._random_square(rng, order).words
+        want.append((order, words, permax.props._random_transforms(rng, order)))
+    assert [(n, tuple(words), steps) for n, words, steps in drawn] == want
+
+
 def test_sweep_order_two_and_three():
     r2 = verify_square(2)
     assert [(s.rank, s.bound, s.observed_max, s.extremal_orbits) for s in r2.rows] == [

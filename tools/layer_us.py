@@ -14,8 +14,8 @@ on the same shapes.  To compare two checkouts, alternate whole runs
 with the sides swapped, at least two runs per side, or time both trees
 interleaved in one process.
 
-Seven sections run in order, each opened by a ``# <section>: <columns>``
-line; the first six each draw their inputs from their own seeded
+Nine sections run in order, each opened by a ``# <section>: <columns>``
+line; the first eight each draw their inputs from their own seeded
 generator, so every run times the same inputs:
 
 - ``permanent``: ``permanent_ryser`` and ``permanent_naive`` on 40
@@ -30,6 +30,16 @@ generator, so every run times the same inputs:
   ``props._first_disagreement``, over 1,000 seeded matrices per order
   n = 5..8, one line ``n us``: microseconds per sampled matrix, its
   row words drawn and valued by Glynn's core and the compiled oracle.
+- ``props_transform``: the property suite's transform-invariance check,
+  ``props._first_transform_failure``, over 1,000 seeded cases, one line
+  ``cases us``: microseconds per case, its order, row words and steps
+  drawn, the steps and their inverse applied on the words, and |per| and
+  rank compared by their word-level cores.
+- ``rank``: ``rank`` on 40 uniform n x n matrices and 40 rank-deficient
+  ones per order n = 2..12, one line ``n uniform deficient``.  A
+  deficient matrix's columns copy or negate n // 2 random base columns,
+  so its rank is at most n // 2 while its rows stay distinct and go
+  through the elimination.
 - ``mper``: ``mper`` on 40 uniform k x n matrices per shape (3,5), (5,8),
   (6,12) and (8,12), one line ``shape us first_us``.  ``first_us`` is
   the shape's first call, timed once before the others: it compiles the
@@ -143,6 +153,24 @@ def main() -> None:
     for n in range(5, 9):
         t = best(lambda: px.props._first_disagreement(random.Random(19), n, SAMPLES), 5)[0]
         print(n, f"{t / SAMPLES * 1e6:.2f}", flush=True)
+
+    print("# props_transform: cases us", flush=True)
+    t = best(lambda: px.props._first_transform_failure(random.Random(23), SAMPLES), 5)[0]
+    print(SAMPLES, f"{t / SAMPLES * 1e6:.2f}", flush=True)
+
+    print("# rank: n uniform deficient", flush=True)
+    rng = random.Random(29)
+    for n in range(2, 13):
+        full = (1 << n) - 1
+        deficient = []
+        for _ in range(40):
+            base = [rng.getrandbits(n) for _ in range(n // 2)]
+            cols = [rng.choice(base) ^ rng.choice((0, full)) for _ in range(n)]
+            words = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(n))
+            deficient.append(px.SignMatrix(n, n, words))
+        mats = [uniform(rng, n, n) for _ in range(40)]
+        times = [per_call_us(px.rank, m, 5) for m in (mats, deficient)]
+        print(n, *(f"{t:.1f}" for t in times), flush=True)
 
     print("# mper: shape us first_us", flush=True)
     rng = random.Random(17)
