@@ -5,10 +5,11 @@ selections by rank, indexed by descending rank: ``counts[0]`` is the
 number of selections of full rank k, ``counts[k-1]`` the number of
 rank-1 selections.
 
-A rank vector is tallied straight from the row words.  Each column is
-gathered once into a line of k +-1 entries; a selection's rank is the
-Bareiss rank (``exact_rank._rank_rows``) of its k lines, which is the
-rank of the transposed selection.  No selection becomes a SignMatrix.
+A rank vector is tallied straight from the row words.  They are
+transposed once into column words of k bits; a selection's rank is the
+rank (``exact_rank._rank_words``) of the k x k sign matrix whose rows
+are its column words, the transposed selection.  No selection becomes a
+SignMatrix.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import functools
 import itertools
 
 from .errors import RankError, ShapeError
-from .exact_rank import _rank_rows
-from .sign_matrix import SignMatrix, d_matrix
+from .exact_rank import _rank_words
+from .sign_matrix import SignMatrix, _transpose_words, d_matrix
 
 __all__ = [
     "RankVector",
@@ -32,22 +33,17 @@ RankVector = tuple[int, ...]
 
 @functools.cache
 def _selections(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The k-subsets of 1..n in lexicographic order, built once per shape."""
-    return tuple(itertools.combinations(range(1, n + 1), k))
-
-
-def _selection_rank(lines: list[tuple[int, ...]], cols: tuple[int, ...]) -> int:
-    """Rank of the selection ``cols`` from the parent's column ``lines``."""
-    return _rank_rows([list(lines[j - 1]) for j in cols])
+    """The k-subsets of 0..n-1 in lexicographic order, built once per shape."""
+    return tuple(itertools.combinations(range(n), k))
 
 
 def rank_vector(a: SignMatrix) -> RankVector:
     """Rank vector of ``a``: counts[i] = k-column selections of rank k - i."""
     k = a.rows
-    lines = [tuple(-1 if (w >> j) & 1 else 1 for w in a.words) for j in range(a.cols)]
+    lines = _transpose_words(a.words, a.cols)
     counts = [0] * k
     for cols in _selections(a.cols, k):
-        counts[k - _selection_rank(lines, cols)] += 1
+        counts[k - _rank_words(k, [lines[j] for j in cols])] += 1
     return tuple(counts)
 
 

@@ -23,8 +23,11 @@ depth-first stack of prefix rows from the empty permanent 1: a parent
 row, one of a class's first k - 2 rows, all-ones row included, is
 stepped once when it is pushed (190 parents for the 1,053 classes of
 order 6), and each class takes its C(n,k-1) minors by the same step
-along its last prefix row.  Every selection reads its b_j from those
-minors, so one pass per valued class and selection gives every leaf's
+along its last prefix row.  Each order j has one table of n column
+getters, getter c picking every j-column set's minor less column c,
+and it serves every step into that order, the all-ones row's and the
+last row's included: every selection reads its b_j off the order-k
+table, so one pass per valued class and selection gives every leaf's
 value, and the rank comes from a table of row spans: a leaf evaluates
 no permanent and runs no elimination.  No leaf of a class exceeds the
 sum of every |b_j|, n - k + 1 times the sum of the minors' |per|, and a
@@ -203,16 +206,16 @@ class _SweepTables:
     row j, b_T = sum over c in T of a_c M_(T-c), starting from the one
     order-0 minor, the empty permanent 1.  Every list of minors, in
     ``combinations`` order of its column sets, ends with one 0 more.
-    ``levels[j]``, for j = 1..k-1, is the table pair of that step into
-    order j, and both read the list of order-(j-1) minors: the j getters
-    of ``base`` pick M_(T-c) for the i-th column c of T, and they sum to
-    T's minor when the row is all ones; ``drop[c - 1]`` picks M_(T-c) for
-    free column c, and 0 where T lacks c, which a row with a -1 in column
-    c takes off twice.  Each getter picks the closing 0 last, so the
-    order-j list ends with a 0 too.  ``sels[s]`` reads the s-th k-column
-    selection's coefficients b_0..b_(n-1) off the list of order-(k-1)
-    minors: b_j is the minor on the selection less column j, and 0 for a
-    column outside the selection.
+    ``levels[j]``, for j = 1..k, is the table of that step into order j,
+    n getters that read the list of order-(j-1) minors: getter c picks
+    M_(T-c) for every j-column set T, and the closing 0 where T lacks c.
+    Their outputs sum to the order-j minors when the row is all ones, and
+    a row with a -1 in column c takes getter c's off twice.  Each getter
+    picks the closing 0 last, so the order-j list ends with a 0 too.  The
+    last row's step reads its order-k outputs per k-column selection
+    instead: zipped, they give each selection's coefficients
+    b_0..b_(n-1), b_c the minor on the selection less column c, and 0
+    for a column outside it.
 
     ``targets`` maps each judged rank to the least value its stratum must
     reach; ``None`` judges nothing and has every class value its leaves.
@@ -229,28 +232,16 @@ class _SweepTables:
             reach = [targets.get(r, math.inf) for r in range(k + 1)]
             self.need = [min(reach[d + 1], reach[d + 2]) for d in range(k - 1)]
 
-        def masks(q: int) -> list[int]:
-            return [sum(1 << c for c in cols) for cols in combinations(range(n), q)]
-
-        # the minors a table reads, by column mask; dropping a column
-        # outside a set's mask gives one column too many, no key, so that
-        # column reads the closing 0
-        index = {0: 0}
+        upper = [0]  # the column masks of the minors a table reads
         self.levels = {}
-        for j in range(1, k):
-            sets, upper = list(combinations(range(n), j)), masks(j)
-            base = [
-                itemgetter(*[index[t ^ 1 << cols[i]] for t, cols in zip(upper, sets)], -1)
-                for i in range(j)
-            ]
-            drop = [
-                itemgetter(*[index.get(t ^ 1 << c, -1) for t in upper], -1) for c in range(1, n)
-            ]
-            self.levels[j] = base, drop
+        for j in range(1, k + 1):
+            # dropping a column outside a set's mask gives one column too
+            # many, no key, so that column reads the closing 0
             index = {t: i for i, t in enumerate(upper)}
-        self.sels = [
-            itemgetter(*[index.get(sel ^ 1 << j, -1) for j in range(n)]) for sel in masks(k)
-        ]
+            upper = [sum(1 << c for c in cols) for cols in combinations(range(n), j)]
+            self.levels[j] = [
+                itemgetter(*[index.get(t ^ 1 << c, -1) for t in upper], -1) for c in range(n)
+            ]
         self.spans = _SpanTable(n - 1)
 
 
@@ -395,22 +386,24 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     column j, and each order-j minor of the first j rows is linear in turn
     in row j, with the order-(j-1) minors of the rows above as
     coefficients.  So every prefix row takes its minors by one Laplace step
-    from those of the rows above it: a base vector, less one doubled drop
-    vector per column where the row has a -1.  The classes arrive depth
-    first, and consecutive classes share parents, P less its last row.  A
-    stack holds one entry for the empty permanent 1 and one per parent row
-    after it, all-ones row first: the span id of the rows so far, and the
-    base and doubled drop vectors of the next step, formed once when the
-    row is pushed.  Only the parent rows that differ from the previous
-    class's are stepped and pushed, and each class takes its C(n,k-1)
-    minors by the same step, one level deeper, along P's last row, which
-    is not pushed.  A minor belongs to the n - k + 1 selections that hold
-    its columns, and a selection reads its b_j from that list.  One
-    doubling pass per selection gives every leaf's value.  A leaf's rank is
-    1 + dim(span of P), plus 1 when the last row lies outside that span,
-    so the span table alone splits a class's last rows by rank: the span
-    mask is the set of rank 1 + dim, its complement the set of
-    rank 2 + dim.  Each class adds w times the size of each half of its
+    from those of the rows above it, read through the order's one getter
+    table: the sum of its getters' outputs, the step of an all-ones row,
+    less getter c's output doubled for each column c where the row has a
+    -1.  The classes arrive depth first, and consecutive classes share
+    parents, P less its last row.  A stack holds one entry for the empty
+    permanent 1 and one per parent row after it, all-ones row first: the
+    span id of the rows so far, and the all-ones vector and doubled drop
+    vectors of the next step, formed once when the row is pushed.  Only
+    the parent rows that differ from the previous class's are stepped and
+    pushed, and each class takes its C(n,k-1) minors by the same step, one
+    level deeper, along P's last row, which is not pushed.  A minor
+    belongs to the n - k + 1 selections that hold its columns, and the
+    order-k getters, zipped, give each selection its b_0..b_(n-1) off
+    that list.  One doubling pass per selection gives every leaf's
+    value.  A leaf's rank is 1 + dim(span of P), plus 1 when the last
+    row lies outside that span, so the span table alone splits a class's
+    last rows by rank: the span mask is the set of rank 1 + dim, its
+    complement the set of rank 2 + dim.  Each class adds w times the size of each half of its
     split to the census as it is scanned, w * 2^(n-1) matrices in all, so
     the census sums to the orbit sum times 2^(n-1), and no other matrix
     count is kept.
@@ -439,7 +432,7 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     the classes valued for other ranks.
     """
     k, m = tables.k, tables.n - 1
-    levels, sels, spans, need = tables.levels, tables.sels, tables.spans, tables.need
+    levels, spans, need = tables.levels, tables.spans, tables.need
     spread = tables.n - k + 1  # the selections holding each (k-1)-column set
     last_rows = (1 << (1 << m)) - 1
     best = [-1] * (k + 1)
@@ -449,10 +442,9 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
     orbits = squares = classes = 0
 
     def lift(minors: list[int], q: int) -> tuple[list[int], list[list[int]]]:
-        # the base vector and doubled drop vectors of the step into order q
-        base, drop = levels[q]
-        summed = list(map(sum, zip(*[g(minors) for g in base])))
-        return summed, [[v + v for v in g(minors)] for g in drop]
+        # the all-ones vector and doubled drop vectors of the step into order q
+        outs = [g(minors) for g in levels[q]]
+        return list(map(sum, zip(*outs))), [[v + v for v in out] for out in outs[1:]]
 
     up: tuple[int, ...] = ()  # the parent's rows, all-ones row first
     stack = [(0, *lift([1, 0], 1))]  # per row of ``up``, and one before: span id, next step
@@ -484,8 +476,9 @@ def _sweep_block(tables: _SweepTables, block: Iterable[tuple[tuple[int, ...], in
             continue
         vals: list[int] = []
         sq = 0
-        for sel in sels:
-            per = _last_row_values(sel(mz))
+        # each selection's b_0..b_(n-1), the closing entry left out
+        for b in list(zip(*[g(mz) for g in levels[k]]))[:-1]:
+            per = _last_row_values(b)
             sq += sum(map(mul, per, per))
             vals = list(map(add, vals, map(abs, per))) if vals else list(map(abs, per))
         squares += w * sq

@@ -237,18 +237,19 @@ v.verify_square(4)
 
 
 def run_with_odd_minors(q: int) -> str:
-    """Run ``verify_square(6)`` under ``python -O`` with the first getter
-    of the order-q level's ``base`` reading one more, so the first
-    order-q minor of every prefix row at that level is off by one."""
+    """Run ``verify_square(6)`` under ``python -O`` with getter 0 of the
+    order-q level reading one more in its first entry, so the first
+    order-q minor of every prefix row at that level, which the all-ones
+    step sums from every getter, is off by one."""
     return run_optimized(
         f"""
 import permax.verifier as v
 real = v._SweepTables.__init__
 def corrupted(self, k, n, targets=None):
     real(self, k, n, targets)
-    base = self.levels[{q}][0]
-    g = base[0]
-    base[0] = lambda minors: (g(minors)[0] + 1,) + g(minors)[1:]
+    level = self.levels[{q}]
+    g = level[0]
+    level[0] = lambda minors: (g(minors)[0] + 1,) + g(minors)[1:]
 v._SweepTables.__init__ = corrupted
 v.verify_square(6)
 """
@@ -436,13 +437,14 @@ v.verify_properties(0, 100)
 
 
 def test_wrong_selection_rank_raises_under_optimize():
-    # understates the rank of every selection through the parent's last column
+    # every selection through the parent's last column reads the first
+    # column's word in its place, so those selections alone rank wrong
     out = run_optimized(
         """
 import permax.rank_vectors as rv
 import permax.verifier as v
-real = rv._selection_rank
-rv._selection_rank = lambda lines, cols: max(1, real(lines, cols) - (cols[-1] == len(lines)))
+real = rv._transpose_words
+rv._transpose_words = lambda words, cols: (lines := real(words, cols))[:-1] + lines[:1]
 v.verify_properties(0, 200)
 """
     )

@@ -1,8 +1,10 @@
 """Rank vectors of column selections, and the prefix-sum order."""
 
+import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +19,6 @@ from permax import (
     q_matrix,
     rank,
     rank_vector,
-    submatrix_select,
 )
 
 
@@ -25,12 +26,36 @@ def random_wide(rng, k, n):
     return make_matrix([rng.choice((1, -1)) for _ in range(k * n)], k, n)
 
 
+@functools.cache
+def fraction_rank(rows):
+    """Rank of a tuple of +-1 row tuples by plain Gaussian elimination over
+    exact rationals; cached, as the exhaustive shapes meet each small
+    selection many times."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            for j in range(c, len(m[0])):
+                m[i][j] -= f * m[r][j]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
 def selection_tally(a):
-    """Rank vector by the independent route: one SignMatrix per selection,
-    each ranked by ``rank``."""
+    """Rank vector by the independent route: every selection's +-1
+    columns ranked by ``fraction_rank``, no code shared with
+    ``rank_vector``."""
+    columns = list(zip(*[a.row_signs(i) for i in range(1, a.rows + 1)]))
     counts = [0] * a.rows
-    for cols in itertools.combinations(range(1, a.cols + 1), a.rows):
-        counts[a.rows - rank(submatrix_select(a, range(1, a.rows + 1), cols))] += 1
+    for cols in itertools.combinations(columns, a.rows):
+        counts[a.rows - fraction_rank(cols)] += 1
     return tuple(counts)
 
 
@@ -48,6 +73,17 @@ def test_rank_vector_matches_selection_tally_sampled():
         k = rng.randint(1, 4)
         n = rng.randint(k, 8)
         a = random_wide(rng, k, n)
+        assert rank_vector(a) == selection_tally(a), a
+    # k = 5..12: rows each one of two words or their complements, rank at
+    # most 2 with rows that repeat and negate one another, and one
+    # uniform matrix with a column to spare
+    for k in range(5, 13):
+        for n in range(k, k + 3):
+            full = (1 << n) - 1
+            base = [rng.getrandbits(n) for _ in range(2)]
+            a = SignMatrix(k, n, tuple(rng.choice(base) ^ rng.choice((0, full)) for _ in range(k)))
+            assert rank_vector(a) == selection_tally(a), a
+        a = random_wide(rng, k, k + 1)
         assert rank_vector(a) == selection_tally(a), a
 
 

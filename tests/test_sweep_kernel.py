@@ -239,28 +239,38 @@ def test_class_minors_match_the_compiled_oracle(k, n):
     # each order-j minor, j = 1..k-1, that the level tables step to along a
     # class's prefix rows, from the empty permanent 1, is the permanent the
     # compiled oracle gives over the prefix's first j rows, first row all
-    # ones, and each list of minors ends with one 0; the oracle lists its
-    # column sets in descending numeric order, so both sides are keyed by
-    # column mask
+    # ones, and each list of minors ends with one 0; the order-k level's
+    # outputs, zipped, give each k-column selection's b_j, the oracle's
+    # minor on the selection less column j and 0 for a column outside it,
+    # and close with one entry of zeros.  The oracle lists its column sets
+    # in descending numeric order, so both sides are keyed by column mask
     tables = verifier._SweepTables(k, n)
-    assert sorted(tables.levels) == list(range(1, k))
+    assert sorted(tables.levels) == list(range(1, k + 1))
+    assert all(len(level) == n for level in tables.levels.values())
     masks = {
-        q: [sum(1 << c for c in cols) for cols in combinations(range(n), q)] for q in range(1, k)
+        q: [sum(1 << c for c in cols) for cols in combinations(range(n), q)]
+        for q in range(1, k + 1)
     }
     oracles = {q: permanent._naive_code(q, n) for q in range(1, k)}
     for rows, _ in verifier._prefix_classes(k - 2, n - 1):
         words = (0,) + tuple(x << 1 for x in rows)
         minors = [1, 0]
         for q in range(1, k):
-            base, drop = tables.levels[q]
-            got = [sum(t) for t in zip(*[g(minors) for g in base])]
-            for j in range(n - 1):
-                if (words[q - 1] >> (j + 1)) & 1:
-                    got = [b - 2 * d for b, d in zip(got, drop[j](minors))]
+            outs = [g(minors) for g in tables.levels[q]]
+            got = [sum(t) for t in zip(*outs)]
+            for j in range(1, n):
+                if (words[q - 1] >> j) & 1:
+                    got = [b - 2 * d for b, d in zip(got, outs[j])]
             want = dict(zip(sorted(masks[q], reverse=True), oracles[q](words[:q])))
             assert len(got) == len(masks[q]) + 1 and got[-1] == 0, (rows, q)
             assert dict(zip(masks[q], got)) == want, (rows, q)
             minors = got
+        sels = list(zip(*[g(minors) for g in tables.levels[k]]))
+        assert len(sels) == len(masks[k]) + 1 and set(sels[-1]) == {0}, rows
+        for sel, b in zip(masks[k], sels):  # ``want`` holds the oracle's order-(k-1) minors
+            assert b == tuple(want[sel ^ 1 << j] if (sel >> j) & 1 else 0 for j in range(n)), (
+                rows, sel,
+            )
 
 
 def test_order_six_values_23_of_1053_classes(monkeypatch):
@@ -375,8 +385,8 @@ def test_order_seven_census_meets_the_pinned_full_rank_count(n):
 
 def test_two_row_tables_stay_small():
     # no table has an entry per column subset: the order-j level reads and
-    # gives one entry per column set of j or j - 1 columns, so one free row
-    # builds the order-1 level alone, and a sweep adds no table
+    # gives one entry per column set of j or j - 1 columns, so two rows
+    # build the order-1 and order-2 levels alone, and a sweep adds no table
     tracemalloc.start()
     try:
         tables = verifier._SweepTables(2, 10)
@@ -387,9 +397,9 @@ def test_two_row_tables_stay_small():
     for k in (2, 3):
         tables = verifier._SweepTables(k, 10)
         verifier._sweep_block(tables, verifier._prefix_classes(k - 2, 9))
-        assert sorted(tables.levels) == list(range(1, k))
-        getters = [g for base, drop in tables.levels.values() for g in base + drop]
-        assert max(len(g(range(1 << 10))) for g in getters + tables.sels) < 1 << 10
+        assert sorted(tables.levels) == list(range(1, k + 1))
+        getters = [g for level in tables.levels.values() for g in level]
+        assert max(len(g(range(1 << 10))) for g in getters) < 1 << 10
         assert all(len(t) < 1 << 10 for t in vars(tables).values() if isinstance(t, (list, dict)))
 
 

@@ -16,7 +16,10 @@ interleaved in one process.
 
 Nine sections run in order, each opened by a ``# <section>: <columns>``
 line; the first eight each draw their inputs from their own seeded
-generator, so every run times the same inputs:
+generator, so every run times the same inputs.  A section that calls a
+``permax`` name the checkout lacks, as older trees lack some private
+ones, prints ``# <section>: skipped, <name> missing`` in place of its
+header and lines, and the run goes on with the next:
 
 - ``permanent``: ``permanent_ryser`` and ``permanent_naive`` on 40
   uniform n x n matrices per order n = 2..12, one line
@@ -131,34 +134,31 @@ def per_call_us(call, inputs, repeats):
     return best(one_pass, repeats)[0] / len(inputs) * 1e6
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    args = parser.parse_args()
-    sys.path.insert(0, args.src)
-    import permax as px
+def uniform(px, rng, k, n):
+    return px.SignMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
 
-    def uniform(rng, k, n):
-        return px.SignMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
 
-    print("# permanent: n ryser naive naive_first", flush=True)
+def time_permanent(px):
     rng = random.Random(7)
     for n in range(2, 13):
-        mats = [uniform(rng, n, n) for _ in range(40)]
+        mats = [uniform(px, rng, n, n) for _ in range(40)]
         first = best(lambda: px.permanent_naive(mats[0]), 1)[0] * 1e6
         times = [per_call_us(f, mats, 5) for f in (px.permanent_ryser, px.permanent_naive)]
         print(n, *(f"{t:.1f}" for t in (*times, first)), flush=True)
 
-    print("# props_sample: n us", flush=True)
+
+def time_props_sample(px):
     for n in range(5, 9):
         t = best(lambda: px.props._first_disagreement(random.Random(19), n, SAMPLES), 5)[0]
         print(n, f"{t / SAMPLES * 1e6:.2f}", flush=True)
 
-    print("# props_transform: cases us", flush=True)
+
+def time_props_transform(px):
     t = best(lambda: px.props._first_transform_failure(random.Random(23), SAMPLES), 5)[0]
     print(SAMPLES, f"{t / SAMPLES * 1e6:.2f}", flush=True)
 
-    print("# rank: n uniform deficient", flush=True)
+
+def time_rank(px):
     rng = random.Random(29)
     for n in range(2, 13):
         full = (1 << n) - 1
@@ -168,29 +168,32 @@ def main() -> None:
             cols = [rng.choice(base) ^ rng.choice((0, full)) for _ in range(n)]
             words = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(n))
             deficient.append(px.SignMatrix(n, n, words))
-        mats = [uniform(rng, n, n) for _ in range(40)]
+        mats = [uniform(px, rng, n, n) for _ in range(40)]
         times = [per_call_us(px.rank, m, 5) for m in (mats, deficient)]
         print(n, *(f"{t:.1f}" for t in times), flush=True)
 
-    print("# mper: shape us first_us", flush=True)
+
+def time_mper(px):
     rng = random.Random(17)
     for k, n in MPER_SHAPES:
-        mats = [uniform(rng, k, n) for _ in range(40)]
+        mats = [uniform(px, rng, k, n) for _ in range(40)]
         first = best(lambda: px.mper(mats[0]), 1)[0] * 1e6
         print(f"({k},{n}) {per_call_us(px.mper, mats, 5):.1f} {first:.1f}", flush=True)
 
-    print("# rank_vector: shape us", flush=True)
+
+def time_rank_vector(px):
     rng = random.Random(11)
     for k in (2, 3, 4):
         for n in range(k + 1, 9):
             mats = []
             while len(mats) < 40:
-                a = uniform(rng, k, n)
+                a = uniform(px, rng, k, n)
                 if px.rank(a) == k:
                     mats.append(a)
             print(f"({k},{n}) {per_call_us(px.rank_vector, mats, 7):.1f}", flush=True)
 
-    print("# classify: label us", flush=True)
+
+def time_classify(px):
     rng = random.Random(13)
 
     def scrambled(template):
@@ -212,7 +215,7 @@ def main() -> None:
     def drawn(want, n=6):
         mats = []
         while len(mats) < 20:
-            a = uniform(rng, n, n)
+            a = uniform(px, rng, n, n)
             if classify(a) == want:
                 mats.append(a)
         return mats
@@ -227,7 +230,9 @@ def main() -> None:
     copies = {name: [scrambled(t) for _ in range(20)] for name, t in templates.items()}
     cases += [(f"classify {name}", classify, mats) for name, mats in copies.items()]
     cases.append(("classify RankError", classify, drawn("RankError")))
-    cases.append(("canonical_form uniform", px.canonical_form, [uniform(rng, 6, 6) for _ in range(20)]))
+    cases.append(
+        ("canonical_form uniform", px.canonical_form, [uniform(px, rng, 6, 6) for _ in range(20)])
+    )
     cases += [(f"canonical_form {name}", px.canonical_form, mats) for name, mats in copies.items()]
     for r in range(7):
         mats = [scrambled(px.d_matrix(6, 6, r)) for _ in range(20)]
@@ -239,10 +244,8 @@ def main() -> None:
     for label, call, mats in cases:
         print(f"{label} {per_call_us(call, mats, 7):.1f}", flush=True)
 
-    print(
-        "# sweep: shape gen_s leaf_s cost classes ran leaves spans us_per_leaf us_per_unit",
-        flush=True,
-    )
+
+def time_sweep(px):
     for k, n in SWEEP_SHAPES:
         gen, classes = best(lambda: list(px.verifier._prefix_classes(k - 2, n - 1)), 5)
         targets = {r: top for r, (_, top, _) in px.verifier._strata(k, n).items()}
@@ -271,18 +274,68 @@ def main() -> None:
             flush=True,
         )
 
-    print("# import: module ms", flush=True)
+
+def time_import(px):
+    src = str(Path(px.__file__).resolve().parent.parent)
     for module in ("permax", "permax.cli"):
         code = (
             "import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
             f"import {module}; print(time.perf_counter() - t)"
         )
-        cmd = [sys.executable, "-I", "-c", code, args.src]
+        cmd = [sys.executable, "-I", "-c", code, src]
         runs = [
             float(subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=60).stdout)
             for _ in range(IMPORT_RUNS + 1)
         ]
         print(f"{module} {statistics.median(runs[1:]) * 1e3:.1f}", flush=True)
+
+
+# (section, columns, the permax names it calls, its timer), in run order
+SECTIONS = [
+    ("permanent", "n ryser naive naive_first", ("permanent_ryser", "permanent_naive"),
+     time_permanent),
+    ("props_sample", "n us", ("props._first_disagreement",), time_props_sample),
+    ("props_transform", "cases us", ("props._first_transform_failure",), time_props_transform),
+    ("rank", "n uniform deficient", ("rank",), time_rank),
+    ("mper", "shape us first_us", ("mper",), time_mper),
+    ("rank_vector", "shape us", ("rank", "rank_vector"), time_rank_vector),
+    ("classify", "label us", (
+        "apply", "canonical_form", "classify_form", "d_matrix", "equivalent_to_d", "p_matrix",
+        "RankError",
+    ), time_classify),
+    ("sweep", "shape gen_s leaf_s cost classes ran leaves spans us_per_leaf us_per_unit", (
+        "verifier._prefix_classes", "verifier._strata", "verifier._SweepTables",
+        "verifier._sweep_block", "verifier._last_row_values",
+    ), time_sweep),
+    ("import", "module ms", (), time_import),
+]
+
+
+def missing(px, names):
+    """The first of the dotted ``names`` that the package ``px`` lacks, or None."""
+    for name in names:
+        obj = px
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            return name
+    return None
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import permax as px
+
+    for section, columns, names, run in SECTIONS:
+        gone = missing(px, names)
+        if gone:
+            print(f"# {section}: skipped, {gone} missing", flush=True)
+        else:
+            print(f"# {section}: {columns}", flush=True)
+            run(px)
 
 
 if __name__ == "__main__":
